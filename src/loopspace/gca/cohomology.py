@@ -1,11 +1,13 @@
 """Degree-truncated cohomology of differential graded algebras.
 
 The free algebra is infinite-dimensional, so every computation here is
-truncated at an explicit maximal degree (default 24).  Ranks and kernels are
-computed by exact fraction-free elimination over the monomial basis of each
-degree; representative cocycles are the first kernel vectors extending the
-image span under the fixed pivot order, so identical inputs always produce
-identical tables and representatives.
+truncated at an explicit maximal degree (default 24).  Each differential
+d_d is reduced once, by the exact elimination of :mod:`.linalg`, over the
+monomial basis of each degree.  Its rank and its kernel (one vector per free
+column) are read off the reduced form, and its pivot columns are the basis
+of the image in degree d+1.  Representative cocycles are the first kernel
+vectors, left to right, that extend the image span, so identical inputs
+always produce identical tables and representatives.
 """
 
 from __future__ import annotations
@@ -149,33 +151,29 @@ def cochain_complex(
     max_degree: int,
     *,
     basis_limit: int = DEFAULT_BASIS_LIMIT,
-    validate: bool = True,
 ) -> ComplexData:
     if max_degree < 0:
         raise GcaError(f"max_degree must be >= 0, got {max_degree}")
-    if validate:
-        report = check_model(model)
-        if not report.ok:
-            raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
+    report = check_model(model)
+    if not report.ok:
+        raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
     for d in range(max_degree + 2):
         size = len(model.basis(d))
         if size > basis_limit:
             raise BasisLimitError(d, size, basis_limit)
-    matrices = [differential_matrix(model, d) for d in range(max_degree + 1)]
     degrees = []
+    image: tuple[tuple[Fraction, ...], ...] = ()
     for d in range(max_degree + 1):
         basis = model.basis(d)
-        kernel = linalg.nullspace(matrices[d], len(basis))
-        rank_out = len(basis) - len(kernel)
-        if d == 0:
-            image: list[tuple[Fraction, ...]] = []
-        else:
-            image = linalg.column_space_basis(matrices[d - 1], len(model.basis(d - 1)))
-        span = linalg.IncrementalSpan(len(basis))
-        for vec in image:
-            span.add(vec)
-        reps = tuple(vec for vec in kernel if span.add(vec))
-        degrees.append(DegreeData(d, basis, tuple(kernel), tuple(image), reps, rank_out))
+        matrix = differential_matrix(model, d)
+        ech, pivots = linalg.echelon(matrix)
+        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis)))
+        # the first kernel vectors, left to right, independent of the image
+        _, independent = linalg.echelon(list(zip(*image, *kernel)))
+        reps = tuple(kernel[p - len(image)] for p in independent if p >= len(image))
+        degrees.append(DegreeData(d, basis, kernel, image, reps, len(pivots)))
+        # the pivot columns of d_d are a basis of its image in degree d+1
+        image = tuple(tuple(row[p] for row in matrix) for p in pivots)
     return ComplexData(model, max_degree, tuple(degrees))
 
 
@@ -468,10 +466,7 @@ def _products_independent(
         if not products:
             continue
         dd = data.degrees[d]
-        span = linalg.IncrementalSpan(len(dd.basis))
-        for vec in dd.image:
-            span.add(vec)
-        for p in products:
-            if p.is_zero or not span.add(p.coords(dd.basis)):
-                return False
+        vectors = [*dd.image, *(p.coords(dd.basis) for p in products)]
+        if linalg.rank(vectors) < len(vectors):
+            return False
     return True

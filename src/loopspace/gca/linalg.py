@@ -1,10 +1,13 @@
-"""Exact rational linear algebra by fraction-free elimination.
+"""Exact rational linear algebra over one fraction-free elimination.
 
-Matrices are lists of rows; entries are ints or Fractions.  Elimination on
-the integerised matrix follows Bareiss (every division is exact), so no
-rounding can occur anywhere.  Pivots are chosen by first nonzero column,
-then smallest absolute entry, then lowest row index; the fixed rule makes
-every result deterministic.
+Matrices are lists of rows; entries are ints or Fractions.  ``echelon`` is
+the only elimination: a fraction-free Gauss-Jordan reduction of the
+integerised matrix (Bareiss 1968, applied above the pivot as well as
+below), in which every division is exact, so no rounding can occur
+anywhere.  Pivots are chosen by first nonzero column, then smallest
+absolute entry, then lowest row index; the fixed rule makes every result
+deterministic.  Rank, null space, column space and solutions are read off
+the reduced form without further elimination.
 """
 
 from __future__ import annotations
@@ -20,82 +23,83 @@ def integerize_rows(rows: Sequence[Row]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (null space unchanged)."""
     out = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form of an integer matrix, returning (rows, pivot columns).
+def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form of the integerised matrix: (rows, pivot columns).
 
-    Fraction-free: the update (a*pivot - b*c) / previous_pivot divides
-    exactly at every step.
+    Fraction-free Gauss-Jordan: each pivot step updates every other row to
+    (pivot*x - head*y) / previous_pivot, which divides exactly.  At the end
+    every row carries the same pivot value and each pivot column has one
+    nonzero entry.  The pivot columns are the first linearly independent
+    columns, in order.
     """
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
+    m = [row for row in integerize_rows(rows) if any(row)]
     pivots: list[int] = []
-    r = 0
     prev = 1
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         best = -1
-        for i in range(r, nrows):
+        for i in range(r, len(m)):
             v = m[i][c]
             if v and (best == -1 or abs(v) < abs(m[best][c])):
                 best = i
         if best == -1:
             continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            if any(m[i][c:]):
-                head = m[i][c]
-                for j in range(c, ncols):
-                    m[i][j] = (piv * m[i][j] - head * m[r][j]) // prev
+        m[r], m[best] = m[best], m[r]
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            head = row[c]
+            if i != r and (head or piv != prev):
+                m[i] = [(piv * x - head * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
         prev = piv
-        r += 1
-        if r == nrows:
+        if r + 1 == len(m):
             break
-    return m[:r], pivots
-
-
-def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
-    return _bareiss_echelon(integerize_rows(rows))
+    return m[: len(pivots)], pivots
 
 
 def rank(rows: Sequence[Row]) -> int:
     return len(echelon(rows)[1])
 
 
-def _primitive(vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Scale to a primitive integer vector with positive leading entry."""
-    fracs = [Fraction(x) for x in vec]
-    nz = [f for f in fracs if f]
-    if not nz:
-        return tuple(fracs)
-    scale = Fraction(lcm(*(f.denominator for f in nz)), gcd(*(abs(f.numerator) for f in nz)))
-    if nz[0] < 0:
-        scale = -scale
-    return tuple(f * scale for f in fracs)
+def _primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
+    """Divide a nonzero integer vector by its content, making the first
+    nonzero entry positive."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in vec)
+
+
+def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[Fraction, ...]]:
+    """The null space read off a reduced echelon form, one primitive vector
+    per free column f: nonzero at f, zero at every other free column, first
+    nonzero entry positive.
+
+    Every row of the form carries the same pivot value d, so d times the
+    kernel vector is d at f and -row[f] at the pivot of each row."""
+    d = ech[0][pivots[0]] if ech else 1
+    basis = []
+    pivot_set = set(pivots)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = [0] * ncols
+        x[f] = d
+        for row, p in zip(ech, pivots):
+            x[p] = -row[f]
+        basis.append(_primitive(x))
+    return basis
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one primitive vector per free column."""
-    ech, pivots = echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            s = sum((Fraction(ech[r][c]) * x[c] for c in range(p + 1, ncols)), Fraction(0))
-            x[p] = -s / ech[r][p]
-        basis.append(_primitive(x))
-    return basis
+    return kernel_from_echelon(*echelon(rows), ncols)
 
 
 def row_space_basis(rows: Sequence[Row]) -> list[tuple[Fraction, ...]]:
@@ -104,11 +108,8 @@ def row_space_basis(rows: Sequence[Row]) -> list[tuple[Fraction, ...]]:
 
 
 def column_space_basis(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    if not rows:
-        return []
-    # rows of the transpose live in the codomain of the original matrix
-    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-    return row_space_basis(transpose)
+    """The matrix's own columns at its pivot positions."""
+    return [tuple(Fraction(row[p]) for row in rows) for p in echelon(rows)[1]]
 
 
 def solve(columns: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
@@ -116,37 +117,14 @@ def solve(columns: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | 
 
     Free variables, if any, are set to zero, so the answer is deterministic.
     """
-    nrows = len(rhs)
     ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        best = -1
-        for i in range(r, nrows):
-            v = aug[i][c]
-            if v and (best == -1 or abs(v.numerator) < abs(aug[best][c].numerator)):
-                best = i
-        if best == -1:
-            continue
-        aug[r], aug[best] = aug[best], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, nrows):
-            if aug[i][c]:
-                f = aug[i][c] / piv
-                for j in range(c, ncols + 1):
-                    aug[i][j] -= f * aug[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
+    aug = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+    ech, pivots = echelon(aug)
+    if pivots and pivots[-1] == ncols:  # rhs is independent of the columns
+        return None
     x = [Fraction(0)] * ncols
-    for row, col in reversed(pivots):
-        s = sum((aug[row][j] * x[j] for j in range(col + 1, ncols)), Fraction(0))
-        x[col] = (aug[row][ncols] - s) / aug[row][col]
+    for row, p in zip(ech, pivots):
+        x[p] = Fraction(row[ncols], row[p])
     return x
 
 

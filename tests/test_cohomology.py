@@ -115,6 +115,11 @@ def test_rank_nullity_bookkeeping_randomized():
             assert len(dd.basis) == len(dd.kernel) + dd.rank_out
             assert dd.rank_out == linalg.rank(differential_matrix(model, d))
             assert len(dd.reps) == len(dd.kernel) - len(dd.image)
+            # the representatives are the greedy choice over the kernel basis
+            span = linalg.IncrementalSpan(len(dd.basis))
+            for vec in dd.image:
+                assert span.add(vec)
+            assert dd.reps == tuple(vec for vec in dd.kernel if span.add(vec))
 
 
 def test_representatives_are_cocycles_independent_of_image():

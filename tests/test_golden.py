@@ -1,0 +1,91 @@
+"""Byte-identity gate for the exact linear algebra.
+
+Pins the exact ``--json`` output (and exit code) of ``cohomology``,
+``ring-verify`` and ``gysin-check`` on the fixture models, and the
+representative cocycles of the seeded random models used by
+``test_cohomology.py``.  The digests were recorded before the elimination
+kernel was rewritten; any change to ``gca.linalg`` or to the cochain complex
+must reproduce them byte for byte.  To print the current digests:
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from loopspace.cli import main
+from loopspace.gca import cohomology
+
+from helpers import random_model
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+DGA = ("cp2.dga", "quotient_s2.dga", "sphere5.dga")
+
+COMMANDS = {
+    **{f"cohomology {f}": ("cohomology", "--max-degree", "16", "--json", f) for f in DGA},
+    "ring-verify quotient_s2 a=2": ("ring-verify", "--deg-z", "2", "--nilpotency", "2",
+                                    "--max-degree", "14", "--json", "quotient_s2.dga"),
+    "ring-verify quotient_s2 a=3": ("ring-verify", "--deg-z", "2", "--nilpotency", "3",
+                                    "--max-degree", "10", "--json", "quotient_s2.dga"),
+    "ring-verify cp2": ("ring-verify", "--deg-z", "5", "--nilpotency", "3",
+                        "--max-degree", "12", "--json", "cp2.dga"),
+    **{f"gysin-check {b} {t}": ("gysin-check", "--max-degree", "9", "--json", b, t)
+       for b in DGA[:2] for t in DGA},
+}
+
+EXPECTED = {
+    "cohomology cp2.dga": "abcdf23fc25ef18f4aafd88c41c2291aa708824164af8089bb66ba82467dfe9a",
+    "cohomology quotient_s2.dga": "15b0d0941539340e148634b19728564cd04524d986defccca085e50bdf92528e",
+    "cohomology sphere5.dga": "67979a8af7b5e8815314aba6fb9ca6d0930c426746bce4c522c569fd10f7fa9c",
+    "gysin-check cp2.dga cp2.dga": "d027f9870d31a57fc9e80c83ffe3147644b7fcd9efcd5201af0b70516492ca65",
+    "gysin-check cp2.dga quotient_s2.dga": "771d6234d3812db4ebe8cfea231bf09fa8343ae37dd417f9207ef0c107f84276",
+    "gysin-check cp2.dga sphere5.dga": "6e49782b11614d241d6dba571b7a037413d37c53c43bc8aefdc09d39885beb16",
+    "gysin-check quotient_s2.dga cp2.dga": "2394847f814f38ca347591b4a07d9a655439657134f0fac80bb6b1f1229eddd6",
+    "gysin-check quotient_s2.dga quotient_s2.dga": "bae92e84815c95b8c4a25f0688ad9781b7c9080f2bfa24d6914fd008796cc4c4",
+    "gysin-check quotient_s2.dga sphere5.dga": "763774652b41eca3ff63d84320a953660f7605f7cf1715f41b27a4903fa909b4",
+    "ring-verify cp2": "9a0a68f5c7e158d358fc86ad5e92d96c3d10e26187a938e9823bacc8f2185ff3",
+    "ring-verify quotient_s2 a=2": "f8810414c9867ef578eb76ad6b748175089bdd1f321b1a6b1688b87ad51bd56e",
+    "ring-verify quotient_s2 a=3": "8db371a25b811435a9d9066c448284ecbb44c94d32b2200315f6f979e20c8b19",
+}
+
+REPRESENTATIVES_SHA256 = "ca2e2cea3a6491efe5bdb2512d5d9dba923c6242cd489371c138a612fbeb8bfa"
+
+
+def command_digest(argv) -> str:
+    args = [str(FIXTURES / a) if a.endswith(".dga") else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def representatives_digest() -> str:
+    rng = random.Random(31415)
+    h = hashlib.sha256()
+    for _ in range(40):
+        model = random_model(rng)
+        table = cohomology(model, 8, with_representatives=True)
+        for reps in table.representatives:
+            h.update(repr([model.format_element(r) for r in reps]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(COMMANDS))
+def test_cli_json_is_byte_identical(label):
+    assert command_digest(COMMANDS[label]) == EXPECTED[label]
+
+
+def test_random_model_representatives_are_byte_identical():
+    assert representatives_digest() == REPRESENTATIVES_SHA256
+
+
+if __name__ == "__main__":
+    for label in sorted(COMMANDS):
+        print(f"    {label!r}: {command_digest(COMMANDS[label])!r},")
+    print(f"REPRESENTATIVES_SHA256 = {representatives_digest()!r}")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from loopspace.gca import linalg
 
@@ -102,3 +103,48 @@ def test_rank_transpose_invariance_randomized():
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
         t = [[m[i][j] for i in range(nrows)] for j in range(ncols)]
         assert linalg.rank(m) == linalg.rank(t)
+
+
+def test_echelon_canonical_form_against_incremental_span():
+    """The reduced form that rank, nullspace and column_space_basis read
+    off, checked against an independent incremental reduction."""
+    rng = random.Random(2718)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        density = rng.random()
+        m = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else 0
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows > 2:
+            m[-1] = [2 * a - b for a, b in zip(m[0], m[1])]
+        cols = [[row[j] for row in m] for j in range(ncols)]
+
+        # the pivots are the first independent columns, left to right
+        span = linalg.IncrementalSpan(nrows)
+        independent = [j for j in range(ncols) if span.add(cols[j])]
+        ech, pivots = linalg.echelon(m)
+        assert pivots == independent
+        # reduced: one nonzero entry per pivot column, one pivot value for all rows
+        for r, p in enumerate(pivots):
+            assert [i for i, row in enumerate(ech) if row[p]] == [r]
+        assert len({row[p] for row, p in zip(ech, pivots)}) <= 1
+
+        # one primitive kernel vector per free column, zero at the others
+        free = [j for j in range(ncols) if j not in pivots]
+        kernel = linalg.nullspace(m, ncols)
+        assert len(kernel) == len(free)
+        for f, vec in zip(free, kernel):
+            assert all(x.denominator == 1 for x in vec)
+            assert gcd(*(int(x) for x in vec)) == 1
+            assert next(x for x in vec if x) > 0
+            assert vec[f] and not any(vec[g] for g in free if g != f)
+            for row in m:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+
+        # the column-space basis spans the columns
+        basis = linalg.column_space_basis(m, ncols)
+        image = linalg.IncrementalSpan(nrows)
+        assert all(image.add(vec) for vec in basis)
+        assert all(image.contains(col) for col in cols)
