@@ -11,6 +11,7 @@ truncation degree (24) wherever ``--max-degree`` is not given explicitly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -57,7 +58,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command set: each leaf command binds its handler as ``run``.
+    Built on first use and shared by every later call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="loopspace",
         description="Exact computations on free-loop spaces of spherical space forms.",
@@ -66,11 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cohomology", help="Betti table of a DGA model")
+    p.set_defaults(run=cmd_cohomology)
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
     p = sub.add_parser("ring-verify", help="verify a Q[w,z]/(w^a) cohomology presentation")
+    p.set_defaults(run=cmd_ring_verify)
     p.add_argument("--deg-w", type=_positive_int, default=2)
     p.add_argument("--deg-z", type=_positive_int, required=True)
     p.add_argument("--nilpotency", type=_positive_int, required=True)
@@ -79,16 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("homotopy", help="rational homotopy table of a loop component")
+    p.set_defaults(run=cmd_homotopy)
     p.add_argument("--which", choices=("lambda", "quotient"), required=True)
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
     p = sub.add_parser("spaceform-model", help="emit the minimal model of the circle quotient")
+    p.set_defaults(run=cmd_spaceform_model)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
     p = sub.add_parser("gysin-check", help="circle-bundle rank identity between two models")
+    p.set_defaults(run=cmd_gysin_check)
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("base_file")
@@ -97,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bott", help="index iteration of a step function")
     bott_sub = p.add_subparsers(dest="bott_command", required=True)
     q = bott_sub.add_parser("index", help="index of the m-th iterate")
+    q.set_defaults(run=cmd_bott_index)
     q.add_argument("--iterate", type=_positive_int, required=True)
     q.add_argument("--json", action="store_true")
     q.add_argument("file")
@@ -104,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="contradiction-search certificates")
     cert_sub = p.add_subparsers(dest="certify_command", required=True)
     q = cert_sub.add_parser("rp2", help="two-geodesic certificate for the projective plane")
+    q.set_defaults(run=cmd_certify_rp2)
     q.add_argument("--grid", type=_positive_int, required=True)
     q.add_argument("--values", type=_nonneg_int, required=True)
     q.add_argument("--cutoff", type=_positive_int, required=True)
     q.add_argument("--json", action="store_true")
     q = cert_sub.add_parser("theorem5", help="even-parity certificate for odd space forms")
+    q.set_defaults(run=cmd_certify_theorem5)
     q.add_argument("--k", type=_positive_int, required=True)
     q.add_argument("--iterates", type=_nonneg_int, required=True)
     q.add_argument("--json", action="store_true")
@@ -283,29 +295,12 @@ def cmd_certify_theorem5(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "cohomology":
-            return cmd_cohomology(args)
-        if args.command == "ring-verify":
-            return cmd_ring_verify(args)
-        if args.command == "homotopy":
-            return cmd_homotopy(args)
-        if args.command == "spaceform-model":
-            return cmd_spaceform_model(args)
-        if args.command == "gysin-check":
-            return cmd_gysin_check(args)
-        if args.command == "bott":
-            return cmd_bott_index(args)
-        if args.command == "certify":
-            if args.certify_command == "rp2":
-                return cmd_certify_rp2(args)
-            return cmd_certify_theorem5(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, GcaError) as exc:
         print(f"loopspace: error: {exc}", file=sys.stderr)
         return 2

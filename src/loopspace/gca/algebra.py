@@ -452,27 +452,27 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def apply_differential(x: AlgebraElement, model: DgaModel | None = None) -> AlgebraElement:
     """Extend the model's differential to ``x`` by the graded Leibniz rule.
 
-    d(ab) = (da)b + (-1)^deg(a) a(db); the differential of each term has
-    degree one above the term whenever the model's generator differentials
-    raise degree by one.
+    d(ab) = (da)b + (-1)^deg(a) a(db), evaluated on exponent vectors: the
+    factor g^e of a monomial contributes e * (factors before) * dg * (factors
+    after), signed by the degree of the factors before it.  The differential
+    of each term has degree one above the term whenever the model's generator
+    differentials raise degree by one.
     """
     if model is not None and model is not x.model and model != x.model:
         raise UnknownGeneratorError("element does not belong to the given model")
     mod = x.model
-    result = mod.zero()
+    terms: dict[Monomial, Fraction] = {}
     for mon, coeff in x.terms.items():
         prefix_deg = 0
-        for i, e in enumerate(mon.exps):
-            g = mod.generators[i]
-            if e:
-                dg = mod.differential_of(g.name)
-                if not dg.is_zero:
-                    rest = list(mon.exps)
-                    rest[i] = e - 1
-                    before = Monomial(tuple(rest[: i + 1]) + (0,) * (mod.ngens - i - 1))
-                    after = Monomial((0,) * (i + 1) + tuple(rest[i + 1 :]))
-                    sign = -1 if prefix_deg % 2 else 1
-                    piece = mod.monomial_element(before, coeff * sign * e) * dg * mod.monomial_element(after)
-                    result = result + piece
-                prefix_deg += e * g.degree
-    return result
+        for i, (e, g) in enumerate(zip(mon.exps, mod.generators)):
+            if e and mod._diffs[g.name]:
+                before = Monomial(mon.exps[:i] + (e - 1,) + (0,) * (mod.ngens - i - 1))
+                after = Monomial((0,) * (i + 1) + mon.exps[i + 1 :])
+                factor = (-coeff if prefix_deg % 2 else coeff) * e
+                for dmon, dc in mod._diffs[g.name].items():
+                    left = mod.multiply_monomials(before, dmon)
+                    right = left and mod.multiply_monomials(left[1], after)
+                    if right:
+                        terms[right[1]] = terms.get(right[1], 0) + left[0] * right[0] * factor * dc
+            prefix_deg += e * g.degree
+    return AlgebraElement(mod, {m: c for m, c in terms.items() if c})

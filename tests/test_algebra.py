@@ -171,6 +171,39 @@ def test_leibniz_randomized():
         assert lhs == rhs
 
 
+def leibniz_expansion(model, names):
+    """d of the product of the named generators, by d(g*rest) = dg*rest +
+    (-1)^|g| g*d(rest), built from generator elements only."""
+    g, rest = names[0], names[1:]
+    if not rest:
+        return model.differential_of(g)
+    rest_element = model.gen(rest[0])
+    for name in rest[1:]:
+        rest_element = rest_element * model.gen(name)
+    sign = -1 if model.generator(g).degree % 2 else 1
+    g_d_rest = (model.gen(g) * leibniz_expansion(model, rest)).scale(sign)
+    return model.differential_of(g) * rest_element + g_d_rest
+
+
+def odd_differential_models():
+    # odd generators whose differential a*b is a product of odd ones
+    ab = [(1, [("a", 1), ("b", 1)])]
+    yield DgaModel([("a", 1), ("b", 1), ("c", 1), ("x", 2)], {"c": ab})
+    # declared around a and b, so that a*b passes the odd h with a Koszul
+    # sign on the left (h*c2) and on the right (c1*h)
+    yield DgaModel([("c1", 1), ("b", 1), ("h", 1), ("a", 1), ("c2", 1)], {"c1": ab, "c2": ab})
+
+
+def test_differential_of_every_monomial_against_product_rule():
+    rng = random.Random(31415)
+    models = [random_model(rng) for _ in range(40)] + [*odd_differential_models(), even_model()]
+    for model in models:
+        for degree in range(1, 11):
+            for mon in model.basis(degree):
+                names = [g.name for g, e in zip(model.generators, mon.exps) for _ in range(e)]
+                assert apply_differential(model.monomial_element(mon)) == leibniz_expansion(model, names)
+
+
 def test_d_squared_zero_randomized():
     rng = random.Random(20161)
     for _ in range(300):

@@ -119,12 +119,34 @@ def test_certify_theorem5_command(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
+    for argv in [(), ("bott",), ("certify",)]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "the following arguments are required" in err
     assert run(capsys, "cohomology", "--max-degree", "-1", QUOTIENT)[0] == 2
     assert run(capsys, "cohomology", "/no/such/file.dga")[0] == 2
     assert run(capsys, "cohomology", RP2)[0] == 2  # wrong document kind
     assert run(capsys, "certify", "rp2", "--grid", "5", "--values", "1", "--cutoff", "11")[0] == 2
     code, _, err = run(capsys, "certify", "theorem5", "--k", "2", "--iterates", "3", LENS, QUARTER)
     assert code == 2 and "index 0" in err  # ind(c) = bott_index(f, 2) = 1 != 0
+
+
+def test_calls_in_one_process_do_not_depend_on_each_other(capsys, monkeypatch):
+    monkeypatch.delenv("LOOPSPACE_MAX_DEGREE", raising=False)
+    calls = [
+        ("cohomology", "--max-degree", "6", QUOTIENT),
+        ("cohomology", QUOTIENT),
+        ("certify", "rp2", "--grid", "4", "--values", "1", "--cutoff", "9"),
+        ("cohomology", "--max-degree", "-1", QUOTIENT),
+        ("--version",),
+        ("bott", "index", "--iterate", "7", QUARTER),
+        ("certify",),
+        ("homotopy", "--which", "lambda", "--json", LENS),
+    ]
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 2, 0, 0, 2, 0]
+    assert "(truncated at degree 24)" in forward[1][1]
 
 
 def test_invalid_model_reported_not_raised(capsys, tmp_path):

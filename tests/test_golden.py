@@ -1,11 +1,12 @@
-"""Byte-identity gate for the exact linear algebra.
+"""Byte-identity gate for every command and for the exact linear algebra.
 
-Pins the exact ``--json`` output (and exit code) of ``cohomology``,
-``ring-verify`` and ``gysin-check`` on the fixture models, and the
-representative cocycles of the seeded random models used by
-``test_cohomology.py``.  The digests were recorded before the elimination
-kernel was rewritten; any change to ``gca.linalg`` or to the cochain complex
-must reproduce them byte for byte.  To print the current digests:
+Pins the exact ``--json`` output (and exit code) of every subcommand on the
+fixtures, and the representative cocycles of the seeded random models used
+by ``test_cohomology.py``.  The ``cohomology``, ``ring-verify`` and
+``gysin-check`` digests were recorded before the elimination kernel was
+rewritten, the others before the command dispatch was rewritten; any change
+to the CLI, ``gca.linalg`` or the cochain complex must reproduce them byte
+for byte.  To print the current digests:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -25,6 +26,8 @@ from helpers import random_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DGA = ("cp2.dga", "quotient_s2.dga", "sphere5.dga")
+SPACEFORMS = ("lens_s3_r8.spaceform", "rp2.spaceform")
+FIXTURE_SUFFIXES = (".dga", ".spaceform", ".bott")
 
 COMMANDS = {
     **{f"cohomology {f}": ("cohomology", "--max-degree", "16", "--json", f) for f in DGA},
@@ -36,9 +39,19 @@ COMMANDS = {
                         "--max-degree", "12", "--json", "cp2.dga"),
     **{f"gysin-check {b} {t}": ("gysin-check", "--max-degree", "9", "--json", b, t)
        for b in DGA[:2] for t in DGA},
+    **{f"homotopy {w} {f}": ("homotopy", "--which", w, "--max-degree", "12", "--json", f)
+       for w in ("lambda", "quotient") for f in SPACEFORMS},
+    **{f"spaceform-model {f}": ("spaceform-model", "--json", f) for f in SPACEFORMS},
+    "bott index m=7": ("bott", "index", "--iterate", "7", "--json", "quarter_turn.bott"),
+    "certify rp2 N=4": ("certify", "rp2", "--grid", "4", "--values", "1", "--cutoff", "9", "--json"),
+    "certify theorem5 k=1": ("certify", "theorem5", "--k", "1", "--iterates", "10", "--json",
+                             "lens_s3_r8.spaceform", "quarter_turn.bott"),
 }
 
 EXPECTED = {
+    "bott index m=7": "d0ecacd58db5d6ff1f6e80a640c8dc645206c1a7b3cc3475509a09e6781da934",
+    "certify rp2 N=4": "c52891213da7ac8197b1370c163ac78773e2cb8fbf41725049956d735f42ee03",
+    "certify theorem5 k=1": "e20d83207915f0874a1c8c4f32901aecdd862793852ef8e718d76a35949dd196",
     "cohomology cp2.dga": "abcdf23fc25ef18f4aafd88c41c2291aa708824164af8089bb66ba82467dfe9a",
     "cohomology quotient_s2.dga": "15b0d0941539340e148634b19728564cd04524d986defccca085e50bdf92528e",
     "cohomology sphere5.dga": "67979a8af7b5e8815314aba6fb9ca6d0930c426746bce4c522c569fd10f7fa9c",
@@ -48,16 +61,22 @@ EXPECTED = {
     "gysin-check quotient_s2.dga cp2.dga": "2394847f814f38ca347591b4a07d9a655439657134f0fac80bb6b1f1229eddd6",
     "gysin-check quotient_s2.dga quotient_s2.dga": "bae92e84815c95b8c4a25f0688ad9781b7c9080f2bfa24d6914fd008796cc4c4",
     "gysin-check quotient_s2.dga sphere5.dga": "763774652b41eca3ff63d84320a953660f7605f7cf1715f41b27a4903fa909b4",
+    "homotopy lambda lens_s3_r8.spaceform": "9fb1d311457c856606de664a697895f89cc16005a89fe5a7f001fc8573d19e1f",
+    "homotopy lambda rp2.spaceform": "9626e3150ba03121e8589aaf0f6f1d1ac607cda4644a6638539fa42f9923e651",
+    "homotopy quotient lens_s3_r8.spaceform": "82a52e0e81cae7e45f8aa7c31704142d24e6423fa71dd29a3b498e0a23b6a881",
+    "homotopy quotient rp2.spaceform": "e6a2d440b3d3fd9a33def14ec14772573d08846d9af52ac07933e2f166b8fb5e",
     "ring-verify cp2": "9a0a68f5c7e158d358fc86ad5e92d96c3d10e26187a938e9823bacc8f2185ff3",
     "ring-verify quotient_s2 a=2": "f8810414c9867ef578eb76ad6b748175089bdd1f321b1a6b1688b87ad51bd56e",
     "ring-verify quotient_s2 a=3": "8db371a25b811435a9d9066c448284ecbb44c94d32b2200315f6f979e20c8b19",
+    "spaceform-model lens_s3_r8.spaceform": "680f47cbf1652301563ab80a608762db330c175b4c756ed2a02f3bbf57518d96",
+    "spaceform-model rp2.spaceform": "e89bd2feeaa61c2229624b3d59a8839dc70b59a3b249b89bf0bce49471ea7889",
 }
 
 REPRESENTATIVES_SHA256 = "ca2e2cea3a6491efe5bdb2512d5d9dba923c6242cd489371c138a612fbeb8bfa"
 
 
 def command_digest(argv) -> str:
-    args = [str(FIXTURES / a) if a.endswith(".dga") else a for a in argv]
+    args = [str(FIXTURES / a) if a.endswith(FIXTURE_SUFFIXES) else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(args)
