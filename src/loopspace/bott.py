@@ -4,7 +4,9 @@ The index function I of a closed geodesic is a step function on the unit
 circle: the index of the m-th iterate is the sum of I over the m-th roots
 of unity.  Angles are exact rationals measured in turns (the angle is
 2*pi*turns), so membership of a root of unity in an arc is decided exactly;
-no floating point appears anywhere.
+no floating point appears anywhere.  Each function also keeps its
+discontinuities over one common denominator L as integer numerators, so
+the index of any iterate is counted by integer floor division.
 
 The certificate searches replay two contradiction arguments: the
 projective-plane two-geodesic argument (``certify_theorem4``) and the
@@ -18,14 +20,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .gca.cohomology import BettiTable, RingPresentation, quotient_ring_dims
 from .spaceforms import SpaceFormSpec, theorem2_table
-
-HALF = Fraction(1, 2)
 
 CONTRADICTION_ESTABLISHED = "contradiction-established"
 INCONCLUSIVE = "inconclusive"
@@ -46,16 +47,25 @@ class BottFunction:
     with no discontinuities stores its constant value as the single arc
     value.  The discontinuity set must be invariant under complex
     conjugation (turns -> 1 - turns) with matching values.
+
+    ``denominator`` is the least common denominator L of the
+    discontinuities and ``numerators`` their integer numerators over it
+    (discontinuity i is numerators[i] / L turns); both are derived, so they
+    take no part in equality, hashing or printing.
     """
 
     discontinuities: tuple[Fraction, ...]
     arc_values: tuple[int, ...]
     point_values: tuple[int, ...]
+    denominator: int = field(init=False, compare=False, repr=False)
+    numerators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         disc = self.discontinuities
         if list(disc) != sorted(set(disc)):
             raise ValueError("discontinuities must be strictly increasing")
+        if any(not isinstance(t, Rational) for t in disc):
+            raise ValueError("discontinuities must be exact rationals")
         if any(not (0 <= t < 1) for t in disc):
             raise ValueError("discontinuities must be turns in [0, 1)")
         n_arcs = len(disc) if disc else 1
@@ -66,25 +76,28 @@ class BottFunction:
         values = self.arc_values + self.point_values
         if any(not isinstance(v, int) or v < 0 for v in values):
             raise ValueError("values of the index function are non-negative integers")
+        L = math.lcm(*(t.denominator for t in disc))
+        object.__setattr__(self, "denominator", L)
+        object.__setattr__(self, "numerators", tuple(t.numerator * (L // t.denominator) for t in disc))
         self._check_conjugation_symmetry()
 
     def _check_conjugation_symmetry(self):
-        disc = self.discontinuities
+        disc, nums, L = self.discontinuities, self.numerators, self.denominator
         if not disc:
             return
-        index = {t: i for i, t in enumerate(disc)}
+        index = {n: i for i, n in enumerate(nums)}
         k = len(disc)
-        for t in disc:
-            if (1 - t) % 1 not in index:
+        for t, n in zip(disc, nums):
+            if (L - n) % L not in index:
                 raise ValueError(
                     f"discontinuity set is not conjugation symmetric: {t} has no partner {(1 - t) % 1}"
                 )
-        for i, t in enumerate(disc):
-            j = index[(1 - t) % 1]
+        for i, (t, n) in enumerate(zip(disc, nums)):
+            j = index[(L - n) % L]
             if self.point_values[i] != self.point_values[j]:
                 raise ValueError(f"point values at {t} and {(1 - t) % 1} differ")
             # the arc after disc i maps to the arc after the conjugate of disc i+1
-            partner = index[(1 - disc[(i + 1) % k]) % 1]
+            partner = index[(L - nums[(i + 1) % k]) % L]
             if self.arc_values[i] != self.arc_values[partner]:
                 raise ValueError(
                     f"arc values are not conjugation symmetric "
@@ -140,14 +153,6 @@ class BottFunction:
     def constant(cls, value: int) -> "BottFunction":
         return cls((), (int(value),), ())
 
-    def arc_after(self, i: int) -> tuple[Fraction, Fraction]:
-        """Endpoints of the open arc following discontinuity i; the last arc
-        wraps, ending at discontinuities[0] + 1."""
-        disc = self.discontinuities
-        if i + 1 < len(disc):
-            return disc[i], disc[i + 1]
-        return disc[i], disc[0] + 1
-
     def value_at(self, turns) -> int:
         """I at the given angle: the point value on a discontinuity, else
         the value of the enclosing open arc."""
@@ -168,41 +173,39 @@ def quarter_turn_function() -> BottFunction:
     return BottFunction.build((Fraction(1, 4), Fraction(3, 4)), (1, 0), (0, 0))
 
 
-def _integers_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
-    return max(0, last - first + 1)
-
-
 def bott_index(f: BottFunction, m: int) -> int:
     """Index of the m-th iterate: the exact sum of I over the m-th roots of
     unity (turns j/m, j = 0..m-1).
 
-    Evaluated by counting the roots inside each open arc and adding point
-    values for roots that hit discontinuities.
+    Evaluated over the common denominator L: the root j/m hits the
+    discontinuity a/L when m*a is divisible by L, and lies inside the open
+    arc (a/L, b/L) when m*a < j*L < m*b, so each arc costs one floor and
+    one ceiling division whatever the size of m.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"iterate must be a positive integer, got {m!r}")
-    disc = f.discontinuities
-    if not disc:
+    nums = f.numerators
+    if not nums:
         return m * f.arc_values[0]
+    L = f.denominator
     total = 0
-    for i, t in enumerate(disc):
-        if (m * t).denominator == 1:
-            total += f.point_values[i]
-        lo, hi = f.arc_after(i)
-        total += f.arc_values[i] * _integers_strictly_between(m * lo, m * hi)
+    ends = nums[1:] + (nums[0] + L,)
+    for a, b, arc, point in zip(nums, ends, f.arc_values, f.point_values):
+        if m * a % L == 0:
+            total += point
+        total += arc * (-(-m * b // L) - m * a // L - 1)
     return total
 
 
 def is_nondegenerate(f: BottFunction, m: int) -> bool:
     """True when no discontinuity angle lands on +-1 after m-fold iteration,
     i.e. m * turns is never an integer or a half-integer."""
-    if m < 1:
+    if not isinstance(m, int) or m < 1:
         raise ValueError(f"iterate must be a positive integer, got {m!r}")
-    for t in f.discontinuities:
-        r = (m * t) % 1
-        if r == 0 or r == HALF:
+    L = f.denominator
+    for n in f.numerators:
+        r = m * n % L
+        if r == 0 or 2 * r == L:
             return False
     return True
 
@@ -338,11 +341,13 @@ def certify_theorem4(
     betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
     target = Counter({d: n for d, n in enumerate(betti.dims) if n})
 
+    # the pair is sorted and the points are the minima of the adjacent arcs,
+    # exactly as BottFunction.build would normalise it
     candidates: list[BottFunction] = [BottFunction.constant(0)]
     for j in range(1, (N - 1) // 2 + 1):
-        t = Fraction(j, N)
+        disc = (Fraction(j, N), Fraction(N - j, N))
         for a in range(0, V + 1):
-            candidates.append(BottFunction.build((t, 1 - t), (a, 0)))
+            candidates.append(BottFunction(disc, (a, 0), (0, 0)))
 
     transcript: list[dict] = []
     survivors: list[BottFunction] = []

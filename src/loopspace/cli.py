@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check or an
-inconclusive certificate, 2 on usage or parse errors.  With ``--json`` the
-result is a single stable JSON document on stdout (see
+inconclusive certificate, 2 on usage or parse errors, 141 (128 + SIGPIPE)
+when the reader closes stdout before the output is written.  With
+``--json`` the result is a single stable JSON document on stdout (see
 :mod:`loopspace.serialize`); otherwise a human-readable table is printed.
 The environment variable ``LOOPSPACE_MAX_DEGREE`` overrides the default
 truncation degree (24) wherever ``--max-degree`` is not given explicitly.
@@ -307,7 +308,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, so a reader that has gone away is seen inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

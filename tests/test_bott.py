@@ -1,5 +1,6 @@
 """Index iteration, step-function arithmetic, and the certificate searches."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -60,6 +61,55 @@ def test_constructor_rejects_bad_data():
         )
 
 
+# the exact messages of invalid constructions, as worded before the
+# conjugation check moved to integer numerators
+@pytest.mark.parametrize(
+    "disc, arcs, points, message",
+    [
+        ((Fraction(1, 4),), (1,), (0,),
+         "discontinuity set is not conjugation symmetric: 1/4 has no partner 3/4"),
+        ((Fraction(1, 5), Fraction(2, 7), Fraction(5, 7)), (0, 1, 0), (0, 0, 0),
+         "discontinuity set is not conjugation symmetric: 1/5 has no partner 4/5"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1, 0), (0, 1), "point values at 1/4 and 3/4 differ"),
+        ((Fraction(1, 5), Fraction(2, 7), Fraction(5, 7), Fraction(4, 5)), (0, 1, 0, 2), (0, 1, 0, 0),
+         "point values at 2/7 and 5/7 differ"),
+        ((Fraction(0), Fraction(1, 4), Fraction(3, 4)), (1, 0, 2), (0, 0, 0),
+         "arc values are not conjugation symmetric (arc after 0 vs arc after 3/4)"),
+        ((Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)), (1, 2, 3), (0, 0, 0),
+         "arc values are not conjugation symmetric (arc after 1/6 vs arc after 1/2)"),
+        ((Fraction(0), Fraction(3, 11), Fraction(1, 2), Fraction(8, 11)), (0, 1, 2, 3), (0, 0, 0, 0),
+         "arc values are not conjugation symmetric (arc after 0 vs arc after 8/11)"),
+        ((0.25, 0.75), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+    ],
+)
+def test_constructor_error_messages(disc, arcs, points, message):
+    with pytest.raises(ValueError) as excinfo:
+        BottFunction(disc, arcs, points)
+    assert str(excinfo.value) == message
+
+
+def test_derived_numerators_stay_out_of_equality_and_printing():
+    f = quarter_turn_function()
+    assert (f.denominator, f.numerators) == (4, (1, 3))
+    assert repr(f) == (
+        "BottFunction(discontinuities=(Fraction(1, 4), Fraction(3, 4)), "
+        "arc_values=(1, 0), point_values=(0, 0))"
+    )
+    g = BottFunction((Fraction(2, 8), Fraction(6, 8)), (1, 0), (0, 0))
+    assert g == f and hash(g) == hash(f)
+    assert BottFunction.constant(2).numerators == ()
+
+
+def test_grid_candidates_equal_their_built_form():
+    # certify_theorem4 constructs its candidates directly in sorted form
+    for N in (2, 4, 10, 36):
+        for j in range(1, (N - 1) // 2 + 1):
+            for a in range(3):
+                direct = BottFunction((Fraction(j, N), Fraction(N - j, N)), (a, 0), (0, 0))
+                built = BottFunction.build((Fraction(j, N), 1 - Fraction(j, N)), (a, 0))
+                assert direct == built
+
+
 def test_value_at_points_and_arcs():
     f = quarter_turn_function()
     assert f.value_at(Fraction(1, 4)) == 0
@@ -111,6 +161,60 @@ def test_value_at_matches_scan_oracle():
             for p in range(q):
                 t = Fraction(p, q)
                 assert f.value_at(t) == step_value_by_scan(f, t)
+
+
+MIXED_PAIRS = (Fraction(1, 5), Fraction(2, 7), Fraction(3, 11))
+
+
+def mixed_denominator_function(rng, full=False):
+    """A conjugation-symmetric function whose jumps have coprime
+    denominators: one to three of the pairs {t, 1-t} above, plus 0 and 1/2
+    at random (all of them when ``full``, so L = 770).  Conjugate arcs (equal
+    distance of their midpoints to the real axis) and conjugate points get
+    equal random values."""
+    pairs = MIXED_PAIRS if full else rng.sample(MIXED_PAIRS, rng.randint(1, 3))
+    real = [t for t in (Fraction(0), Fraction(1, 2)) if full or rng.random() < 0.5]
+    disc = sorted({s for t in pairs for s in (t, 1 - t)} | set(real))
+    arc_level, point_level = {}, {}
+    arcs, points = [], []
+    for i, t in enumerate(disc):
+        end = disc[i + 1] if i + 1 < len(disc) else disc[0] + 1
+        mid = (t + end) / 2 % 1
+        arcs.append(arc_level.setdefault(min(mid, 1 - mid), rng.randint(0, 3)))
+        points.append(point_level.setdefault(min(t, 1 - t), rng.randint(0, 3)))
+    return BottFunction(tuple(disc), tuple(arcs), tuple(points))
+
+
+def nondegenerate_by_fractions(f, m):
+    half = Fraction(1, 2)
+    return all((m * t) % 1 not in (0, half) for t in f.discontinuities)
+
+
+def test_mixed_denominators_against_scan_oracle():
+    rng = random.Random(5711)
+    for draw in range(12):
+        f = mixed_denominator_function(rng, full=draw == 0)
+        L = math.lcm(*(t.denominator for t in f.discontinuities))
+        assert f.denominator == L
+        assert [Fraction(n, L) for n in f.numerators] == list(f.discontinuities)
+        iterates = set(range(1, 41)) | set(rng.sample(range(41, 400), 12))
+        iterates |= {L - 1, L, L + 1, 2 * L}
+        if L % 2 == 0:
+            iterates |= {L // 2, 3 * L // 2}
+        for m in sorted(iterates):
+            assert bott_index(f, m) == bott_index_by_scan(f, m), (f, m)
+            assert is_nondegenerate(f, m) == nondegenerate_by_fractions(f, m), (f, m)
+        # every jump lands on +1 at the common denominator itself
+        assert not is_nondegenerate(f, L)
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.0, 2.5, Fraction(3), "3", None])
+def test_iterate_must_be_a_positive_int(m):
+    f = quarter_turn_function()
+    for function in (bott_index, is_nondegenerate):
+        with pytest.raises(ValueError) as excinfo:
+            function(f, m)
+        assert str(excinfo.value) == f"iterate must be a positive integer, got {m!r}"
 
 
 def test_additive_decomposition():

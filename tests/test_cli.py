@@ -1,6 +1,9 @@
 """Exit codes, table output, and stable JSON for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from loopspace.cli import main
 from loopspace.dsl import parse
 from loopspace.spaceforms import SpaceFormSpec, theorem3_model
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 QUOTIENT = str(FIXTURES / "quotient_s2.dga")
 CP2 = str(FIXTURES / "cp2.dga")
 SPHERE5 = str(FIXTURES / "sphere5.dga")
@@ -147,6 +151,33 @@ def test_calls_in_one_process_do_not_depend_on_each_other(capsys, monkeypatch):
     assert forward == backward
     assert [code for code, _, _ in forward] == [0, 0, 0, 2, 0, 0, 2, 0]
     assert "(truncated at degree 24)" in forward[1][1]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cli = [sys.executable, "-m", "loopspace.cli"]
+    # about 84 kB of JSON, more than a pipe holds: the reader takes the
+    # first 100 bytes and closes while the rest is still being written
+    big = subprocess.Popen(cli + ["certify", "rp2", "--grid", "360", "--values", "2",
+                                  "--cutoff", "721", "--json"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = big.stdout.read(100)
+    big.stdout.close()
+    err = big.stderr.read()
+    big.stderr.close()
+    assert big.wait(timeout=60) == 141
+    assert head.startswith(b'{"input": null, "kind": "certificate"')
+    assert b"Traceback" not in err and err == b""
+    # a short output is written at the final flush; here nothing ever reads
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        small = subprocess.run(cli + ["bott", "index", "--iterate", "7", QUARTER],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert small.returncode == 141
+    assert small.stderr == b""
 
 
 def test_invalid_model_reported_not_raised(capsys, tmp_path):

@@ -4,9 +4,11 @@ Pins the exact ``--json`` output (and exit code) of every subcommand on the
 fixtures, and the representative cocycles of the seeded random models used
 by ``test_cohomology.py``.  The ``cohomology``, ``ring-verify`` and
 ``gysin-check`` digests were recorded before the elimination kernel was
-rewritten, the others before the command dispatch was rewritten; any change
-to the CLI, ``gca.linalg`` or the cochain complex must reproduce them byte
-for byte.  To print the current digests:
+rewritten, the grid-72, 200-iterate and 1000003rd-iterate ones before the
+Bott index moved to integer arithmetic, the others before the command
+dispatch was rewritten; any change to the CLI, ``gca.linalg``, the cochain
+complex or ``bott`` must reproduce them byte for byte.  To print the
+current digests:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -43,15 +45,23 @@ COMMANDS = {
        for w in ("lambda", "quotient") for f in SPACEFORMS},
     **{f"spaceform-model {f}": ("spaceform-model", "--json", f) for f in SPACEFORMS},
     "bott index m=7": ("bott", "index", "--iterate", "7", "--json", "quarter_turn.bott"),
+    "bott index m=1000003": ("bott", "index", "--iterate", "1000003", "--json", "quarter_turn.bott"),
     "certify rp2 N=4": ("certify", "rp2", "--grid", "4", "--values", "1", "--cutoff", "9", "--json"),
+    "certify rp2 N=72": ("certify", "rp2", "--grid", "72", "--values", "2", "--cutoff", "145",
+                         "--json"),
     "certify theorem5 k=1": ("certify", "theorem5", "--k", "1", "--iterates", "10", "--json",
                              "lens_s3_r8.spaceform", "quarter_turn.bott"),
+    "certify theorem5 k=1 L=200": ("certify", "theorem5", "--k", "1", "--iterates", "200", "--json",
+                                   "lens_s3_r8.spaceform", "quarter_turn.bott"),
 }
 
 EXPECTED = {
+    "bott index m=1000003": "2a84d1750820d986471af8e2268222d1400d0dd0248114b9c131aa2b3fc1cc7b",
     "bott index m=7": "d0ecacd58db5d6ff1f6e80a640c8dc645206c1a7b3cc3475509a09e6781da934",
     "certify rp2 N=4": "c52891213da7ac8197b1370c163ac78773e2cb8fbf41725049956d735f42ee03",
+    "certify rp2 N=72": "d59d2e03c0926a279f457ed32c8a76b31643174a21a5b889a176a1bdc8e30b0b",
     "certify theorem5 k=1": "e20d83207915f0874a1c8c4f32901aecdd862793852ef8e718d76a35949dd196",
+    "certify theorem5 k=1 L=200": "5b7ab7a1687187ab9ea8c96946ec7388232acbcf44e1b44081aafb91a091a190",
     "cohomology cp2.dga": "abcdf23fc25ef18f4aafd88c41c2291aa708824164af8089bb66ba82467dfe9a",
     "cohomology quotient_s2.dga": "15b0d0941539340e148634b19728564cd04524d986defccca085e50bdf92528e",
     "cohomology sphere5.dga": "67979a8af7b5e8815314aba6fb9ca6d0930c426746bce4c522c569fd10f7fa9c",
