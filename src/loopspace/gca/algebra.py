@@ -5,10 +5,13 @@ homogeneous generators together with a degree-raising differential.  All
 coefficients are exact :class:`fractions.Fraction` values; no floating point
 enters any computation.
 
-Monomials are kept in a canonical form: generators are ordered by
-(degree, declaration order) and products are normalised to that order,
-accumulating Koszul signs.  A generator of odd degree squares to zero, so its
-exponent in any stored monomial is 0 or 1.
+Monomials are plain exponent tuples over the generators in canonical
+order: generators are ordered by (degree, declaration order) and products are
+normalised to that order, accumulating Koszul signs.  A generator of odd
+degree squares to zero, so its exponent in any stored monomial is 0 or 1.
+The monomial basis of each degree is read from one memoized table of
+exponent tails: the tails of generators i onward of a given degree are the
+tails of generators i+1 onward, each prefixed by an exponent of generator i.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ ExponentsLike = Union[Mapping[str, int], Iterable[tuple[str, int]]]
 #: ``[(1, {"u2": 2})]`` for u2^2.  Used to declare differentials before the
 #: model exists.
 RawPoly = Iterable[tuple[CoeffLike, ExponentsLike]]
+#: Exponent vector over a model's generators, in canonical order, e.g.
+#: ``(2, 0, 1)`` for u2^2*u3 over generators (u2, v2, u3).
+Monomial = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,17 +56,6 @@ class Generator:
             raise GcaError(f"generator name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.degree, int) or self.degree < 1:
             raise GcaError(f"generator {self.name!r} must have integer degree >= 1, got {self.degree!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """Exponent vector over a model's generators, in canonical order."""
-
-    exps: tuple[int, ...]
-
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exps)
 
 
 def _coeff(value: CoeffLike) -> Fraction:
@@ -109,7 +104,7 @@ class DgaModel:
         self.generators = tuple(sorted(gens, key=lambda g: g.degree))
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._basis_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
         collapsed = []
@@ -142,10 +137,10 @@ class DgaModel:
         return len(self.generators)
 
     def monomial_degree(self, mon: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(mon.exps, self.generators))
+        return sum(e * g.degree for e, g in zip(mon, self.generators))
 
     def exponent_map(self, mon: Monomial) -> dict[str, int]:
-        return {g.name: e for g, e in zip(self.generators, mon.exps) if e}
+        return {g.name: e for g, e in zip(self.generators, mon) if e}
 
     # -- construction of elements --------------------------------------
 
@@ -155,18 +150,11 @@ class DgaModel:
         Raises on unknown generators, negative exponents, and exponents >= 2
         on odd-degree generators (such monomials are identically zero).
         """
-        exps = [0] * self.ngens
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        for gname, e in items:
-            i = self.generator_index(gname)
-            if not isinstance(e, int) or e < 0:
-                raise GcaError(f"exponent of {gname!r} must be a non-negative integer, got {e!r}")
-            exps[i] += e
-        for i in self._odd:
-            if exps[i] > 1:
-                g = self.generators[i]
-                raise GcaError(f"odd-degree generator {g.name!r} squared is zero (exponent {exps[i]})")
-        return Monomial(tuple(exps))
+        mon, squared = self._read_exponents(exponents)
+        if squared is not None:
+            g = self.generators[squared]
+            raise GcaError(f"odd-degree generator {g.name!r} squared is zero (exponent {mon[squared]})")
+        return mon
 
     def element(self, raw: RawPoly) -> "AlgebraElement":
         """Element from raw terms; odd-square terms vanish silently."""
@@ -177,7 +165,7 @@ class DgaModel:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {Monomial((0,) * self.ngens): Fraction(1)})
+        return AlgebraElement(self, {(0,) * self.ngens: Fraction(1)})
 
     def gen(self, name: str) -> "AlgebraElement":
         return AlgebraElement(self, {self.monomial({name: 1}): Fraction(1)})
@@ -190,6 +178,19 @@ class DgaModel:
         terms = {m: Fraction(c) for m, c in zip(basis, coords) if c}
         return AlgebraElement(self, terms)
 
+    def _read_exponents(self, exponents: ExponentsLike) -> tuple[Monomial, int | None]:
+        """Exponent tuple of a {name: exponent} mapping or (name, exponent)
+        pairs, and the index of the first odd generator it squares (None if
+        it squares none)."""
+        exps = [0] * self.ngens
+        items = exponents.items() if isinstance(exponents, Mapping) else exponents
+        for gname, e in items:
+            i = self.generator_index(gname)
+            if not isinstance(e, int) or e < 0:
+                raise GcaError(f"exponent of {gname!r} must be a non-negative integer, got {e!r}")
+            exps[i] += e
+        return tuple(exps), next((i for i in self._odd if exps[i] > 1), None)
+
     def _normalize_raw(self, raw: RawPoly) -> tuple[dict[Monomial, Fraction], bool]:
         terms: dict[Monomial, Fraction] = {}
         had_nonzero = False
@@ -198,16 +199,9 @@ class DgaModel:
             if not c:
                 continue
             had_nonzero = True
-            exps = [0] * self.ngens
-            items = exponents.items() if isinstance(exponents, Mapping) else exponents
-            for gname, e in items:
-                i = self.generator_index(gname)
-                if not isinstance(e, int) or e < 0:
-                    raise GcaError(f"exponent of {gname!r} must be a non-negative integer, got {e!r}")
-                exps[i] += e
-            if any(exps[i] > 1 for i in self._odd):
+            mon, squared = self._read_exponents(exponents)
+            if squared is not None:
                 continue  # odd square: the term is zero
-            mon = Monomial(tuple(exps))
             acc = terms.get(mon, Fraction(0)) + c
             if acc:
                 terms[mon] = acc
@@ -227,47 +221,40 @@ class DgaModel:
         """Koszul-signed product; None when an odd generator would square."""
         sign = 1
         for i in self._odd:
-            if a.exps[i] and b.exps[i]:
+            if a[i] and b[i]:
                 return None
-        a_odd = [i for i in self._odd if a.exps[i]]
-        b_odd = [i for i in self._odd if b.exps[i]]
+        a_odd = [i for i in self._odd if a[i]]
+        b_odd = [i for i in self._odd if b[i]]
         if a_odd and b_odd:
             inversions = sum(1 for i in a_odd for j in b_odd if i > j)
             if inversions % 2:
                 sign = -1
-        exps = tuple(x + y for x, y in zip(a.exps, b.exps))
-        return sign, Monomial(exps)
+        return sign, tuple(x + y for x, y in zip(a, b))
 
     # -- basis enumeration ------------------------------------------------
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, lexicographically
         descending in the canonical exponent vector."""
-        if degree < 0:
-            return ()
-        cached = self._basis_cache.get(degree)
-        if cached is None:
-            out: list[Monomial] = []
-            exps = [0] * self.ngens
-            self._enumerate(0, degree, exps, out)
-            cached = tuple(out)
-            self._basis_cache[degree] = cached
-        return cached
+        return self._tails(0, degree) if degree >= 0 else ()
 
-    def _enumerate(self, i: int, remaining: int, exps: list[int], out: list[Monomial]) -> None:
-        if remaining == 0:
-            out.append(Monomial(tuple(exps[:i]) + (0,) * (self.ngens - i)))
-            return
-        if i == self.ngens:
-            return
-        g = self.generators[i]
-        top = remaining // g.degree
-        if g.degree % 2 == 1:
-            top = min(top, 1)
-        for e in range(top, -1, -1):
-            exps[i] = e
-            self._enumerate(i + 1, remaining - e * g.degree, exps, out)
-        exps[i] = 0
+    def _tails(self, i: int, degree: int) -> tuple[tuple[int, ...], ...]:
+        """Exponent tuples of generators i onward with total degree
+        ``degree``, lexicographically descending; memoized per (i, degree)."""
+        cached = self._basis_cache.get((i, degree))
+        if cached is None:
+            if i == len(self.generators):
+                cached = ((),) if degree == 0 else ()
+            else:
+                step = self.generators[i].degree
+                top = degree // step if step % 2 == 0 else min(degree // step, 1)
+                cached = tuple(
+                    (e,) + tail
+                    for e in range(top, -1, -1)
+                    for tail in self._tails(i + 1, degree - e * step)
+                )
+            self._basis_cache[i, degree] = cached
+        return cached
 
     # -- value semantics ---------------------------------------------------
 
@@ -275,7 +262,7 @@ class DgaModel:
         return (
             self.name,
             self.generators,
-            tuple((g.name, tuple(sorted(self._diffs[g.name].items(), key=lambda t: t[0].exps)))
+            tuple((g.name, tuple(sorted(self._diffs[g.name].items())))
                   for g in self.generators),
         )
 
@@ -294,10 +281,10 @@ class DgaModel:
     # -- formatting ---------------------------------------------------------
 
     def format_monomial(self, mon: Monomial) -> str:
-        if mon.is_one:
+        if not any(mon):
             return "1"
         parts = []
-        for g, e in zip(self.generators, mon.exps):
+        for g, e in zip(self.generators, mon):
             if e == 1:
                 parts.append(g.name)
             elif e > 1:
@@ -309,7 +296,7 @@ class DgaModel:
             return "0"
         parts = []
         for mon, c in x.sorted_terms():
-            if mon.is_one:
+            if not any(mon):
                 parts.append(str(c))
             elif c == 1:
                 parts.append(self.format_monomial(mon))
@@ -355,7 +342,7 @@ class AlgebraElement:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(
             self.terms.items(),
-            key=lambda t: (self.model.monomial_degree(t[0]), tuple(-e for e in t[0].exps)),
+            key=lambda t: (self.model.monomial_degree(t[0]), tuple(-e for e in t[0])),
         )
 
     def coords(self, basis: Sequence[Monomial]) -> list[Fraction]:
@@ -464,10 +451,10 @@ def apply_differential(x: AlgebraElement, model: DgaModel | None = None) -> Alge
     terms: dict[Monomial, Fraction] = {}
     for mon, coeff in x.terms.items():
         prefix_deg = 0
-        for i, (e, g) in enumerate(zip(mon.exps, mod.generators)):
+        for i, (e, g) in enumerate(zip(mon, mod.generators)):
             if e and mod._diffs[g.name]:
-                before = Monomial(mon.exps[:i] + (e - 1,) + (0,) * (mod.ngens - i - 1))
-                after = Monomial((0,) * (i + 1) + mon.exps[i + 1 :])
+                before = mon[:i] + (e - 1,) + (0,) * (mod.ngens - i - 1)
+                after = (0,) * (i + 1) + mon[i + 1 :]
                 factor = (-coeff if prefix_deg % 2 else coeff) * e
                 for dmon, dc in mod._diffs[g.name].items():
                     left = mod.multiply_monomials(before, dmon)

@@ -99,8 +99,16 @@ class ComplexData:
             )
         return BettiTable(self.max_degree, dims, reps)
 
+    def _degree_data(self, degree: int) -> DegreeData:
+        """The cochain data of one degree within 0..max_degree."""
+        if degree > self.max_degree:
+            raise GcaError(f"degree {degree} exceeds the truncation {self.max_degree}")
+        if degree < 0:
+            raise GcaError(f"degree must be >= 0, got {degree}")
+        return self.degrees[degree]
+
     def representative_elements(self, degree: int) -> list[AlgebraElement]:
-        d = self.degrees[degree]
+        d = self._degree_data(degree)
         return [self.model.from_coords(d.basis, vec) for vec in d.reps]
 
     def is_exact(self, element: AlgebraElement, degree: int) -> bool:
@@ -110,11 +118,9 @@ class ComplexData:
 
     def class_coordinates(self, element: AlgebraElement, degree: int) -> list[Fraction]:
         """Coordinates of a cocycle's class in the representative basis."""
-        if degree > self.max_degree:
-            raise GcaError(f"degree {degree} exceeds the truncation {self.max_degree}")
+        data = self._degree_data(degree)
         if not element.is_zero and element.homogeneous_degree() != degree:
             raise GcaError("element is not homogeneous of the requested degree")
-        data = self.degrees[degree]
         if not data.reps and not data.image:
             if element.is_zero:
                 return []
@@ -284,25 +290,28 @@ class RingPresentation:
             raise ValueError("nilpotency exponent must be >= 1")
 
 
+def _quotient_monomials(presentation: RingPresentation, max_degree: int):
+    """(degree, i, j) for every monomial w^i z^j of Q[w,z]/(w^a) up to
+    ``max_degree``, honouring skew rules (an odd-degree generator has
+    exponent at most 1); i ascending, then j ascending."""
+    deg_w, deg_z = presentation.deg_w, presentation.deg_z
+    w_cap = presentation.nilpotency - 1
+    if deg_w % 2:
+        w_cap = min(w_cap, 1)
+    for i in range(min(w_cap, max_degree // deg_w) + 1):
+        z_cap = (max_degree - i * deg_w) // deg_z
+        if deg_z % 2:
+            z_cap = min(z_cap, 1)
+        for j in range(z_cap + 1):
+            yield i * deg_w + j * deg_z, i, j
+
+
 def quotient_ring_dims(presentation: RingPresentation, max_degree: int) -> list[int]:
     """Monomial counts of Q[w,z]/(w^a) per degree, honouring skew rules
     (an odd-degree generator has exponent at most 1)."""
-    a = presentation.nilpotency
-    w_cap = min(a - 1, 1) if presentation.deg_w % 2 else a - 1
     dims = [0] * (max_degree + 1)
-    for i in range(w_cap + 1):
-        base = i * presentation.deg_w
-        if base > max_degree:
-            break
-        j = 0
-        while True:
-            d = base + j * presentation.deg_z
-            if d > max_degree:
-                break
-            dims[d] += 1
-            if presentation.deg_z % 2 and j == 1:
-                break
-            j += 1
+    for d, _, _ in _quotient_monomials(presentation, max_degree):
+        dims[d] += 1
     return dims
 
 
@@ -450,23 +459,23 @@ def _products_independent(
     z: AlgebraElement,
     max_degree: int,
 ) -> bool:
-    a = presentation.nilpotency
-    w_cap = min(a - 1, 1) if presentation.deg_w % 2 else a - 1
-    w_powers = [w**i for i in range(w_cap + 1)]
-    for d in range(max_degree + 1):
-        products = []
-        for i in range(w_cap + 1):
-            rest = d - i * presentation.deg_w
-            if rest < 0 or rest % presentation.deg_z:
-                continue
-            j = rest // presentation.deg_z
-            if presentation.deg_z % 2 and j > 1:
-                continue
-            products.append(w_powers[i] * z**j)
-        if not products:
-            continue
+    monomials = list(_quotient_monomials(presentation, max_degree))
+    w_powers = _powers(w, max((i for _, i, _ in monomials), default=0))
+    z_powers = _powers(z, max((j for _, _, j in monomials), default=0))
+    products: dict[int, list[AlgebraElement]] = {}
+    for d, i, j in monomials:
+        products.setdefault(d, []).append(w_powers[i] * z_powers[j])
+    for d in sorted(products):
         dd = data.degrees[d]
-        vectors = [*dd.image, *(p.coords(dd.basis) for p in products)]
+        vectors = [*dd.image, *(p.coords(dd.basis) for p in products[d])]
         if linalg.rank(vectors) < len(vectors):
             return False
     return True
+
+
+def _powers(x: AlgebraElement, top: int) -> list[AlgebraElement]:
+    """x^0, x^1, ..., x^top, each one product from the one before."""
+    powers = [x.model.one()]
+    for _ in range(top):
+        powers.append(powers[-1] * x)
+    return powers

@@ -396,9 +396,24 @@ class GysinInput:
         object.__setattr__(self, "euler", tuple(euler))
 
     def euler_rank(self, p: int) -> int:
-        if p < 0 or p >= len(self.euler) or self.euler[p] is None:
-            return 0
-        return linalg.rank(self.euler[p])
+        return _euler_rank(self.euler, p)
+
+
+def _euler_rank(euler: Sequence[Matrix | None], p: int) -> int:
+    """Rank of the Euler map from degree p; zero for an absent map."""
+    if 0 <= p < len(euler) and euler[p] is not None:
+        return linalg.rank(euler[p])
+    return 0
+
+
+def _rank_identity(
+    base: BettiTable, euler: Sequence[Matrix | None], top: int
+) -> list[tuple[int, int]]:
+    """(coker, ker) in each degree p = 0..top: the cokernel of the Euler map
+    from p-2 to p and the kernel of the Euler map from p-1 to p+1.  Each
+    matrix is ranked once."""
+    ranks = [_euler_rank(euler, q) for q in range(-2, top)]  # ranks[p]: the map from p-2
+    return [(base.dim(p) - ranks[p], base.dim(p - 1) - ranks[p + 1]) for p in range(top + 1)]
 
 
 GYSIN_CONVENTIONS = (
@@ -433,9 +448,7 @@ def gysin_check(inputs: GysinInput) -> GysinReport:
     for every p up to max_degree - 2 (higher degrees would consult maps
     beyond the truncation)."""
     top = inputs.base.max_degree - 2
-    for p in range(0, top + 1):
-        coker = inputs.base.dim(p) - inputs.euler_rank(p - 2)
-        ker = inputs.base.dim(p - 1) - inputs.euler_rank(p - 1)
+    for p, (coker, ker) in enumerate(_rank_identity(inputs.base, inputs.euler, top)):
         expected = coker + ker
         got = inputs.total.dim(p)
         if expected != got:
@@ -451,13 +464,9 @@ def rank_identity_totals(base: BettiTable, euler: Sequence[Matrix | None]) -> Be
     """The total-space Betti table forced by the rank identity (degrees
     within max_degree - 2; the last two degrees are filled by the same
     formula with out-of-range maps treated as zero)."""
-    inputs = GysinInput(base, tuple(euler), BettiTable.from_dims([0] * (base.max_degree + 1)))
-    dims = []
-    for p in range(base.max_degree + 1):
-        coker = base.dim(p) - inputs.euler_rank(p - 2)
-        ker = base.dim(p - 1) - inputs.euler_rank(p - 1)
-        dims.append(coker + ker)
-    return BettiTable.from_dims(dims)
+    return BettiTable.from_dims(
+        [coker + ker for coker, ker in _rank_identity(base, euler, base.max_degree)]
+    )
 
 
 def circle_quotient_gysin_input(

@@ -1,5 +1,6 @@
 """The graded product, Koszul signs, and the Leibniz differential."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -139,6 +140,22 @@ def test_basis_enumeration_small():
     assert len(m.basis(0)) == 1
 
 
+def test_basis_against_brute_force():
+    # every exponent vector in the box, filtered by degree, sorted descending
+    rng = random.Random(31415)
+    models = [random_model(rng) for _ in range(40)] + [*odd_differential_models(), even_model()]
+    for model in models:
+        degrees = [g.degree for g in model.generators]
+        for d in range(13):
+            ranges = [range(2 if g % 2 else d // g + 1) for g in degrees]
+            expected = sorted(
+                (exps for exps in itertools.product(*ranges)
+                 if sum(e * g for e, g in zip(exps, degrees)) == d),
+                reverse=True,
+            )
+            assert list(model.basis(d)) == expected, (model, d)
+
+
 def test_graded_commutativity_randomized():
     rng = random.Random(20101)
     for _ in range(300):
@@ -200,7 +217,7 @@ def test_differential_of_every_monomial_against_product_rule():
     for model in models:
         for degree in range(1, 11):
             for mon in model.basis(degree):
-                names = [g.name for g, e in zip(model.generators, mon.exps) for _ in range(e)]
+                names = [g.name for g, e in zip(model.generators, mon) for _ in range(e)]
                 assert apply_differential(model.monomial_element(mon)) == leibniz_expansion(model, names)
 
 

@@ -149,10 +149,29 @@ def test_basis_limit_error_names_degree():
     assert err.value.limit == 2
 
 
+def test_complex_data_rejects_degrees_outside_the_truncation():
+    data = cochain_complex(DgaModel([("u2", 2)]), 4)
+    u2 = data.model.gen("u2")
+    for degree in (-1, 5):
+        with pytest.raises(GcaError):
+            data.representative_elements(degree)
+        with pytest.raises(GcaError):
+            data.class_coordinates(u2, degree)
+    with pytest.raises(GcaError, match="exceeds the truncation 4"):
+        data.representative_elements(5)
+
+
 def test_quotient_ring_dims_against_oracle():
     for deg_w, deg_z, a in [(2, 2, 2), (2, 4, 3), (2, 6, 4), (2, 10, 6)]:
         pres = RingPresentation(deg_w, deg_z, a)
         assert quotient_ring_dims(pres, 30) == quotient_counts_oracle(deg_w, deg_z, a, 30)
+
+
+def test_quotient_ring_dims_odd_generators_have_exponent_at_most_one():
+    # odd z: w^i z^j with j <= 1, in degrees 0, 2, 3, 5
+    assert quotient_ring_dims(RingPresentation(2, 3, 2), 8) == [1, 0, 1, 1, 0, 1, 0, 0, 0]
+    # odd w: w^i z^j with i <= 1 although a = 3, one monomial in every degree
+    assert quotient_ring_dims(RingPresentation(1, 2, 3), 8) == [1] * 9
 
 
 def test_verify_ring_presentation_odd_k1():
