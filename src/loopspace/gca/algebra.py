@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 
 class GcaError(ValueError):
@@ -42,6 +43,8 @@ RawPoly = Iterable[tuple[CoeffLike, ExponentsLike]]
 #: Exponent vector over a model's generators, in canonical order, e.g.
 #: ``(2, 0, 1)`` for u2^2*u3 over generators (u2, v2, u3).
 Monomial = tuple[int, ...]
+#: Coefficient type of :func:`leibniz`: Fraction, or int for a scaled copy.
+Coeff = TypeVar("Coeff", int, Fraction)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,6 +217,11 @@ class DgaModel:
     def differential_of(self, name: str) -> "AlgebraElement":
         self.generator_index(name)
         return AlgebraElement(self, dict(self._diffs[name]))
+
+    def differential_terms(self) -> tuple[Mapping[Monomial, Fraction], ...]:
+        """The generator differentials as {monomial: coefficient} maps, one
+        per generator in canonical order (read-only views)."""
+        return tuple(MappingProxyType(self._diffs[g.name]) for g in self.generators)
 
     # -- monomial arithmetic --------------------------------------------
 
@@ -436,30 +444,47 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
 
 
-def apply_differential(x: AlgebraElement, model: DgaModel | None = None) -> AlgebraElement:
-    """Extend the model's differential to ``x`` by the graded Leibniz rule.
+def leibniz(
+    model: DgaModel, mon: Monomial, diffs: Sequence[Mapping[Monomial, Coeff]]
+) -> dict[Monomial, Coeff]:
+    """d of one monomial by the graded Leibniz rule, generic over the
+    coefficient type.
 
-    d(ab) = (da)b + (-1)^deg(a) a(db), evaluated on exponent vectors: the
-    factor g^e of a monomial contributes e * (factors before) * dg * (factors
-    after), signed by the degree of the factors before it.  The differential
-    of each term has degree one above the term whenever the model's generator
-    differentials raise degree by one.
+    ``diffs`` holds one {monomial: coefficient} map per generator, in
+    canonical order: the model's own :class:`Fraction` differentials, or a
+    scaled integer copy of them.  The factor g^e of the monomial contributes
+    e * (factors before) * dg * (factors after), signed by the degree of the
+    factors before it; no intermediate elements are built.  Terms that
+    cancel stay in the result with coefficient zero.
+    """
+    out: dict[Monomial, Coeff] = {}
+    prefix_deg = 0
+    for i, (e, g) in enumerate(zip(mon, model.generators)):
+        if e and diffs[i]:
+            before = mon[:i] + (e - 1,) + (0,) * (model.ngens - i - 1)
+            after = (0,) * (i + 1) + mon[i + 1 :]
+            factor = -e if prefix_deg % 2 else e
+            for dmon, dc in diffs[i].items():
+                left = model.multiply_monomials(before, dmon)
+                right = left and model.multiply_monomials(left[1], after)
+                if right:
+                    out[right[1]] = out.get(right[1], 0) + left[0] * right[0] * factor * dc
+        prefix_deg += e * g.degree
+    return out
+
+
+def apply_differential(x: AlgebraElement, model: DgaModel | None = None) -> AlgebraElement:
+    """Extend the model's differential to ``x`` by the graded Leibniz rule
+    (see :func:`leibniz`), d(ab) = (da)b + (-1)^deg(a) a(db).  The
+    differential of each term has degree one above the term whenever the
+    model's generator differentials raise degree by one.
     """
     if model is not None and model is not x.model and model != x.model:
         raise UnknownGeneratorError("element does not belong to the given model")
     mod = x.model
+    diffs = mod.differential_terms()
     terms: dict[Monomial, Fraction] = {}
     for mon, coeff in x.terms.items():
-        prefix_deg = 0
-        for i, (e, g) in enumerate(zip(mon, mod.generators)):
-            if e and mod._diffs[g.name]:
-                before = mon[:i] + (e - 1,) + (0,) * (mod.ngens - i - 1)
-                after = (0,) * (i + 1) + mon[i + 1 :]
-                factor = (-coeff if prefix_deg % 2 else coeff) * e
-                for dmon, dc in mod._diffs[g.name].items():
-                    left = mod.multiply_monomials(before, dmon)
-                    right = left and mod.multiply_monomials(left[1], after)
-                    if right:
-                        terms[right[1]] = terms.get(right[1], 0) + left[0] * right[0] * factor * dc
-            prefix_deg += e * g.degree
+        for m, c in leibniz(mod, mon, diffs).items():
+            terms[m] = terms.get(m, 0) + coeff * c
     return AlgebraElement(mod, {m: c for m, c in terms.items() if c})

@@ -1,13 +1,25 @@
 """Degree-truncated cohomology of differential graded algebras.
 
 The free algebra is infinite-dimensional, so every computation here is
-truncated at an explicit maximal degree (default 24).  Each differential
-d_d is reduced once, by the exact elimination of :mod:`.linalg`, over the
-monomial basis of each degree.  Its rank and its kernel (one vector per free
-column) are read off the reduced form, and its pivot columns are the basis
-of the image in degree d+1.  Representative cocycles are the first kernel
-vectors, left to right, that extend the image span, so identical inputs
-always produce identical tables and representatives.
+truncated at an explicit maximal degree (default 24).  There are two paths,
+and both pass the same validation gate and basis limit.
+
+Betti numbers alone (:func:`cohomology` without representatives) come from
+ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  Each d_d is built as
+sparse integer columns of L*d, where L is the lcm of every coefficient
+denominator of the generator differentials, which leaves every rank
+unchanged.  The columns split into the connected blocks of their row/column
+nonzero graph, and each block is reduced on its own, so no kernel, image or
+dense matrix of the whole differential is ever formed.
+
+The cochain complex (:func:`cochain_complex`: representatives, class
+coordinates, ring verification) reduces each dense rational d_d once, by the
+exact elimination of :mod:`.linalg`, over the monomial basis of each degree.
+Its rank and its kernel (one vector per free column) are read off the reduced
+form, and its pivot columns are the basis of the image in degree d+1.
+Representative cocycles are the first kernel vectors, left to right, that
+extend the image span, so identical inputs always produce identical tables
+and representatives.
 """
 
 from __future__ import annotations
@@ -15,10 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, DgaModel, GcaError, Monomial, apply_differential
+from .algebra import AlgebraElement, Coeff, DgaModel, GcaError, Monomial, apply_differential, leibniz
 
 DEFAULT_MAX_DEGREE = 24
 DEFAULT_BASIS_LIMIT = 200_000
@@ -133,31 +146,91 @@ class ComplexData:
         return solution[: len(data.reps)]
 
 
+def _sparse_columns(
+    model: DgaModel, degree: int, diffs: Sequence[Mapping[Monomial, Coeff]]
+) -> list[dict[int, Coeff]]:
+    """The matrix of d from degree to degree+1 as sparse columns, one
+    {target basis index: nonzero coefficient} map per source monomial, from
+    the generator differentials ``diffs`` (see :func:`leibniz`)."""
+    index = {m: i for i, m in enumerate(model.basis(degree + 1))}
+    columns = []
+    for mon in model.basis(degree):
+        column = {}
+        for m, c in leibniz(model, mon, diffs).items():
+            if c:
+                try:
+                    column[index[m]] = c
+                except KeyError:
+                    raise GcaError(
+                        f"differential does not raise degree by one on {model.format_monomial(mon)}"
+                    ) from None
+        columns.append(column)
+    return columns
+
+
 def differential_matrix(model: DgaModel, degree: int) -> list[list[Fraction]]:
     """Matrix of d from degree to degree+1 over the monomial bases
     (rows indexed by the target basis, columns by the source basis)."""
-    source = model.basis(degree)
-    target = model.basis(degree + 1)
-    index = {m: i for i, m in enumerate(target)}
-    rows = [[Fraction(0)] * len(source) for _ in target]
-    for j, mon in enumerate(source):
-        image = apply_differential(model.monomial_element(mon))
-        for m, c in image.terms.items():
-            try:
-                rows[index[m]][j] = c
-            except KeyError:
-                raise GcaError(
-                    f"differential does not raise degree by one on {model.format_monomial(mon)}"
-                ) from None
+    columns = _sparse_columns(model, degree, model.differential_terms())
+    rows = [[Fraction(0)] * len(columns) for _ in model.basis(degree + 1)]
+    for j, column in enumerate(columns):
+        for i, c in column.items():
+            rows[i][j] = c
     return rows
 
 
-def cochain_complex(
-    model: DgaModel,
-    max_degree: int,
-    *,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
-) -> ComplexData:
+def integer_differentials(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
+    """L times each generator differential, where L is the lcm of every
+    coefficient denominator of the model's generator differentials.  The
+    Leibniz rule is linear in the generator differentials, so these give L*d
+    on every degree, which has the same rank as d."""
+    diffs = model.differential_terms()
+    scale = lcm(*(c.denominator for dg in diffs for c in dg.values()))
+    return tuple({m: c.numerator * (scale // c.denominator) for m, c in dg.items()} for dg in diffs)
+
+
+def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
+    """Rank of a sparse matrix given by columns ({row: nonzero value}).
+
+    The connected components of the bipartite row/column nonzero graph
+    (Dulmage-Mendelsohn 1958) split the matrix, after permuting rows and
+    columns, into a block diagonal, so its rank is the sum of the block
+    ranks.  A union-find joins every column to the first column seen in each
+    of its rows; each block is then reduced on its own by
+    :func:`linalg.echelon`.
+    """
+    parent = list(range(len(columns)))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first: dict[int, int] = {}
+    for j, column in enumerate(columns):
+        for i in column:
+            k = first.setdefault(i, j)
+            if k != j:
+                parent[find(k)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for j, column in enumerate(columns):
+        if column:
+            blocks.setdefault(find(j), []).append(j)
+    total = 0
+    for cols in blocks.values():
+        rows = {i: r for r, i in enumerate(sorted({i for j in cols for i in columns[j]}))}
+        dense = [[0] * len(cols) for _ in rows]
+        for c, j in enumerate(cols):
+            for i, v in columns[j].items():
+                dense[rows[i]][c] = v
+        total += linalg.rank(dense)
+    return total
+
+
+def _check_complex_input(model: DgaModel, max_degree: int, basis_limit: int) -> None:
+    """The gate shared by every cochain computation: a valid model and
+    bases within the limit in degrees 0..max_degree+1."""
     if max_degree < 0:
         raise GcaError(f"max_degree must be >= 0, got {max_degree}")
     report = check_model(model)
@@ -167,6 +240,15 @@ def cochain_complex(
         size = len(model.basis(d))
         if size > basis_limit:
             raise BasisLimitError(d, size, basis_limit)
+
+
+def cochain_complex(
+    model: DgaModel,
+    max_degree: int,
+    *,
+    basis_limit: int = DEFAULT_BASIS_LIMIT,
+) -> ComplexData:
+    _check_complex_input(model, max_degree, basis_limit)
     degrees = []
     image: tuple[tuple[Fraction, ...], ...] = ()
     for d in range(max_degree + 1):
@@ -192,12 +274,21 @@ def cohomology(
 ) -> BettiTable:
     """Betti table of the model up to ``max_degree``.
 
-    dims[d] = dim ker(d_d) - dim im(d_{d-1}), by exact rational rank over the
-    monomial basis of each degree.  Requires a model that passes
-    :func:`check_model`.
+    dims[d] = dim C^d - rank d_d - rank d_{d-1}, by exact rational rank
+    over the monomial basis of each degree.  Requires a model that passes
+    :func:`check_model`.  Without representatives the dimensions come from
+    ranks alone: each d_d is built as sparse integer columns of L*d (see
+    :func:`integer_differentials`) and ranked block by block (see
+    :func:`block_rank`); no kernel or image is formed.  With
+    representatives the table is read off :func:`cochain_complex`.
     """
-    data = cochain_complex(model, max_degree, basis_limit=basis_limit)
-    return data.betti(with_representatives=with_representatives)
+    if with_representatives:
+        return cochain_complex(model, max_degree, basis_limit=basis_limit).betti(with_representatives=True)
+    _check_complex_input(model, max_degree, basis_limit)
+    diffs = integer_differentials(model)
+    ranks = [block_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
+    dims = [len(model.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
+    return BettiTable(max_degree, tuple(dims))
 
 
 # ---------------------------------------------------------------------------

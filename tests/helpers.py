@@ -60,6 +60,45 @@ def random_model(rng: random.Random) -> DgaModel:
     return DgaModel(gens, diffs, name="random")
 
 
+def odd_differential_models():
+    """Models whose odd generators have differential a*b, a product of odd
+    generators of the same degree (so they fail minimality)."""
+    ab = [(1, [("a", 1), ("b", 1)])]
+    yield DgaModel([("a", 1), ("b", 1), ("c", 1), ("x", 2)], {"c": ab})
+    # declared around a and b, so that a*b passes the odd h with a Koszul
+    # sign on the left (h*c2) and on the right (c1*h)
+    yield DgaModel([("c1", 1), ("b", 1), ("h", 1), ("a", 1), ("c2", 1)], {"c1": ab, "c2": ab})
+
+
+def coprime_denominator_model(rng: random.Random) -> DgaModel:
+    """A valid three-stage model whose generator differentials have
+    denominators from distinct primes, so that the lcm of all of them
+    exceeds the lcm of each one.
+
+    a, b (degree 2) are closed; dx = al*b^2 and dx' = be*a*b; and
+    dy = c1*a*x + c2*b*x' (y of degree 4) squares to zero exactly when
+    c1*al + c2*be = 0, which ties the coefficients of different generators
+    together.  An optional z of degree 5 kills a random cubic in a and b.
+    """
+    px, px2, py, pz = rng.sample((3, 5, 7, 11, 13), 4)
+    al = Fraction(rng.choice((1, -1, 2, -4)), px)
+    be = Fraction(rng.choice((1, -1, 2, -4)), px2)
+    c1 = Fraction(rng.choice((1, -1, 2, -4)), py)
+    c2 = -c1 * al / be
+    gens = [("a", 2), ("b", 2), ("x", 3), ("x2", 3), ("y", 4)]
+    diffs = {
+        "x": [(al, {"b": 2})],
+        "x2": [(be, {"a": 1, "b": 1})],
+        "y": [(c1, {"a": 1, "x": 1}), (c2, {"b": 1, "x2": 1})],
+    }
+    if rng.random() < 0.5:
+        gens.append(("z", 5))
+        i = rng.randint(0, 3)
+        diffs["z"] = [(Fraction(rng.choice((1, -3)), pz), {"a": i, "b": 3 - i}),
+                      (Fraction(1, rng.choice((1, 2))), {"a": 3 - i, "b": i})]
+    return DgaModel(gens, diffs, name="coprime")
+
+
 def random_homogeneous(rng: random.Random, model: DgaModel, max_degree: int = 8):
     """A random homogeneous element with 1..3 terms, or zero when the chosen
     degree has an empty basis."""

@@ -16,7 +16,7 @@ from loopspace.gca import (
     multiply,
 )
 
-from helpers import random_homogeneous, random_model
+from helpers import odd_differential_models, random_homogeneous, random_model
 
 
 @pytest.fixture
@@ -200,15 +200,6 @@ def leibniz_expansion(model, names):
     sign = -1 if model.generator(g).degree % 2 else 1
     g_d_rest = (model.gen(g) * leibniz_expansion(model, rest)).scale(sign)
     return model.differential_of(g) * rest_element + g_d_rest
-
-
-def odd_differential_models():
-    # odd generators whose differential a*b is a product of odd ones
-    ab = [(1, [("a", 1), ("b", 1)])]
-    yield DgaModel([("a", 1), ("b", 1), ("c", 1), ("x", 2)], {"c": ab})
-    # declared around a and b, so that a*b passes the odd h with a Koszul
-    # sign on the left (h*c2) and on the right (c1*h)
-    yield DgaModel([("c1", 1), ("b", 1), ("h", 1), ("a", 1), ("c2", 1)], {"c1": ab, "c2": ab})
 
 
 def test_differential_of_every_monomial_against_product_rule():

@@ -1,6 +1,7 @@
 """Betti tables, model validation, and ring-presentation verification."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -17,10 +18,10 @@ from loopspace.gca import (
     quotient_ring_dims,
     verify_ring_presentation,
 )
-from loopspace.gca.cohomology import differential_matrix
+from loopspace.gca.cohomology import block_rank, differential_matrix, integer_differentials
 from loopspace.gca import linalg
 
-from helpers import quotient_counts_oracle, random_model
+from helpers import coprime_denominator_model, odd_differential_models, quotient_counts_oracle, random_model
 
 
 def two_gen_model():
@@ -120,6 +121,121 @@ def test_rank_nullity_bookkeeping_randomized():
             for vec in dd.image:
                 assert span.add(vec)
             assert dd.reps == tuple(vec for vec in dd.kernel if span.add(vec))
+
+
+def _outcome(compute):
+    """The value of compute(), or the type, text, degree and size of the
+    GcaError it raises."""
+    try:
+        return compute()
+    except GcaError as exc:
+        return type(exc), str(exc), getattr(exc, "degree", None), getattr(exc, "size", None)
+
+
+def _rank_and_full_outcomes(model, max_degree, **kwargs):
+    rank_only = _outcome(lambda: cohomology(model, max_degree, **kwargs).dims)
+    full = _outcome(lambda: cochain_complex(model, max_degree, **kwargs).betti().dims)
+    return rank_only, full
+
+
+def test_rank_only_dims_match_the_full_complex():
+    rng = random.Random(31415)
+    models = [(random_model(rng), 8) for _ in range(40)]
+    models += [(m, 6) for m in odd_differential_models()]
+    models.append((DgaModel([]), 5))
+    rng = random.Random(2718)
+    for _ in range(6):
+        model = coprime_denominator_model(rng)
+        # one scale L for every generator, above the lcm of each one's denominators
+        own = [model.differential_of(g.name).terms for g in model.generators]
+        scales = {int_c / own[i][m] for i, dg in enumerate(integer_differentials(model))
+                  for m, int_c in dg.items()}
+        assert len(scales) == 1
+        assert scales.pop() > max(lcm(*(c.denominator for c in terms.values())) for terms in own)
+        models.append((model, 12))
+    for model, max_degree in models:
+        rank_only, full = _rank_and_full_outcomes(model, max_degree)
+        assert rank_only == full, model
+
+
+def test_rank_only_path_raises_what_the_full_complex_raises():
+    degenerate = DgaModel(
+        [("u2", 2), ("u3", 3), ("u5", 5)],
+        {"u3": [(1, {"u2": 2})], "u5": [(1, {"u3": 2})]},
+    )
+    broken_square = DgaModel(
+        [("a", 1), ("b", 1), ("c", 1), ("x", 2), ("y", 3)],
+        {"c": [(1, [("a", 1), ("b", 1)])], "y": [(1, [("c", 1), ("x", 1)])]},
+    )
+    lowering = DgaModel([("u2", 2), ("u5", 5)], {"u5": [(1, {"u2": 1})]})
+    cases = [
+        (degenerate, 6, {}, "odd-square-exclusion"),
+        (broken_square, 6, {}, "d-squared"),
+        (lowering, 6, {}, "degree-raising"),
+        (two_gen_model(), -1, {}, "max_degree must be >= 0"),
+        (DgaModel([("a", 1), ("b", 1), ("c", 1)]), 3, {"basis_limit": 2}, "exceeding the limit 2"),
+    ]
+    for model, max_degree, kwargs, text in cases:
+        rank_only, full = _rank_and_full_outcomes(model, max_degree, **kwargs)
+        assert rank_only == full
+        assert issubclass(rank_only[0], GcaError) and text in rank_only[1]
+    # the basis limit names the same degree and size on both paths
+    assert rank_only[0] is BasisLimitError and rank_only[2:] == (1, 3)
+
+
+def _sparse_integer_matrix(rng, kind):
+    """A dense integer matrix of the given kind, built at random."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    if kind == "no rows":
+        return [], ncols
+    if kind == "one dense block":
+        return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(ncols)] for _ in range(nrows)], ncols
+    if kind == "block diagonal":
+        sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        nrows, ncols = sum(r for r, _ in sizes), sum(c for _, c in sizes)
+        rows = [[0] * ncols for _ in range(nrows)]
+        r0 = c0 = 0
+        for r, c in sizes:
+            base = [rng.choice((-2, -1, 1, 2)) for _ in range(c)]
+            for i in range(r):  # rank-deficient when the factor repeats
+                factor = rng.choice((1, 2, rng.randint(-3, 3)))
+                for j in range(c):
+                    rows[r0 + i][c0 + j] = factor * base[j] + (rng.random() < 0.3) * rng.randint(-2, 2)
+            r0, c0 = r0 + r, c0 + c
+        row_order, col_order = list(range(nrows)), list(range(ncols))
+        rng.shuffle(row_order)
+        rng.shuffle(col_order)
+        return [[rows[i][j] for j in col_order] for i in row_order], ncols
+    rows = [[rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero columns":
+        for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+            for row in rows:
+                row[j] = 0
+    elif kind == "duplicate rows":
+        for _ in range(rng.randint(1, 4)):
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    return rows, ncols
+
+
+def test_block_rank_sums_to_the_whole_rank():
+    rng = random.Random(1958)
+    kinds = ("no rows", "zero columns", "one dense block", "block diagonal", "duplicate rows", "sparse")
+    for n in range(200):
+        rows, ncols = _sparse_integer_matrix(rng, kinds[n % len(kinds)])
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+        assert block_rank(columns) == linalg.rank(rows), (kinds[n % len(kinds)], rows)
+
+
+def test_six_generator_complete_intersection_to_degree_32():
+    # dx = a^2 + bc and dy = b^2 + 3ae form a regular sequence in Q[a,b,c,e],
+    # so the Hilbert series is (1 - t^4)^2 / (1 - t^2)^4: 4k at degree 2k
+    # for k >= 1 and 0 in odd degrees
+    model = DgaModel(
+        [("a", 2), ("b", 2), ("c", 2), ("e", 2), ("x", 3), ("y", 3)],
+        {"x": [(1, {"a": 2}), (1, {"b": 1, "c": 1})], "y": [(1, {"b": 2}), (3, {"a": 1, "e": 1})]},
+    )
+    expected = tuple([1] + [0 if d % 2 else 2 * d for d in range(1, 33)])
+    assert cohomology(model, 32).dims == expected
 
 
 def test_representatives_are_cocycles_independent_of_image():
