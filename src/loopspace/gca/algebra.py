@@ -454,21 +454,25 @@ def leibniz(
     canonical order: the model's own :class:`Fraction` differentials, or a
     scaled integer copy of them.  The factor g^e of the monomial contributes
     e * (factors before) * dg * (factors after), signed by the degree of the
-    factors before it; no intermediate elements are built.  Terms that
-    cancel stay in the result with coefficient zero.
+    factors before it.  That term is one product, (the monomial with one
+    factor g removed) * dg, times (-1)^(degree of the factors after) when g
+    is even, since dg is then odd and moves past them; no intermediate
+    elements are built.  Terms that cancel stay in the result with
+    coefficient zero.
     """
     out: dict[Monomial, Coeff] = {}
     prefix_deg = 0
+    suffix_deg = model.monomial_degree(mon)
     for i, (e, g) in enumerate(zip(mon, model.generators)):
+        suffix_deg -= e * g.degree
         if e and diffs[i]:
-            before = mon[:i] + (e - 1,) + (0,) * (model.ngens - i - 1)
-            after = (0,) * (i + 1) + mon[i + 1 :]
-            factor = -e if prefix_deg % 2 else e
+            rest = mon[:i] + (e - 1,) + mon[i + 1 :]
+            odd = prefix_deg + (0 if g.degree % 2 else suffix_deg)
+            factor = -e if odd % 2 else e
             for dmon, dc in diffs[i].items():
-                left = model.multiply_monomials(before, dmon)
-                right = left and model.multiply_monomials(left[1], after)
-                if right:
-                    out[right[1]] = out.get(right[1], 0) + left[0] * right[0] * factor * dc
+                prod = model.multiply_monomials(rest, dmon)
+                if prod:
+                    out[prod[1]] = out.get(prod[1], 0) + prod[0] * factor * dc
         prefix_deg += e * g.degree
     return out
 

@@ -17,9 +17,12 @@ coordinates, ring verification) reduces each dense rational d_d once, by the
 exact elimination of :mod:`.linalg`, over the monomial basis of each degree.
 Its rank and its kernel (one vector per free column) are read off the reduced
 form, and its pivot columns are the basis of the image in degree d+1.
-Representative cocycles are the first kernel vectors, left to right, that
-extend the image span, so identical inputs always produce identical tables
-and representatives.
+The image of d_{d-1} at the free columns of d_d is the image in kernel
+coordinates, up to scaling, since each kernel vector is nonzero at exactly
+one free column; reduced once from the last free column, its pivots are the
+free columns it fills.  The kernel vectors at the others are the first ones,
+left to right, that extend the image span: the representatives, the same
+for identical inputs.  Every class query subtracts those reduced rows.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ class BettiTable:
 @dataclass(frozen=True)
 class DegreeData:
     """Cochain data of one degree: basis, kernel, incoming image, chosen
-    representatives (coordinate vectors over the basis), and the rank of the
-    outgoing differential."""
+    representatives (coordinate vectors over the basis), the rank of the
+    outgoing differential, its free columns (last first), and the image at
+    those columns, reduced: the image in kernel coordinates up to scaling."""
 
     degree: int
     basis: tuple[Monomial, ...]
@@ -93,6 +97,8 @@ class DegreeData:
     image: tuple[tuple[Fraction, ...], ...]
     reps: tuple[tuple[Fraction, ...], ...]
     rank_out: int
+    free: tuple[int, ...]
+    image_at_free: tuple[tuple[int, ...], ...]
 
 
 class ComplexData:
@@ -130,20 +136,25 @@ class ComplexData:
         return not any(coords)
 
     def class_coordinates(self, element: AlgebraElement, degree: int) -> list[Fraction]:
-        """Coordinates of a cocycle's class in the representative basis."""
+        """Coordinates of a cocycle's class in the representative basis, read
+        off its entries at the free columns less the reduced image rows."""
         data = self._degree_data(degree)
         if not element.is_zero and element.homogeneous_degree() != degree:
             raise GcaError("element is not homogeneous of the requested degree")
-        if not data.reps and not data.image:
+        if not data.kernel:
             if element.is_zero:
                 return []
             raise GcaError("nonzero element in a degree with trivial cocycle space")
-        columns = [list(v) for v in data.reps] + [list(v) for v in data.image]
-        rhs = element.coords(data.basis)
-        solution = linalg.solve(columns, rhs)
-        if solution is None:
+        if not apply_differential(element).is_zero:
             raise GcaError(f"element of degree {degree} is not a cocycle class")
-        return solution[: len(data.reps)]
+        at_free = element.coords([data.basis[f] for f in data.free])
+        for row in data.image_at_free:
+            p = next(i for i, v in enumerate(row) if v)
+            if t := at_free[p] / row[p]:
+                at_free = [a - t * v for a, v in zip(at_free, row)]
+        left = dict(zip(data.free, at_free))  # zero where the image has pivots
+        # each representative is nonzero at exactly one free column: its own
+        return [left[f] / rep[f] for rep in data.reps for f in data.free if rep[f]]
 
 
 def _sparse_columns(
@@ -256,10 +267,13 @@ def cochain_complex(
         matrix = differential_matrix(model, d)
         ech, pivots = linalg.echelon(matrix)
         kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis)))
-        # the first kernel vectors, left to right, independent of the image
-        _, independent = linalg.echelon(list(zip(*image, *kernel)))
-        reps = tuple(kernel[p - len(image)] for p in independent if p >= len(image))
-        degrees.append(DegreeData(d, basis, kernel, image, reps, len(pivots)))
+        free = tuple(sorted(set(range(len(basis))).difference(pivots), reverse=True))
+        # reduced from the last free column, the image has its pivots at the
+        # free columns it fills, and the greedy representatives at the others
+        at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
+        filled = {free[p] for p in image_pivots}
+        reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
+        degrees.append(DegreeData(d, basis, kernel, image, reps, len(pivots), free, tuple(map(tuple, at_free))))
         # the pivot columns of d_d are a basis of its image in degree d+1
         image = tuple(tuple(row[p] for row in matrix) for p in pivots)
     return ComplexData(model, max_degree, tuple(degrees))
@@ -521,10 +535,9 @@ def _find_w(data: ComplexData, presentation: RingPresentation) -> AlgebraElement
     a = presentation.nilpotency
     deg = presentation.deg_w
     for candidate in _class_candidates(data, deg):
-        top = candidate**a
-        if not data.is_exact(top, a * deg):
-            continue
         below = candidate ** (a - 1)
+        if not data.is_exact(below * candidate, a * deg):
+            continue
         if a > 1 and data.is_exact(below, (a - 1) * deg):
             continue
         return candidate
@@ -537,29 +550,29 @@ def _find_z(
     w: AlgebraElement,
     max_degree: int,
 ) -> AlgebraElement | None:
+    monomials = list(_quotient_monomials(presentation, max_degree))
+    w_powers = _powers(w, max((i for _, i, _ in monomials), default=0))
     for candidate in _class_candidates(data, presentation.deg_z):
-        if _products_independent(data, presentation, w, candidate, max_degree):
+        if _products_independent(data, monomials, w_powers, candidate):
             return candidate
     return None
 
 
 def _products_independent(
     data: ComplexData,
-    presentation: RingPresentation,
-    w: AlgebraElement,
+    monomials: Sequence[tuple[int, int, int]],
+    w_powers: Sequence[AlgebraElement],
     z: AlgebraElement,
-    max_degree: int,
 ) -> bool:
-    monomials = list(_quotient_monomials(presentation, max_degree))
-    w_powers = _powers(w, max((i for _, i, _ in monomials), default=0))
+    """Whether the classes of the products w^i z^j, one per (degree, i, j)
+    of ``monomials``, are linearly independent in every degree."""
     z_powers = _powers(z, max((j for _, _, j in monomials), default=0))
     products: dict[int, list[AlgebraElement]] = {}
     for d, i, j in monomials:
         products.setdefault(d, []).append(w_powers[i] * z_powers[j])
     for d in sorted(products):
-        dd = data.degrees[d]
-        vectors = [*dd.image, *(p.coords(dd.basis) for p in products[d])]
-        if linalg.rank(vectors) < len(vectors):
+        coords = [data.class_coordinates(p, d) for p in products[d]]
+        if linalg.rank(coords) < len(coords):
             return False
     return True
 

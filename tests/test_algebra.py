@@ -204,7 +204,13 @@ def leibniz_expansion(model, names):
 
 def test_differential_of_every_monomial_against_product_rule():
     rng = random.Random(31415)
-    models = [random_model(rng) for _ in range(40)] + [*odd_differential_models(), even_model()]
+    # g is even with odd dg, and the odd h after it: moving dg past the
+    # factors after g changes the sign of d(g*h)
+    even_before_odd = DgaModel(
+        [("a", 1), ("b", 2), ("g", 4), ("h", 5)],
+        {"g": [(1, {"a": 1, "b": 2})], "h": [(1, {"b": 3})]},
+    )
+    models = [random_model(rng) for _ in range(40)] + [*odd_differential_models(), even_model(), even_before_odd]
     for model in models:
         for degree in range(1, 11):
             for mon in model.basis(degree):

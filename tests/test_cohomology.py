@@ -1,6 +1,7 @@
 """Betti tables, model validation, and ring-presentation verification."""
 
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -10,6 +11,7 @@ from loopspace.gca import (
     BettiTable,
     DgaModel,
     GcaError,
+    MixedDegreeError,
     RingPresentation,
     apply_differential,
     check_model,
@@ -275,6 +277,55 @@ def test_complex_data_rejects_degrees_outside_the_truncation():
             data.class_coordinates(u2, degree)
     with pytest.raises(GcaError, match="exceeds the truncation 4"):
         data.representative_elements(5)
+
+
+def test_class_coordinates_match_a_solve_over_reps_and_image():
+    # reference: one exact solve over the columns [reps | image]
+    rng = random.Random(31415)
+    models = [(random_model(rng), 8) for _ in range(40)]
+    models += [(even_k1_model(), 12), (even_k2_model(), 16)]
+    rng = random.Random(1729)
+    for model, max_degree in models:
+        data = cochain_complex(model, max_degree)
+        for d, dd in enumerate(data.degrees):
+            columns = [*dd.reps, *dd.image]
+            elements = [model.from_coords(dd.basis, vec) for vec in columns]
+            for k, x in enumerate(elements):  # reps map to unit vectors, image vectors to zero
+                assert data.class_coordinates(x, d) == [int(j == k) for j in range(len(dd.reps))]
+            for _ in range(3):
+                coeffs = [rng.randint(-3, 3) for _ in columns]
+                x = model.zero()
+                for c, e in zip(coeffs, elements):
+                    x = x + e.scale(c)
+                expected = linalg.solve(columns, x.coords(dd.basis))[: len(dd.reps)]
+                assert expected == coeffs[: len(dd.reps)]
+                assert data.class_coordinates(x, d) == expected, (model, d)
+                assert data.is_exact(x, d) == (not any(expected))
+
+
+def test_class_coordinates_error_paths():
+    model = even_k1_model()
+    data = cochain_complex(model, 10)
+    u2, u3 = model.gen("u2"), model.gen("u3")
+    # x is a closed degree-3 cocycle next to u3, which is not one
+    odd = DgaModel([("u2", 2), ("u3", 3), ("x", 3)], {"u3": [(1, {"u2": 2})]})
+    odd_data = cochain_complex(odd, 8)
+    cases = [
+        (data, u2 + model.one(), 2, MixedDegreeError, "element mixes degrees [0, 2]"),
+        (data, u2, 4, GcaError, "element is not homogeneous of the requested degree"),
+        (data, u2, -1, GcaError, "degree must be >= 0, got -1"),
+        (data, u2, 11, GcaError, "degree 11 exceeds the truncation 10"),
+        (data, u3, 3, GcaError, "nonzero element in a degree with trivial cocycle space"),
+        (odd_data, odd.gen("u3"), 3, GcaError, "element of degree 3 is not a cocycle class"),
+        (odd_data, odd.gen("u3") + odd.gen("x"), 3, GcaError, "element of degree 3 is not a cocycle class"),
+    ]
+    for complex_data, element, degree, kind, text in cases:
+        for query in (complex_data.class_coordinates, complex_data.is_exact):
+            with pytest.raises(GcaError) as err:
+                query(element, degree)
+            assert (type(err.value), str(err.value)) == (kind, text)
+    assert data.class_coordinates(model.zero(), 3) == []
+    assert odd_data.class_coordinates(odd.gen("x"), 3) == [Fraction(1)]
 
 
 def test_quotient_ring_dims_against_oracle():

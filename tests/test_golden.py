@@ -4,7 +4,9 @@ Pins the exact ``--json`` output (and exit code) of every subcommand on the
 fixtures, and the representative cocycles of the seeded random models used
 by ``test_cohomology.py``.  The ``cohomology``, ``ring-verify`` and
 ``gysin-check`` digests were recorded before the elimination kernel was
-rewritten, the grid-72, 200-iterate and 1000003rd-iterate ones before the
+rewritten, except the ``rational_pencil`` ones (a model with non-integer
+coefficients), recorded before class coordinates were read in kernel
+coordinates; the grid-72, 200-iterate and 1000003rd-iterate ones before the
 Bott index moved to integer arithmetic, the others before the command
 dispatch was rewritten; any change to the CLI, ``gca.linalg``, the cochain
 complex or ``bott`` must reproduce them byte for byte.  To print the
@@ -39,6 +41,13 @@ COMMANDS = {
                                     "--max-degree", "10", "--json", "quotient_s2.dga"),
     "ring-verify cp2": ("ring-verify", "--deg-z", "5", "--nilpotency", "3",
                         "--max-degree", "12", "--json", "cp2.dga"),
+    # non-integer coefficients: dx = (u2/2 + v2)^2, so w = u2 + 2*v2
+    "cohomology rational_pencil.dga": ("cohomology", "--max-degree", "16", "--json",
+                                       "rational_pencil.dga"),
+    "ring-verify rational_pencil": ("ring-verify", "--deg-z", "2", "--nilpotency", "2",
+                                    "--max-degree", "14", "--json", "rational_pencil.dga"),
+    "gysin-check rational_pencil.dga cp2.dga": ("gysin-check", "--max-degree", "12", "--json",
+                                                "rational_pencil.dga", "cp2.dga"),
     **{f"gysin-check {b} {t}": ("gysin-check", "--max-degree", "9", "--json", b, t)
        for b in DGA[:2] for t in DGA},
     **{f"homotopy {w} {f}": ("homotopy", "--which", w, "--max-degree", "12", "--json", f)
@@ -64,6 +73,7 @@ EXPECTED = {
     "certify theorem5 k=1 L=200": "5b7ab7a1687187ab9ea8c96946ec7388232acbcf44e1b44081aafb91a091a190",
     "cohomology cp2.dga": "abcdf23fc25ef18f4aafd88c41c2291aa708824164af8089bb66ba82467dfe9a",
     "cohomology quotient_s2.dga": "15b0d0941539340e148634b19728564cd04524d986defccca085e50bdf92528e",
+    "cohomology rational_pencil.dga": "adb23ec01e146e3e3ae44fcdbac3226bbe440e524a216235787d4968e67af19c",
     "cohomology sphere5.dga": "67979a8af7b5e8815314aba6fb9ca6d0930c426746bce4c522c569fd10f7fa9c",
     "gysin-check cp2.dga cp2.dga": "d027f9870d31a57fc9e80c83ffe3147644b7fcd9efcd5201af0b70516492ca65",
     "gysin-check cp2.dga quotient_s2.dga": "771d6234d3812db4ebe8cfea231bf09fa8343ae37dd417f9207ef0c107f84276",
@@ -71,6 +81,7 @@ EXPECTED = {
     "gysin-check quotient_s2.dga cp2.dga": "2394847f814f38ca347591b4a07d9a655439657134f0fac80bb6b1f1229eddd6",
     "gysin-check quotient_s2.dga quotient_s2.dga": "bae92e84815c95b8c4a25f0688ad9781b7c9080f2bfa24d6914fd008796cc4c4",
     "gysin-check quotient_s2.dga sphere5.dga": "763774652b41eca3ff63d84320a953660f7605f7cf1715f41b27a4903fa909b4",
+    "gysin-check rational_pencil.dga cp2.dga": "00ff8a6a4c2bd2cbab06213572ce278511817666e0117e280cd887a672205f7b",
     "homotopy lambda lens_s3_r8.spaceform": "9fb1d311457c856606de664a697895f89cc16005a89fe5a7f001fc8573d19e1f",
     "homotopy lambda rp2.spaceform": "9626e3150ba03121e8589aaf0f6f1d1ac607cda4644a6638539fa42f9923e651",
     "homotopy quotient lens_s3_r8.spaceform": "82a52e0e81cae7e45f8aa7c31704142d24e6423fa71dd29a3b498e0a23b6a881",
@@ -78,6 +89,7 @@ EXPECTED = {
     "ring-verify cp2": "9a0a68f5c7e158d358fc86ad5e92d96c3d10e26187a938e9823bacc8f2185ff3",
     "ring-verify quotient_s2 a=2": "f8810414c9867ef578eb76ad6b748175089bdd1f321b1a6b1688b87ad51bd56e",
     "ring-verify quotient_s2 a=3": "8db371a25b811435a9d9066c448284ecbb44c94d32b2200315f6f979e20c8b19",
+    "ring-verify rational_pencil": "20c09f7a7dbb017d9c356b9e1ac221958a583710479e128377bdc2c71986d3e2",
     "spaceform-model lens_s3_r8.spaceform": "680f47cbf1652301563ab80a608762db330c175b4c756ed2a02f3bbf57518d96",
     "spaceform-model rp2.spaceform": "e89bd2feeaa61c2229624b3d59a8839dc70b59a3b249b89bf0bce49471ea7889",
 }
