@@ -13,28 +13,41 @@ nonzero graph, and each block is reduced on its own, so no kernel, image or
 dense matrix of the whole differential is ever formed.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
-coordinates, ring verification) reduces each dense rational d_d once, by the
-exact elimination of :mod:`.linalg`, over the monomial basis of each degree.
-Its rank and its kernel (one vector per free column) are read off the reduced
-form, and its pivot columns are the basis of the image in degree d+1.
-The image of d_{d-1} at the free columns of d_d is the image in kernel
-coordinates, up to scaling, since each kernel vector is nonzero at exactly
-one free column; reduced once from the last free column, its pivots are the
-free columns it fills.  The kernel vectors at the others are the first ones,
-left to right, that extend the image span: the representatives, the same
-for identical inputs.  Every class query subtracts those reduced rows.
+coordinates, ring verification) reduces each dense integer matrix of L*d_d
+once, by the exact elimination of :mod:`.linalg`, over the monomial basis of
+each degree.  Its rank and its kernel (one primitive integer vector per free
+column) are read off the reduced form, and its pivot columns are the basis
+of the image in degree d+1 (L times the image of d, which spans the same
+space).  The image of d_{d-1} at the free columns of d_d is the image in
+kernel coordinates, up to scaling, since each kernel vector is nonzero at
+exactly one free column; reduced once from the last free column, its pivots
+are the free columns it fills.  The kernel vectors at the others are the
+first ones, left to right, that extend the image span: the representatives,
+the same for identical inputs.  A class query scales the element to
+integers, tests it against the reduced rows of d_d (which span the row
+space of d_d, so they annihilate exactly the cocycles) and subtracts the
+reduced image rows; a Fraction is formed only for the answer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, Coeff, DgaModel, GcaError, Monomial, apply_differential, leibniz
+from .algebra import (
+    AlgebraElement,
+    Coeff,
+    DgaModel,
+    GcaError,
+    Monomial,
+    UnknownGeneratorError,
+    apply_differential,
+    leibniz,
+)
 
 DEFAULT_MAX_DEGREE = 24
 DEFAULT_BASIS_LIMIT = 200_000
@@ -86,19 +99,25 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class DegreeData:
-    """Cochain data of one degree: basis, kernel, incoming image, chosen
-    representatives (coordinate vectors over the basis), the rank of the
-    outgoing differential, its free columns (last first), and the image at
-    those columns, reduced: the image in kernel coordinates up to scaling."""
+    """Cochain data of one degree, as integer coordinate vectors over the
+    basis: the kernel (primitive vectors), the incoming image (pivot columns
+    of L*d_{d-1}), the chosen representatives, the rank of the outgoing
+    differential and its reduced rows, its free columns (last first), and
+    the image at those columns, reduced, with its pivots (positions in
+    ``free``): the image in kernel coordinates up to scaling.  ``index``
+    maps each basis monomial to its position."""
 
     degree: int
     basis: tuple[Monomial, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
-    image: tuple[tuple[Fraction, ...], ...]
-    reps: tuple[tuple[Fraction, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    image: tuple[tuple[int, ...], ...]
+    reps: tuple[tuple[int, ...], ...]
     rank_out: int
+    reduced_out: tuple[tuple[int, ...], ...]
     free: tuple[int, ...]
     image_at_free: tuple[tuple[int, ...], ...]
+    image_pivots: tuple[int, ...]
+    index: Mapping[Monomial, int] = field(compare=False)  # follows from the basis
 
 
 class ComplexData:
@@ -136,8 +155,15 @@ class ComplexData:
         return not any(coords)
 
     def class_coordinates(self, element: AlgebraElement, degree: int) -> list[Fraction]:
-        """Coordinates of a cocycle's class in the representative basis, read
-        off its entries at the free columns less the reduced image rows."""
+        """Coordinates of a cocycle's class in the representative basis.
+
+        The element is scaled to integers once.  It is a cocycle exactly
+        when every reduced row of d_d annihilates it.  Its entries at the
+        free columns, less the reduced image rows (each carrying the pivot
+        value D, alone in its pivot column), leave D*scale times the class
+        at the representatives' own free columns."""
+        if element.model is not self.model and element.model != self.model:
+            raise UnknownGeneratorError("element does not belong to the given model")
         data = self._degree_data(degree)
         if not element.is_zero and element.homogeneous_degree() != degree:
             raise GcaError("element is not homogeneous of the requested degree")
@@ -145,16 +171,23 @@ class ComplexData:
             if element.is_zero:
                 return []
             raise GcaError("nonzero element in a degree with trivial cocycle space")
-        if not apply_differential(element).is_zero:
+        terms = element.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        x = {data.index[m]: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+        if any(sum(row[i] * v for i, v in x.items()) for row in data.reduced_out):
             raise GcaError(f"element of degree {degree} is not a cocycle class")
-        at_free = element.coords([data.basis[f] for f in data.free])
-        for row in data.image_at_free:
-            p = next(i for i, v in enumerate(row) if v)
-            if t := at_free[p] / row[p]:
-                at_free = [a - t * v for a, v in zip(at_free, row)]
-        left = dict(zip(data.free, at_free))  # zero where the image has pivots
-        # each representative is nonzero at exactly one free column: its own
-        return [left[f] / rep[f] for rep in data.reps for f in data.free if rep[f]]
+        at_free = [x.get(f, 0) for f in data.free]
+        pivot_value = data.image_at_free[0][data.image_pivots[0]] if data.image_pivots else 1
+        left = [pivot_value * a for a in at_free]
+        for row, p in zip(data.image_at_free, data.image_pivots):
+            if t := at_free[p]:
+                left = [a - t * v for a, v in zip(left, row)]
+        # each representative is nonzero at exactly one free column, its own:
+        # the free columns the image does not fill, in ascending order
+        filled = set(data.image_pivots)
+        own = [i for i in reversed(range(len(left))) if i not in filled]
+        den = pivot_value * scale
+        return [Fraction(left[i], den * rep[data.free[i]]) for rep, i in zip(data.reps, own)]
 
 
 def _sparse_columns(
@@ -179,11 +212,12 @@ def _sparse_columns(
     return columns
 
 
-def differential_matrix(model: DgaModel, degree: int) -> list[list[Fraction]]:
-    """Matrix of d from degree to degree+1 over the monomial bases
-    (rows indexed by the target basis, columns by the source basis)."""
-    columns = _sparse_columns(model, degree, model.differential_terms())
-    rows = [[Fraction(0)] * len(columns) for _ in model.basis(degree + 1)]
+def differential_matrix(model: DgaModel, degree: int) -> list[list[int]]:
+    """Dense integer matrix of L*d from degree to degree+1 over the monomial
+    bases (rows indexed by the target basis, columns by the source basis),
+    where L is the scale of :func:`integer_differentials`."""
+    columns = _sparse_columns(model, degree, _integer_differentials_of(model))
+    rows = [[0] * len(columns) for _ in model.basis(degree + 1)]
     for j, column in enumerate(columns):
         for i, c in column.items():
             rows[i][j] = c
@@ -198,6 +232,23 @@ def integer_differentials(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
     diffs = model.differential_terms()
     scale = lcm(*(c.denominator for dg in diffs for c in dg.values()))
     return tuple({m: c.numerator * (scale // c.denominator) for m, c in dg.items()} for dg in diffs)
+
+
+# the last model passed to _integer_differentials_of, and its integer differentials
+_last_integer_differentials: tuple[DgaModel | None, tuple[dict[Monomial, int], ...]] = (None, ())
+
+
+def _integer_differentials_of(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
+    """:func:`integer_differentials` of the model, computed once for a run of
+    calls on the same model object, so that building a complex degree by
+    degree computes them once.  A model never changes after construction,
+    and the pair is read and replaced as one tuple, so a concurrent call on
+    another model cannot mix the two."""
+    global _last_integer_differentials
+    last = _last_integer_differentials
+    if last[0] is not model:
+        last = _last_integer_differentials = (model, integer_differentials(model))
+    return last[1]
 
 
 def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
@@ -261,7 +312,7 @@ def cochain_complex(
 ) -> ComplexData:
     _check_complex_input(model, max_degree, basis_limit)
     degrees = []
-    image: tuple[tuple[Fraction, ...], ...] = ()
+    image: tuple[tuple[int, ...], ...] = ()
     for d in range(max_degree + 1):
         basis = model.basis(d)
         matrix = differential_matrix(model, d)
@@ -273,9 +324,13 @@ def cochain_complex(
         at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
         filled = {free[p] for p in image_pivots}
         reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
-        degrees.append(DegreeData(d, basis, kernel, image, reps, len(pivots), free, tuple(map(tuple, at_free))))
-        # the pivot columns of d_d are a basis of its image in degree d+1
-        image = tuple(tuple(row[p] for row in matrix) for p in pivots)
+        degrees.append(DegreeData(
+            d, basis, kernel, image, reps, len(pivots), tuple(map(tuple, ech)),
+            free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
+        ))
+        # the pivot columns of L*d_d are a basis of its image in degree d+1
+        columns = list(zip(*matrix))
+        image = tuple(columns[p] for p in pivots)
     return ComplexData(model, max_degree, tuple(degrees))
 
 

@@ -4,10 +4,11 @@ Matrices are lists of rows; entries are ints or Fractions.  ``echelon`` is
 the only elimination: a fraction-free Gauss-Jordan reduction of the
 integerised matrix (Bareiss 1968, applied above the pivot as well as
 below), in which every division is exact, so no rounding can occur
-anywhere.  Pivots are chosen by first nonzero column, then smallest
+anywhere.  Integer rows go in as they are; only rows that hold a Fraction
+are scaled first.  Pivots are chosen by first nonzero column, then smallest
 absolute entry, then lowest row index; the fixed rule makes every result
-deterministic.  Rank, null space, column space and solutions are read off
-the reduced form without further elimination.
+deterministic.  Rank, null space (primitive integer vectors), column space
+and solutions are read off the reduced form without further elimination.
 """
 
 from __future__ import annotations
@@ -20,11 +21,16 @@ Row = Sequence[Fraction | int]
 
 
 def integerize_rows(rows: Sequence[Row]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (null space unchanged)."""
+    """Integer copies of the rows (null space unchanged): a row of ints as it
+    is, any other row scaled by the lcm of the denominators of its nonzero
+    entries."""
     out = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+            continue
+        scale = lcm(*(x.denominator for x in row if x))
+        out.append([x.numerator * (scale // x.denominator) if x else 0 for x in row])
     return out
 
 
@@ -67,19 +73,19 @@ def rank(rows: Sequence[Row]) -> int:
     return len(echelon(rows)[1])
 
 
-def _primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by its content, making the first
     nonzero entry positive."""
     g = gcd(*vec)
     if next(v for v in vec if v) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in vec)
+    return tuple(vec) if g == 1 else tuple(v // g for v in vec)
 
 
-def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[Fraction, ...]]:
-    """The null space read off a reduced echelon form, one primitive vector
-    per free column f: nonzero at f, zero at every other free column, first
-    nonzero entry positive.
+def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[int, ...]]:
+    """The null space read off a reduced echelon form, one primitive integer
+    vector per free column f: nonzero at f, zero at every other free column,
+    first nonzero entry positive.
 
     Every row of the form carries the same pivot value d, so d times the
     kernel vector is d at f and -row[f] at the pivot of each row."""
@@ -97,12 +103,12 @@ def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> 
     return basis
 
 
-def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right null space, one primitive vector per free column."""
     return kernel_from_echelon(*echelon(rows), ncols)
 
 
-def row_space_basis(rows: Sequence[Row]) -> list[tuple[Fraction, ...]]:
+def row_space_basis(rows: Sequence[Row]) -> list[tuple[int, ...]]:
     ech, _ = echelon(rows)
     return [_primitive(r) for r in ech]
 

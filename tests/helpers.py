@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from loopspace.bott import BottFunction
-from loopspace.gca import DgaModel
+from loopspace.gca import DgaModel, apply_differential, linalg
 
 
 # -- random DGA models -------------------------------------------------------
@@ -112,6 +112,52 @@ def random_homogeneous(rng: random.Random, model: DgaModel, max_degree: int = 8)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         element = element + model.monomial_element(mono, c)
     return element, degree
+
+
+# -- reference cochain complex -----------------------------------------------
+
+
+class ReferenceSpan:
+    """A subspace grown one vector at a time by plain Fraction reduction;
+    ``add`` extends it and returns True exactly when the vector is
+    independent of everything added so far."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row)
+
+    def add(self, vec) -> bool:
+        v = [Fraction(x) for x in vec]
+        for p, row in self.rows:
+            if v[p]:
+                t = v[p] / row[p]
+                v = [a - t * b for a, b in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        self.rows.append((p, v))
+        return True
+
+
+def reference_cochain_complex(model: DgaModel, max_degree: int):
+    """(kernel, image, reps, rank_out) per degree, computed the plain way:
+    a dense Fraction d_d built column by column from apply_differential on
+    each basis monomial, its null space by linalg.nullspace, its image as
+    its own pivot columns, and the representatives as the first kernel
+    vectors that extend the image span."""
+    out = []
+    image: list[tuple[Fraction, ...]] = []
+    for d in range(max_degree + 1):
+        basis, target = model.basis(d), model.basis(d + 1)
+        columns = [apply_differential(model.monomial_element(m)).coords(target) for m in basis]
+        rows = [[col[i] for col in columns] for i in range(len(target))]
+        kernel = linalg.nullspace(rows, len(basis))
+        span = ReferenceSpan()
+        for vec in image:
+            assert span.add(vec)
+        reps = [vec for vec in kernel if span.add(vec)]
+        out.append((kernel, image, reps, len(basis) - len(kernel)))
+        image = linalg.column_space_basis(rows, len(basis))
+    return out
 
 
 # -- quotient-ring oracle ----------------------------------------------------

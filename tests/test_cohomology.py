@@ -1,11 +1,14 @@
 """Betti tables, model validation, and ring-presentation verification."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+from loopspace.dsl import parse_path
 from loopspace.gca import (
     BasisLimitError,
     BettiTable,
@@ -13,6 +16,7 @@ from loopspace.gca import (
     GcaError,
     MixedDegreeError,
     RingPresentation,
+    UnknownGeneratorError,
     apply_differential,
     check_model,
     cochain_complex,
@@ -23,7 +27,16 @@ from loopspace.gca import (
 from loopspace.gca.cohomology import block_rank, differential_matrix, integer_differentials
 from loopspace.gca import linalg
 
-from helpers import coprime_denominator_model, odd_differential_models, quotient_counts_oracle, random_model
+from helpers import (
+    coprime_denominator_model,
+    odd_differential_models,
+    quotient_counts_oracle,
+    random_model,
+    reference_cochain_complex,
+)
+
+cohomology_module = importlib.import_module("loopspace.gca.cohomology")  # the package binds the function to the name
+RATIONAL_PENCIL = Path(__file__).resolve().parent.parent / "fixtures" / "rational_pencil.dga"
 
 
 def two_gen_model():
@@ -123,6 +136,80 @@ def test_rank_nullity_bookkeeping_randomized():
             for vec in dd.image:
                 assert span.add(vec)
             assert dd.reps == tuple(vec for vec in dd.kernel if span.add(vec))
+
+
+def _coprime_models(count=6):
+    rng = random.Random(2718)
+    return [coprime_denominator_model(rng) for _ in range(count)]
+
+
+def test_integer_complex_matches_the_fraction_reference():
+    rng = random.Random(31415)
+    models = [(random_model(rng), 8) for _ in range(40)]
+    models += [(m, 12) for m in _coprime_models()]
+    models.append((parse_path(RATIONAL_PENCIL).value, 16))
+    for model, max_degree in models:
+        data = cochain_complex(model, max_degree)
+        scales = set()
+        for dd, (kernel, image, reps, rank_out) in zip(data.degrees, reference_cochain_complex(model, max_degree)):
+            assert dd.kernel == tuple(kernel) and dd.reps == tuple(reps), (model, dd.degree)
+            assert dd.rank_out == rank_out
+            assert all(type(v) is int for vectors in (dd.kernel, dd.image) for vec in vectors for v in vec)
+            # the image is L times the reference, with one L for the whole complex
+            assert len(dd.image) == len(image)
+            for vec, ref in zip(dd.image, image):
+                p = next(i for i, v in enumerate(ref) if v)
+                scale = vec[p] / ref[p]
+                assert scale > 0 and vec == tuple(scale * v for v in ref)
+                scales.add(scale)
+        assert len(scales) <= 1, model
+
+
+def test_cochain_complex_stays_in_integers(monkeypatch):
+    model = _coprime_models(1)[0]
+    calls = []
+    original = cohomology_module.integer_differentials
+    monkeypatch.setattr(cohomology_module, "integer_differentials", lambda m: calls.append(m) or original(m))
+    data = cochain_complex(model, 10)
+    matrices = [differential_matrix(model, d) for d in range(11)]
+    assert calls == [model]  # once for the whole complex, and reused by the matrices after it
+    assert all(type(v) is int for rows in matrices for row in rows for v in row)
+    assert any(v for rows in matrices for row in rows for v in row)
+    assert all(type(v) is int for dd in data.degrees for vectors in (dd.reduced_out, dd.image_at_free)
+               for vec in vectors for v in vec)
+
+
+def test_class_queries_apply_no_differential(monkeypatch):
+    model = even_k1_model()
+    data = cochain_complex(model, 10)
+    odd = DgaModel([("u2", 2), ("u3", 3), ("x", 3)], {"u3": [(1, {"u2": 2})]})
+    odd_data = cochain_complex(odd, 6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a class query applied the differential")
+
+    monkeypatch.setattr(cohomology_module, "apply_differential", forbidden)
+    monkeypatch.setattr(cohomology_module, "leibniz", forbidden)
+    u2, v2 = model.gen("u2"), model.gen("v2")
+    assert data.class_coordinates(u2 * v2 + v2 * v2, 4) == [1, 1]
+    assert data.is_exact(u2 * u2, 4)
+    assert odd_data.class_coordinates(odd.gen("x").scale(Fraction(2, 3)), 3) == [Fraction(2, 3)]
+    with pytest.raises(GcaError, match="is not a cocycle class"):
+        odd_data.class_coordinates(odd.gen("u3"), 3)
+
+
+def test_class_queries_reject_elements_of_another_model():
+    a = even_k1_model()
+    b = DgaModel([("p", 2), ("q", 2), ("r", 3)])
+    data = cochain_complex(a, 6)
+    q = b.gen("q")
+    for query in (data.class_coordinates, data.is_exact):
+        with pytest.raises(UnknownGeneratorError, match="^element does not belong to the given model$"):
+            query(q**2, 4)
+        with pytest.raises(UnknownGeneratorError):
+            query(b.zero(), 4)
+    # an equal model built separately is the same model
+    assert data.class_coordinates(even_k1_model().gen("v2") ** 2, 4) == [0, 1]
 
 
 def _outcome(compute):
@@ -284,7 +371,9 @@ def test_class_coordinates_match_a_solve_over_reps_and_image():
     rng = random.Random(31415)
     models = [(random_model(rng), 8) for _ in range(40)]
     models += [(even_k1_model(), 12), (even_k2_model(), 16)]
+    models += [(m, 12) for m in _coprime_models()]
     rng = random.Random(1729)
+    fractions = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 6), Fraction(-1, 2), 0, 1, -3]
     for model, max_degree in models:
         data = cochain_complex(model, max_degree)
         for d, dd in enumerate(data.degrees):
@@ -292,8 +381,8 @@ def test_class_coordinates_match_a_solve_over_reps_and_image():
             elements = [model.from_coords(dd.basis, vec) for vec in columns]
             for k, x in enumerate(elements):  # reps map to unit vectors, image vectors to zero
                 assert data.class_coordinates(x, d) == [int(j == k) for j in range(len(dd.reps))]
-            for _ in range(3):
-                coeffs = [rng.randint(-3, 3) for _ in columns]
+            for n in range(6):  # integer combinations, then ones with denominators
+                coeffs = [rng.randint(-3, 3) if n < 3 else rng.choice(fractions) for _ in columns]
                 x = model.zero()
                 for c, e in zip(coeffs, elements):
                     x = x + e.scale(c)
@@ -318,6 +407,8 @@ def test_class_coordinates_error_paths():
         (data, u3, 3, GcaError, "nonzero element in a degree with trivial cocycle space"),
         (odd_data, odd.gen("u3"), 3, GcaError, "element of degree 3 is not a cocycle class"),
         (odd_data, odd.gen("u3") + odd.gen("x"), 3, GcaError, "element of degree 3 is not a cocycle class"),
+        (odd_data, odd.gen("x") + odd.gen("u3").scale(Fraction(1, 6)), 3, GcaError,
+         "element of degree 3 is not a cocycle class"),
     ]
     for complex_data, element, degree, kind, text in cases:
         for query in (complex_data.class_coordinates, complex_data.is_exact):
