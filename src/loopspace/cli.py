@@ -15,6 +15,7 @@ import argparse
 import functools
 import os
 import sys
+from typing import Callable
 
 from . import __version__, serialize
 from .bott import bott_index, certify_theorem4, certify_theorem5, index_parity, is_nondegenerate
@@ -158,11 +159,13 @@ def _load(path: str, kind: str):
     return result.value
 
 
-def _emit(args, kind: str, input_echo, result_json, table: str) -> None:
+def _emit(args, kind: str, input_echo, result_json, table: Callable[[], str]) -> None:
+    """Print the JSON document, or the text table, which ``table`` builds
+    only when it is printed."""
     if args.json:
         print(serialize.dumps(serialize.payload(kind, input_echo, result_json)))
     else:
-        print(table)
+        print(table())
 
 
 def _pi1_text(order: int) -> str:
@@ -180,12 +183,16 @@ def cmd_cohomology(args) -> int:
     max_degree = _resolve_max_degree(args.max_degree)
     model: DgaModel = _load(args.file, "dga")
     table = cohomology(model, max_degree, with_representatives=True)
-    lines = ["degree  dim  representatives"]
-    for d, (n, reps) in enumerate(zip(table.dims, table.representatives)):
-        shown = ", ".join(model.format_element(r) for r in reps)
-        lines.append(f"{d:>6}  {n:>3}  {shown}")
-    lines.append(f"(truncated at degree {max_degree})")
-    _emit(args, "cohomology", document_text(model), serialize.betti_json(table), "\n".join(lines))
+
+    def text() -> str:
+        lines = ["degree  dim  representatives"]
+        for d, (n, reps) in enumerate(zip(table.dims, table.representatives)):
+            shown = ", ".join(model.format_element(r) for r in reps)
+            lines.append(f"{d:>6}  {n:>3}  {shown}")
+        lines.append(f"(truncated at degree {max_degree})")
+        return "\n".join(lines)
+
+    _emit(args, "cohomology", document_text(model), serialize.betti_json(table), text)
     return 0
 
 
@@ -194,8 +201,8 @@ def cmd_ring_verify(args) -> int:
     model: DgaModel = _load(args.file, "dga")
     presentation = RingPresentation(args.deg_w, args.deg_z, args.nilpotency)
     report = verify_ring_presentation(model, presentation, max_degree)
-    table = report.format() + f"\n(truncated at degree {max_degree})"
-    _emit(args, "ring-verify", document_text(model), serialize.ring_report_json(report), table)
+    _emit(args, "ring-verify", document_text(model), serialize.ring_report_json(report),
+          lambda: report.format() + f"\n(truncated at degree {max_degree})")
     return 0 if report.passed else 1
 
 
@@ -208,20 +215,24 @@ def cmd_homotopy(args) -> int:
     else:
         table = theorem2_table(spec, max_degree)
         what = "SO(2) homotopy quotient"
-    lines = [f"rational homotopy of the {what} (S^{spec.n}, r={spec.r}, ord={spec.element_order})"]
-    for d, v in table.dims:
-        lines.append(f"pi_{d}  Q" + (f"^{v}" if v > 1 else ""))
-    lines.append(f"pi_1  {_pi1_text(table.pi1)}")
-    lines.append(f"(truncated at degree {max_degree})")
-    _emit(args, "homotopy", document_text(spec), serialize.homotopy_json(table), "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"rational homotopy of the {what} (S^{spec.n}, r={spec.r}, ord={spec.element_order})"]
+        for d, v in table.dims:
+            lines.append(f"pi_{d}  Q" + (f"^{v}" if v > 1 else ""))
+        lines.append(f"pi_1  {_pi1_text(table.pi1)}")
+        lines.append(f"(truncated at degree {max_degree})")
+        return "\n".join(lines)
+
+    _emit(args, "homotopy", document_text(spec), serialize.homotopy_json(table), text)
     return 0
 
 
 def cmd_spaceform_model(args) -> int:
     spec: SpaceFormSpec = _load(args.file, "spaceform")
     model = theorem3_model(spec)
-    text = document_text(model)
-    _emit(args, "spaceform-model", document_text(spec), serialize.model_json(model), text.rstrip("\n"))
+    _emit(args, "spaceform-model", document_text(spec), serialize.model_json(model),
+          lambda: document_text(model).rstrip("\n"))
     return 0
 
 
@@ -241,7 +252,7 @@ def cmd_gysin_check(args) -> int:
     )
     report = gysin_check(inputs)
     echo = {"base": document_text(base_model), "total": document_text(total_model)}
-    _emit(args, "gysin-check", echo, serialize.gysin_report_json(report), report.format())
+    _emit(args, "gysin-check", echo, serialize.gysin_report_json(report), report.format)
     return 0 if report.passed else 1
 
 
@@ -255,12 +266,11 @@ def cmd_bott_index(args) -> int:
         "parity": "odd" if index_parity(f, m) else "even",
         "nondegenerate": is_nondegenerate(f, m),
     }
-    table = (
+    _emit(args, "bott-index", document_text(f), result, lambda: (
         f"ind gamma^{m} = {value}\n"
         f"parity: {result['parity']}\n"
         f"nondegenerate at m={m}: {'yes' if result['nondegenerate'] else 'no'}"
-    )
-    _emit(args, "bott-index", document_text(f), result, table)
+    ))
     return 0
 
 
@@ -279,7 +289,7 @@ def cmd_certify_rp2(args) -> int:
         cert = certify_theorem4(args.grid, args.values, args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(args, "certificate", None, serialize.certificate_json(cert), _certificate_table(cert))
+    _emit(args, "certificate", None, serialize.certificate_json(cert), lambda: _certificate_table(cert))
     return 0 if cert.established else 1
 
 
@@ -291,7 +301,7 @@ def cmd_certify_theorem5(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     echo = {"spaceform": document_text(spec), "bott": document_text(f)}
-    _emit(args, "certificate", echo, serialize.certificate_json(cert), _certificate_table(cert))
+    _emit(args, "certificate", echo, serialize.certificate_json(cert), lambda: _certificate_table(cert))
     return 0 if cert.established else 1
 
 

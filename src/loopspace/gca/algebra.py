@@ -43,7 +43,8 @@ RawPoly = Iterable[tuple[CoeffLike, ExponentsLike]]
 #: Exponent vector over a model's generators, in canonical order, e.g.
 #: ``(2, 0, 1)`` for u2^2*u3 over generators (u2, v2, u3).
 Monomial = tuple[int, ...]
-#: Coefficient type of :func:`leibniz`: Fraction, or int for a scaled copy.
+#: Coefficient type of :func:`leibniz` and :func:`multiply_terms`: Fraction,
+#: or int for a scaled copy.
 Coeff = TypeVar("Coeff", int, Fraction)
 
 
@@ -392,19 +393,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    prod = self.model.multiply_monomials(m1, m2)
-                    if prod is None:
-                        continue
-                    sign, mon = prod
-                    acc = out.get(mon, Fraction(0)) + sign * c1 * c2
-                    if acc:
-                        out[mon] = acc
-                    else:
-                        out.pop(mon, None)
-            return AlgebraElement(self.model, out)
+            return AlgebraElement(self.model, multiply_terms(self.model, self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -442,6 +431,23 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if not isinstance(a, AlgebraElement) or not isinstance(b, AlgebraElement):
         raise GcaError("multiply expects two algebra elements")
     return a * b
+
+
+def multiply_terms(
+    model: DgaModel, a: Mapping[Monomial, Coeff], b: Mapping[Monomial, Coeff]
+) -> dict[Monomial, Coeff]:
+    """Graded-commutative product of two {monomial: coefficient} maps of the
+    model, generic over the coefficient type (see :func:`leibniz`): each
+    pair of terms contributes its Koszul-signed monomial product, and
+    products that square an odd generator vanish.  Terms that cancel are
+    dropped."""
+    out: dict[Monomial, Coeff] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            prod = model.multiply_monomials(m1, m2)
+            if prod:
+                out[prod[1]] = out.get(prod[1], 0) + prod[0] * c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def leibniz(

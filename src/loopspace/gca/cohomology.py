@@ -26,7 +26,10 @@ first ones, left to right, that extend the image span: the representatives,
 the same for identical inputs.  A class query scales the element to
 integers, tests it against the reduced rows of d_d (which span the row
 space of d_d, so they annihilate exactly the cocycles) and subtracts the
-reduced image rows; a Fraction is formed only for the answer.
+reduced image rows; a Fraction is formed only for the answer.  The ring
+search multiplies integer combinations of the representatives as integer
+{monomial: int} maps and reads their classes the same way, with no Fraction
+at all.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .algebra import (
     UnknownGeneratorError,
     apply_differential,
     leibniz,
+    multiply_terms,
 )
 
 DEFAULT_MAX_DEGREE = 24
@@ -119,6 +123,10 @@ class DegreeData:
     image_pivots: tuple[int, ...]
     index: Mapping[Monomial, int] = field(compare=False)  # follows from the basis
 
+    def terms(self, vec: Sequence[int]) -> dict[Monomial, int]:
+        """The {monomial: coefficient} map of a vector over the basis."""
+        return {m: c for m, c in zip(self.basis, vec) if c}
+
 
 class ComplexData:
     """Truncated cochain complex of a model, one :class:`DegreeData` per degree."""
@@ -157,23 +165,37 @@ class ComplexData:
     def class_coordinates(self, element: AlgebraElement, degree: int) -> list[Fraction]:
         """Coordinates of a cocycle's class in the representative basis.
 
-        The element is scaled to integers once.  It is a cocycle exactly
-        when every reduced row of d_d annihilates it.  Its entries at the
-        free columns, less the reduced image rows (each carrying the pivot
-        value D, alone in its pivot column), leave D*scale times the class
-        at the representatives' own free columns."""
+        The element is scaled to integers once, by the lcm of its
+        denominators, and its class is read by :meth:`_class_numerators`;
+        a Fraction is formed only for each returned coordinate."""
         if element.model is not self.model and element.model != self.model:
             raise UnknownGeneratorError("element does not belong to the given model")
-        data = self._degree_data(degree)
+        self._degree_data(degree)
         if not element.is_zero and element.homogeneous_degree() != degree:
             raise GcaError("element is not homogeneous of the requested degree")
+        terms, scale = integer_terms(element.terms)
+        numerators, den = self._class_numerators(terms, degree)
+        return [Fraction(n, den * scale) for n in numerators]
+
+    def _class_numerators(self, terms: Mapping[Monomial, int], degree: int) -> tuple[list[int], int]:
+        """The class of an integer cocycle, given as {monomial: int} over the
+        basis of the degree, as (numerators, den): its coordinates in the
+        representative basis are numerator / den.  The caller vouches for
+        the model and the degree of the terms.
+
+        The terms are a cocycle exactly when every reduced row of d_d
+        annihilates them.  Their entries at the free columns, less the
+        reduced image rows (each carrying the pivot value D, alone in its
+        pivot column), leave D times the class at the representatives' own
+        free columns, each scaled by that representative's entry there.
+        The element is exact exactly when every numerator is 0, and the
+        rank of numerator vectors is the rank of their classes."""
+        data = self._degree_data(degree)
         if not data.kernel:
-            if element.is_zero:
-                return []
+            if not terms:
+                return [], 1
             raise GcaError("nonzero element in a degree with trivial cocycle space")
-        terms = element.terms
-        scale = lcm(*(c.denominator for c in terms.values()))
-        x = {data.index[m]: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+        x = {data.index[m]: c for m, c in terms.items()}
         if any(sum(row[i] * v for i, v in x.items()) for row in data.reduced_out):
             raise GcaError(f"element of degree {degree} is not a cocycle class")
         at_free = [x.get(f, 0) for f in data.free]
@@ -186,8 +208,9 @@ class ComplexData:
         # the free columns the image does not fill, in ascending order
         filled = set(data.image_pivots)
         own = [i for i in reversed(range(len(left))) if i not in filled]
-        den = pivot_value * scale
-        return [Fraction(left[i], den * rep[data.free[i]]) for rep, i in zip(data.reps, own)]
+        entries = [rep[data.free[i]] for rep, i in zip(data.reps, own)]
+        common = lcm(*entries)
+        return [left[i] * (common // e) for i, e in zip(own, entries)], pivot_value * common
 
 
 def _sparse_columns(
@@ -224,6 +247,17 @@ def differential_matrix(model: DgaModel, degree: int) -> list[list[int]]:
     return rows
 
 
+def _scaled(terms: Mapping[Monomial, Fraction], scale: int) -> dict[Monomial, int]:
+    """scale times the terms, for a scale that every denominator divides."""
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+
+
+def integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """(scale * terms, scale) for the lcm ``scale`` of the terms' denominators."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return _scaled(terms, scale), scale
+
+
 def integer_differentials(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
     """L times each generator differential, where L is the lcm of every
     coefficient denominator of the model's generator differentials.  The
@@ -231,7 +265,7 @@ def integer_differentials(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
     on every degree, which has the same rank as d."""
     diffs = model.differential_terms()
     scale = lcm(*(c.denominator for dg in diffs for c in dg.values()))
-    return tuple({m: c.numerator * (scale // c.denominator) for m, c in dg.items()} for dg in diffs)
+    return tuple(_scaled(dg, scale) for dg in diffs)
 
 
 # the last model passed to _integer_differentials_of, and its integer differentials
@@ -529,7 +563,9 @@ def verify_ring_presentation(
     w^i z^j are linearly independent in cohomology.  Candidates for w and z
     are searched over small integer combinations of the computed
     representatives, which is exhaustive up to scaling for the coefficient
-    range -2..2.
+    range -2..2.  The candidates, their powers and their products are
+    integer {monomial: int} maps (see :func:`multiply_terms`), whose classes
+    are read in integers; only the reported w and z become elements.
     """
     a = presentation.nilpotency
     needed = max(max_degree, a * presentation.deg_w)
@@ -554,22 +590,28 @@ def verify_ring_presentation(
                         f"and w^{a - 1} non-exact was found")
         return RingReport(False, presentation, max_degree, expected, actual,
                           None, None, None, tuple(messages))
+    w_data = data.degrees[presentation.deg_w]
+    w_element = model.from_coords(w_data.basis, w)
 
-    z = _find_z(data, presentation, w, max_degree)
+    z = _find_z(data, presentation, w_data.terms(w), max_degree)
     if z is None:
         messages.append(f"no degree-{presentation.deg_z} class z with independent "
                         f"products w^i z^j was found")
         return RingReport(False, presentation, max_degree, expected, actual,
-                          None, w, None, tuple(messages))
+                          None, w_element, None, tuple(messages))
 
-    return RingReport(True, presentation, max_degree, expected, actual, None, w, z, ())
+    z_element = model.from_coords(data.degrees[presentation.deg_z].basis, z)
+    return RingReport(True, presentation, max_degree, expected, actual, None, w_element, z_element, ())
 
 
 _CANDIDATE_DIM_LIMIT = 4
 
 
 def _class_candidates(data: ComplexData, degree: int):
-    reps = data.representative_elements(degree)
+    """Integer vectors over the basis of the degree: the combinations
+    sum c_k * rep_k of the representatives, one per coefficient vector of
+    :func:`_candidate_coefficients`, in its order."""
+    reps = data._degree_data(degree).reps
     if not reps:
         return
     if len(reps) > _CANDIDATE_DIM_LIMIT:
@@ -577,23 +619,25 @@ def _class_candidates(data: ComplexData, degree: int):
             f"representative space at degree {degree} has dimension {len(reps)}; "
             f"the candidate search handles at most {_CANDIDATE_DIM_LIMIT}"
         )
-    zero = data.model.zero()
+    positions = range(len(reps[0]))
     for coeffs in _candidate_coefficients(len(reps)):
-        candidate = zero
-        for c, rep in zip(coeffs, reps):
-            if c:
-                candidate = candidate + rep.scale(c)
-        yield candidate
+        yield tuple(sum(c * rep[i] for c, rep in zip(coeffs, reps)) for i in positions)
 
 
-def _find_w(data: ComplexData, presentation: RingPresentation) -> AlgebraElement | None:
+def _exact(data: ComplexData, terms: Mapping[Monomial, int], degree: int) -> bool:
+    return not any(data._class_numerators(terms, degree)[0])
+
+
+def _find_w(data: ComplexData, presentation: RingPresentation) -> tuple[int, ...] | None:
     a = presentation.nilpotency
     deg = presentation.deg_w
+    degree_data = data._degree_data(deg)
     for candidate in _class_candidates(data, deg):
-        below = candidate ** (a - 1)
-        if not data.is_exact(below * candidate, a * deg):
+        x = degree_data.terms(candidate)
+        below = _powers(data.model, x, a - 1)[-1]
+        if not _exact(data, multiply_terms(data.model, below, x), a * deg):
             continue
-        if a > 1 and data.is_exact(below, (a - 1) * deg):
+        if a > 1 and _exact(data, below, (a - 1) * deg):
             continue
         return candidate
     return None
@@ -602,13 +646,14 @@ def _find_w(data: ComplexData, presentation: RingPresentation) -> AlgebraElement
 def _find_z(
     data: ComplexData,
     presentation: RingPresentation,
-    w: AlgebraElement,
+    w: Mapping[Monomial, int],
     max_degree: int,
-) -> AlgebraElement | None:
+) -> tuple[int, ...] | None:
     monomials = list(_quotient_monomials(presentation, max_degree))
-    w_powers = _powers(w, max((i for _, i, _ in monomials), default=0))
+    w_powers = _powers(data.model, w, max((i for _, i, _ in monomials), default=0))
+    degree_data = data._degree_data(presentation.deg_z)
     for candidate in _class_candidates(data, presentation.deg_z):
-        if _products_independent(data, monomials, w_powers, candidate):
+        if _products_independent(data, monomials, w_powers, degree_data.terms(candidate)):
             return candidate
     return None
 
@@ -616,25 +661,25 @@ def _find_z(
 def _products_independent(
     data: ComplexData,
     monomials: Sequence[tuple[int, int, int]],
-    w_powers: Sequence[AlgebraElement],
-    z: AlgebraElement,
+    w_powers: Sequence[Mapping[Monomial, int]],
+    z: Mapping[Monomial, int],
 ) -> bool:
     """Whether the classes of the products w^i z^j, one per (degree, i, j)
     of ``monomials``, are linearly independent in every degree."""
-    z_powers = _powers(z, max((j for _, _, j in monomials), default=0))
-    products: dict[int, list[AlgebraElement]] = {}
+    z_powers = _powers(data.model, z, max((j for _, _, j in monomials), default=0))
+    products: dict[int, list[dict[Monomial, int]]] = {}
     for d, i, j in monomials:
-        products.setdefault(d, []).append(w_powers[i] * z_powers[j])
+        products.setdefault(d, []).append(multiply_terms(data.model, w_powers[i], z_powers[j]))
     for d in sorted(products):
-        coords = [data.class_coordinates(p, d) for p in products[d]]
-        if linalg.rank(coords) < len(coords):
+        rows = [data._class_numerators(p, d)[0] for p in products[d]]
+        if linalg.rank(rows) < len(rows):
             return False
     return True
 
 
-def _powers(x: AlgebraElement, top: int) -> list[AlgebraElement]:
+def _powers(model: DgaModel, x: Mapping[Monomial, int], top: int) -> list[dict[Monomial, int]]:
     """x^0, x^1, ..., x^top, each one product from the one before."""
-    powers = [x.model.one()]
+    powers = [{(0,) * model.ngens: 1}]
     for _ in range(top):
-        powers.append(powers[-1] * x)
+        powers.append(multiply_terms(model, powers[-1], x))
     return powers

@@ -24,20 +24,34 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gca import linalg
-from .gca.algebra import AlgebraElement, DgaModel
+from .gca.algebra import AlgebraElement, DgaModel, GcaError, UnknownGeneratorError, multiply_terms
 from .gca.cohomology import (
     DEFAULT_BASIS_LIMIT,
     DEFAULT_MAX_DEGREE,
     BettiTable,
     ComplexData,
     cochain_complex,
+    integer_terms,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _entry(x, what: str) -> Fraction:
+    """An exact matrix entry: a Fraction as it is, an int (not a bool), or
+    a 'p/q' string; a float, a Decimal or any other value is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{what}: entries must be exact (int, Fraction or 'p/q' string), got {x!r}")
+
+
 def _matrix(rows: Sequence[Sequence], nrows: int, ncols: int, what: str) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(_entry(x, what) for x in row) for row in rows)
     if len(out) != nrows or any(len(row) != ncols for row in out):
         raise ValueError(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
@@ -350,21 +364,34 @@ def euler_action_matrices(
     data: ComplexData, euler: AlgebraElement | None = None
 ) -> list[Matrix]:
     """Cup product by the Euler class on representative bases: the matrix at
-    index p sends the degree-p classes to degree p+2."""
+    index p sends the degree-p classes to degree p+2.
+
+    The Euler class is scaled to integers once, by the lcm of its
+    denominators, and multiplied into each integer representative; each
+    product's class is read in integers (see
+    :meth:`ComplexData.class_coordinates`), and a Fraction is formed only
+    for a matrix entry.  An Euler class of another model, of a degree other
+    than 2, or that is not a cocycle raises the error that
+    ``data.class_coordinates(euler * model.one(), 2)`` raises."""
+    model = data.model
     if euler is None:
-        euler = euler_class(data.model)
+        euler = euler_class(model)
+    if data.max_degree < 2:
+        return []
+    if euler.model is not model and euler.model != model:
+        raise UnknownGeneratorError("operands belong to different models")
+    if not euler.is_zero and euler.homogeneous_degree() != 2:
+        raise GcaError("element is not homogeneous of the requested degree")
+    e, scale = integer_terms(euler.terms)
     matrices: list[Matrix] = []
     for p in range(data.max_degree - 1):
-        source = data.representative_elements(p)
-        target_dim = len(data.degrees[p + 2].reps)
+        source = data.degrees[p]
         columns = []
-        for rep in source:
-            coords = data.class_coordinates(euler * rep, p + 2)
-            columns.append(coords)
-        rows = tuple(
-            tuple(columns[j][i] for j in range(len(source))) for i in range(target_dim)
-        )
-        matrices.append(rows)
+        for rep in source.reps:
+            numerators, den = data._class_numerators(multiply_terms(model, e, source.terms(rep)), p + 2)
+            columns.append([Fraction(n, den * scale) for n in numerators])
+        target_dim = len(data.degrees[p + 2].reps)
+        matrices.append(tuple(tuple(column[i] for column in columns) for i in range(target_dim)))
     return matrices
 
 

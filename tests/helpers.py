@@ -12,7 +12,18 @@ import random
 from fractions import Fraction
 
 from loopspace.bott import BottFunction
-from loopspace.gca import DgaModel, apply_differential, linalg
+from loopspace.gca import (
+    AlgebraElement,
+    DgaModel,
+    GcaError,
+    RingReport,
+    apply_differential,
+    cochain_complex,
+    linalg,
+    quotient_ring_dims,
+)
+from loopspace.gca.cohomology import _CANDIDATE_DIM_LIMIT, _candidate_coefficients, _quotient_monomials
+from loopspace.spaceforms import euler_class
 
 
 # -- random DGA models -------------------------------------------------------
@@ -158,6 +169,127 @@ def reference_cochain_complex(model: DgaModel, max_degree: int):
         out.append((kernel, image, reps, len(basis) - len(kernel)))
         image = linalg.column_space_basis(rows, len(basis))
     return out
+
+
+# -- reference cup products --------------------------------------------------
+#
+# The element-based ring search and Euler action, as they were before both
+# moved to integer {monomial: int} maps: every product is a Fraction product
+# of AlgebraElements, term pair by term pair, and every class is read by the
+# public class queries.
+
+
+def reference_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The graded product, with Koszul signs, one term pair at a time."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            prod = x.model.multiply_monomials(m1, m2)
+            if prod is None:
+                continue
+            sign, mon = prod
+            acc = out.get(mon, Fraction(0)) + sign * c1 * c2
+            if acc:
+                out[mon] = acc
+            else:
+                out.pop(mon, None)
+    return AlgebraElement(x.model, out)
+
+
+def _reference_powers(x: AlgebraElement, top: int) -> list[AlgebraElement]:
+    powers = [x.model.one()]
+    for _ in range(top):
+        powers.append(reference_product(powers[-1], x))
+    return powers
+
+
+def _reference_candidates(data, degree: int):
+    reps = data.representative_elements(degree)
+    if not reps:
+        return
+    if len(reps) > _CANDIDATE_DIM_LIMIT:
+        raise GcaError(
+            f"representative space at degree {degree} has dimension {len(reps)}; "
+            f"the candidate search handles at most {_CANDIDATE_DIM_LIMIT}"
+        )
+    zero = data.model.zero()
+    for coeffs in _candidate_coefficients(len(reps)):
+        candidate = zero
+        for c, rep in zip(coeffs, reps):
+            if c:
+                candidate = candidate + rep.scale(c)
+        yield candidate
+
+
+def _reference_find_w(data, presentation):
+    a = presentation.nilpotency
+    deg = presentation.deg_w
+    for candidate in _reference_candidates(data, deg):
+        below = _reference_powers(candidate, a - 1)[-1]
+        if not data.is_exact(reference_product(below, candidate), a * deg):
+            continue
+        if a > 1 and data.is_exact(below, (a - 1) * deg):
+            continue
+        return candidate
+    return None
+
+
+def _reference_products_independent(data, monomials, w_powers, z) -> bool:
+    z_powers = _reference_powers(z, max((j for _, _, j in monomials), default=0))
+    products = {}
+    for d, i, j in monomials:
+        products.setdefault(d, []).append(reference_product(w_powers[i], z_powers[j]))
+    for d in sorted(products):
+        coords = [data.class_coordinates(p, d) for p in products[d]]
+        if linalg.rank(coords) < len(coords):
+            return False
+    return True
+
+
+def _reference_find_z(data, presentation, w, max_degree):
+    monomials = list(_quotient_monomials(presentation, max_degree))
+    w_powers = _reference_powers(w, max((i for _, i, _ in monomials), default=0))
+    for candidate in _reference_candidates(data, presentation.deg_z):
+        if _reference_products_independent(data, monomials, w_powers, candidate):
+            return candidate
+    return None
+
+
+def reference_verify_ring_presentation(model: DgaModel, presentation, max_degree: int) -> RingReport:
+    """verify_ring_presentation on element products (see above)."""
+    a = presentation.nilpotency
+    needed = max(max_degree, a * presentation.deg_w)
+    data = cochain_complex(model, needed)
+    actual = tuple(len(d.reps) for d in data.degrees[: max_degree + 1])
+    expected = tuple(quotient_ring_dims(presentation, max_degree))
+    for d, (e, got) in enumerate(zip(expected, actual)):
+        if e != got:
+            return RingReport(False, presentation, max_degree, expected, actual, d, None, None,
+                              (f"degree {d}: dimension {got}, presentation predicts {e}",))
+    w = _reference_find_w(data, presentation)
+    if w is None:
+        return RingReport(False, presentation, max_degree, expected, actual, None, None, None,
+                          (f"no degree-{presentation.deg_w} class w with w^{a} exact "
+                           f"and w^{a - 1} non-exact was found",))
+    z = _reference_find_z(data, presentation, w, max_degree)
+    if z is None:
+        return RingReport(False, presentation, max_degree, expected, actual, None, w, None,
+                          (f"no degree-{presentation.deg_z} class z with independent "
+                           f"products w^i z^j was found",))
+    return RingReport(True, presentation, max_degree, expected, actual, None, w, z, ())
+
+
+def reference_euler_action_matrices(data, euler=None):
+    """euler_action_matrices on element products (see above)."""
+    if euler is None:
+        euler = euler_class(data.model)
+    matrices = []
+    for p in range(data.max_degree - 1):
+        source = data.representative_elements(p)
+        target_dim = len(data.degrees[p + 2].reps)
+        columns = [data.class_coordinates(reference_product(euler, rep), p + 2) for rep in source]
+        matrices.append(tuple(tuple(columns[j][i] for j in range(len(source))) for i in range(target_dim)))
+    return matrices
 
 
 # -- quotient-ring oracle ----------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,7 +17,9 @@ from loopspace.gca import (
     multiply,
 )
 
-from helpers import odd_differential_models, random_homogeneous, random_model
+from loopspace.gca.algebra import multiply_terms
+
+from helpers import odd_differential_models, random_homogeneous, random_model, reference_product
 
 
 @pytest.fixture
@@ -164,6 +167,36 @@ def test_graded_commutativity_randomized():
         b, deg_b = random_homogeneous(rng, model)
         sign = -1 if (deg_a * deg_b) % 2 else 1
         assert a * b == (b * a).scale(sign)
+
+
+def test_multiply_terms_matches_the_term_pair_product():
+    rng = random.Random(20111)
+    pairs = []
+    for _ in range(300):
+        model = random_model(rng)
+        a, _ = random_homogeneous(rng, model)
+        b, _ = random_homogeneous(rng, model)
+        pairs.append((a, b))
+    # odd generators with Koszul signs, odd squares, and terms that cancel
+    odd = DgaModel([("a", 1), ("b", 1), ("c", 1), ("u", 2), ("v", 2)])
+    a, b, c, u, v = (odd.gen(n) for n in "abcuv")
+    pairs += [(a * c + b, b + c), (a + b, a - b), (a * b + c * u, c + a * v), (u + v, u - v),
+              (u + v.scale(Fraction(1, 3)), u.scale(Fraction(1, 3)) - v), (a * c, b), (b, a * c)]
+    signs = set()
+    for x, y in pairs:
+        expected = reference_product(x, y)
+        got = multiply_terms(x.model, x.terms, y.terms)
+        assert got == expected.terms and all(got.values()), (x, y)
+        assert x * y == expected
+        scale = lcm(*(c.denominator for c in (*x.terms.values(), *y.terms.values())))
+        ints = multiply_terms(x.model, {m: (c * scale).numerator for m, c in x.terms.items()},
+                              {m: (c * scale).numerator for m, c in y.terms.items()})
+        assert all(type(c) is int for c in ints.values())
+        assert {m: Fraction(c, scale * scale) for m, c in ints.items()} == expected.terms
+        signs.update(c < 0 for c in expected.terms.values())
+    assert signs == {True, False}
+    assert (u + v) * (u - v) == u * u - v * v  # the cross terms cancel and are dropped
+    assert (a * c) * b == -(a * b * c)
 
 
 def test_associativity_randomized():

@@ -208,3 +208,68 @@ def test_env_max_degree_override(capsys, monkeypatch):
     monkeypatch.setenv("LOOPSPACE_MAX_DEGREE", "4")
     code, out, _ = run(capsys, "cohomology", "--max-degree", "6", QUOTIENT)
     assert "(truncated at degree 6)" in out
+
+
+# sha256 of the exit code and the text (not --json) stdout of every command
+# pinned by test_golden.py, recorded before the text tables were built only
+# for text output
+TEXT_EXPECTED = {
+    "bott index m=1000003": "36a7c51c5db697697d323c21d4c1574c9f95ef4a04d3b1dae0c8c2cff2338e9b",
+    "bott index m=7": "7b7eda82caa4dffcad124549a1e2e8439b3edb191a4329e94c97544789edc041",
+    "certify rp2 N=4": "112892e2a9035bfbdf080d8b143993155a566989886322bf58dff05cee95f73c",
+    "certify rp2 N=72": "99dc0f719237e8a13ed8d56b58ae029694efbe76689d211ef02fbd53467de34d",
+    "certify theorem5 k=1": "b120aae23e087c853506b350757cfdc284444887e80881378141b5a181a22d38",
+    "certify theorem5 k=1 L=200": "d2860fa7bad4bc629cb138bba521122cf0e89ef4c4f4c9e79cc6b01a5a2557a6",
+    "cohomology cp2.dga": "17c7c9d35f5713c5378fa9474c30763e86172be6a39e7f5ee9d26a8c25554b2a",
+    "cohomology quotient_s2.dga": "69f0e13c336b26f2c24712d531c75954eee445587d1c92eb661ef91a83e5f2b4",
+    "cohomology rational_pencil.dga": "ce98c7bea61cc80c7c1563079627a5d481a1c0b24c7ab4d6c5059476c5e333c3",
+    "cohomology sphere5.dga": "f4510cd299acdcd2ccf68410c50a6b990dccc0ce473c6325c316837509f5a807",
+    "gysin-check cp2.dga cp2.dga": "d08c394f8ca3ddfcf2e1d1bb2b7eb0fcd02d69cc8d902980bcb04851ba34382f",
+    "gysin-check cp2.dga quotient_s2.dga": "aa3a406dca330e80c2ffe1443f90af36fb3d6dfbf0f2315c40c44f5dcd9a332a",
+    "gysin-check cp2.dga sphere5.dga": "2b125022203331c68ed4cdce35466d07435dbb5a96769ac8fea1326d61a1629d",
+    "gysin-check quotient_s2.dga cp2.dga": "2c9af7fe6b9272c8090409b71bf01ceb2fba00996447e7641f75111592fd882c",
+    "gysin-check quotient_s2.dga quotient_s2.dga": "b6d098a9ed2efdf2d65bc6b9553ffaae6bebb41e834372ed3c3028092bb91a0e",
+    "gysin-check quotient_s2.dga sphere5.dga": "0a451e616492f044a43a1c4e74cb14d32cb4a6e6a68af8130c5b4d2c42002548",
+    "gysin-check rational_pencil.dga cp2.dga": "8ca3efec27b3dc72605e241a677c721e259a88b5856c86d461a80354fa80a99b",
+    "homotopy lambda lens_s3_r8.spaceform": "da6343c0884f583304223253a4e72be92f67d8bbc557fa7f0ff1ab58a09f524c",
+    "homotopy lambda rp2.spaceform": "ad970aebcd9624aced2d4ec4bb2b9fe84ccc8c66880e38783f3b4c31a19d4595",
+    "homotopy quotient lens_s3_r8.spaceform": "a5bc94e7f2c08dfbd4b7a9daf933e8947418fb329069ff2afbc60bb70f2229b2",
+    "homotopy quotient rp2.spaceform": "d041a85cb9cbd71de910d64fd6894dbbafa29365f3ec868a5d3b274834ac4f01",
+    "ring-verify cp2": "eaf2d28efab81d7d88126c6ea64409c94b8b8f846ebf9f080cfc0f10303c9271",
+    "ring-verify quotient_s2 a=2": "08522eb80c5c53ec78960058199b254e1f5a48adff6e3ecdd8fae69231989627",
+    "ring-verify quotient_s2 a=3": "8ed06113ecf473ea5d9d2cfeda8310a85b140226c427ee1f09d62b3caea14ed8",
+    "ring-verify rational_pencil": "95c41120c6913bc3d54e918d75216db7033a6c723a9873fbf2cb0e4615b65445",
+    "spaceform-model lens_s3_r8.spaceform": "156b9634f7f4f602d34eeaed0c3a2a92923855d4a75165e38015f0120418716e",
+    "spaceform-model rp2.spaceform": "fc703074970d3644410937b1ddae1397ab322a770fda251ebb46333fdc39dec7",
+}
+
+
+def test_text_output_is_byte_identical():
+    from test_golden import COMMANDS, command_digest
+
+    assert set(TEXT_EXPECTED) == set(COMMANDS)
+    for label, argv in COMMANDS.items():
+        text_argv = [a for a in argv if a != "--json"]
+        assert len(text_argv) == len(argv) - 1
+        assert command_digest(text_argv) == TEXT_EXPECTED[label], label
+
+
+def test_json_output_builds_no_text_table(capsys, monkeypatch):
+    from loopspace import cli
+    from loopspace.gca import DgaModel
+
+    calls = []
+    original = DgaModel.format_element
+    monkeypatch.setattr(DgaModel, "format_element", lambda self, x: calls.append(x) or original(self, x))
+    code, out, _ = run(capsys, "cohomology", "--max-degree", "6", "--json", QUOTIENT)
+    assert code == 0
+    reps = json.loads(out)["result"]["representatives"]
+    # each representative once, for the JSON, and du3 = u2^2 for the input echo
+    assert len(calls) == sum(map(len, reps)) + 1
+
+    def forbidden(*args):
+        raise AssertionError("a text table was built for --json")
+
+    monkeypatch.setattr(cli, "_certificate_table", forbidden)
+    code, out, _ = run(capsys, "certify", "rp2", "--grid", "4", "--values", "1", "--cutoff", "9", "--json")
+    assert code == 0 and json.loads(out)["kind"] == "certificate"

@@ -1,9 +1,10 @@
 """Betti tables, model validation, and ring-presentation verification."""
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ from loopspace.gca import (
 )
 from loopspace.gca.cohomology import block_rank, differential_matrix, integer_differentials
 from loopspace.gca import linalg
+from loopspace.gca.algebra import AlgebraElement
+from loopspace.spaceforms import euler_action_matrices
 
 from helpers import (
     coprime_denominator_model,
@@ -33,6 +36,7 @@ from helpers import (
     quotient_counts_oracle,
     random_model,
     reference_cochain_complex,
+    reference_verify_ring_presentation,
 )
 
 cohomology_module = importlib.import_module("loopspace.gca.cohomology")  # the package binds the function to the name
@@ -196,6 +200,23 @@ def test_class_queries_apply_no_differential(monkeypatch):
     assert odd_data.class_coordinates(odd.gen("x").scale(Fraction(2, 3)), 3) == [Fraction(2, 3)]
     with pytest.raises(GcaError, match="is not a cocycle class"):
         odd_data.class_coordinates(odd.gen("u3"), 3)
+
+
+def test_ring_search_and_euler_action_build_no_elements(monkeypatch):
+    model = even_k1_model()
+    data = cochain_complex(model, 10)
+    expected_euler = euler_action_matrices(data)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an element product was formed")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", forbidden)
+    monkeypatch.setattr(AlgebraElement, "__pow__", forbidden)
+    report = verify_ring_presentation(pencil_power_model(1, 2, 3), RingPresentation(2, 2, 3), 12)
+    assert report.passed and report.w.model.format_element(report.w) == "u2 + 2*v2"
+    assert euler_action_matrices(data) == expected_euler
+    # u2 * u2 is exact, u2 * v2 is not
+    assert [column for column in zip(*expected_euler[2])] == [(0, 0), (1, 0)]
 
 
 def test_class_queries_reject_elements_of_another_model():
@@ -430,6 +451,45 @@ def test_quotient_ring_dims_odd_generators_have_exponent_at_most_one():
     assert quotient_ring_dims(RingPresentation(2, 3, 2), 8) == [1, 0, 1, 1, 0, 1, 0, 0, 0]
     # odd w: w^i z^j with i <= 1 although a = 3, one monomial in every degree
     assert quotient_ring_dims(RingPresentation(1, 2, 3), 8) == [1] * 9
+
+
+def pencil_power_model(p, q, a):
+    """u2 and v2 closed and dx = (p*u2 + q*v2)^a: the model of the
+    ring-gysin benchmark family, whose ring is Q[w,z]/(w^a) with w
+    proportional to p*u2 + q*v2."""
+    terms = [(comb(a, k) * p**k * q ** (a - k), {"u2": k, "v2": a - k}) for k in range(a + 1)]
+    return DgaModel([("u2", 2), ("v2", 2), ("x", 2 * a - 1)], {"x": terms})
+
+
+def _report_text(report):
+    """The report with w and z as their formatted text."""
+    text = lambda x: None if x is None else x.model.format_element(x)  # noqa: E731
+    return dataclasses.replace(report, w=text(report.w), z=text(report.z))
+
+
+def test_ring_search_matches_the_element_reference():
+    cases = [(pencil_power_model(p, q, a), RingPresentation(2, 2, a), degree)
+             for p in range(-3, 4) for q in (-3, -2, -1, 1, 2, 3)
+             for a in (2, 3, 4, 5) for degree in (12, 16, 20)]
+    pencil = parse_path(RATIONAL_PENCIL, kind="dga").value
+    cases += [(pencil, RingPresentation(2, 2, a), degree) for a in (1, 2, 3) for degree in (6, 14)]
+    cases += [(even_k1_model(), RingPresentation(2, 2, a), 12) for a in (1, 2, 3)]
+    cases += [(even_k2_model(), RingPresentation(2, 6, a), 16) for a in (3, 4, 5)]
+    cases += [(even_k1_model(), RingPresentation(2, 3, 2), 12), (odd_model(1), RingPresentation(2, 2, 2), 12)]
+    # Q[u2]/(u2^3) and a3 with u2*a3 exact, b5 in its place: the dimensions
+    # of Q[w,z]/(w^3) with deg z = 3, but w*z is 0 for every z
+    unlinked = DgaModel([("u2", 2), ("a3", 3), ("e4", 4), ("b5", 5), ("x5", 5)],
+                        {"e4": [(1, {"u2": 1, "a3": 1})], "x5": [(1, {"u2": 3})]})
+    cases += [(unlinked, RingPresentation(2, 3, 3), degree) for degree in (6, 8)]
+    verdicts = set()
+    for model, presentation, degree in cases:
+        report = verify_ring_presentation(model, presentation, degree)
+        expected = reference_verify_ring_presentation(model, presentation, degree)
+        assert _report_text(report) == _report_text(expected), (model, presentation, degree)
+        verdicts.add((report.passed, report.first_mismatch is None, report.w is None, report.z is None))
+    # passes, dimension mismatches, and FAILs with and without a w
+    assert verdicts >= {(True, True, False, False), (False, False, True, True),
+                        (False, True, True, True), (False, True, False, True)}
 
 
 def test_verify_ring_presentation_odd_k1():

@@ -1,11 +1,23 @@
 """Homotopy tables, the order-4 extension, minimal models, Gysin checks."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loopspace.gca import RingPresentation, check_model, cochain_complex, verify_ring_presentation
+from loopspace.dsl import parse_path
+from loopspace.gca import (
+    DgaModel,
+    GcaError,
+    MixedDegreeError,
+    RingPresentation,
+    UnknownGeneratorError,
+    check_model,
+    cochain_complex,
+    verify_ring_presentation,
+)
 from loopspace.gca.cohomology import BettiTable
 from loopspace.spaceforms import (
     ActionData,
@@ -27,6 +39,10 @@ from loopspace.spaceforms import (
     theorem2_table,
     theorem3_model,
 )
+
+from helpers import random_model, reference_euler_action_matrices
+
+RATIONAL_PENCIL = Path(__file__).resolve().parent.parent / "fixtures" / "rational_pencil.dga"
 
 
 # -- spec validation -----------------------------------------------------------
@@ -266,6 +282,77 @@ def test_euler_action_matrices_for_projective_plane_quotient():
     euler = euler_action_matrices(data)
     assert euler[0] == ((Fraction(1),), (Fraction(0),))
     assert euler[2] == ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+
+
+def test_euler_action_matches_the_element_reference():
+    cases = [(cochain_complex(theorem3_model(SpaceFormSpec(n, 2, 2)), 20), None) for n in range(2, 8)]
+    rng = random.Random(31415)
+    random_models = [random_model(rng) for _ in range(40)]
+    closed = [m for m in random_models if any(
+        g.degree == 2 and m.differential_of(g.name).is_zero for g in m.generators)]
+    assert 10 <= len(closed) < 40
+    cases += [(cochain_complex(m, 8), None) for m in closed]
+    # explicit rational classes, and one built from odd generators, whose
+    # products with a reps carry Koszul signs
+    k1 = theorem3_model(SpaceFormSpec(2, 2, 2))
+    u2, v2 = k1.gen("u2"), k1.gen("v2")
+    cases += [(cochain_complex(k1, 12), u2.scale(Fraction(1, 2)) + v2.scale(Fraction(1, 3))),
+              (cochain_complex(k1, 12), u2.scale(Fraction(-3, 4)) + v2.scale(6)),
+              (cochain_complex(k1, 12), k1.zero())]
+    pencil = parse_path(RATIONAL_PENCIL, kind="dga").value
+    cases += [(cochain_complex(pencil, 14), pencil.gen("u2").scale(Fraction(2, 5)) - pencil.gen("v2"))]
+    ext = DgaModel([("a", 1), ("b", 1), ("c", 1), ("d", 1)])
+    a, b, c, d = (ext.gen(n) for n in "abcd")
+    cases += [(cochain_complex(ext, 6), a * c), (cochain_complex(ext, 6), (a * d).scale(Fraction(1, 2)) - b * c)]
+    for data, euler in cases:
+        matrices = euler_action_matrices(data, euler)
+        assert matrices == reference_euler_action_matrices(data, euler), (data.model, euler)
+        assert all(type(v) is Fraction for m in matrices for row in m for v in row)
+    assert euler_action_matrices(cases[-2][0], a * c)[1] != euler_action_matrices(cases[-2][0], c * a)[1]
+
+
+def test_euler_action_error_paths():
+    # type and text as the element products and class queries raised them
+    data = cochain_complex(theorem3_model(SpaceFormSpec(2, 2, 2)), 8)
+    model = data.model
+    other = DgaModel([("p", 2), ("q", 2), ("r", 3)])
+    abc = DgaModel([("a", 1), ("b", 1), ("c", 1), ("x", 2)], {"x": [(1, {"a": 1, "b": 1, "c": 1})]})
+    abc_data = cochain_complex(abc, 6)
+    cases = [
+        (data, other.gen("p"), UnknownGeneratorError, "operands belong to different models"),
+        (data, model.gen("u2") ** 2, GcaError, "element is not homogeneous of the requested degree"),
+        (data, model.gen("u2") + model.one(), MixedDegreeError, "element mixes degrees [0, 2]"),
+        (abc_data, abc.gen("x"), GcaError, "element of degree 2 is not a cocycle class"),
+        (abc_data, abc.gen("x") + abc.gen("a") * abc.gen("b"), GcaError,
+         "element of degree 2 is not a cocycle class"),
+    ]
+    for complex_data, euler, kind, text in cases:
+        with pytest.raises(GcaError) as err:
+            euler_action_matrices(complex_data, euler)
+        assert (type(err.value), str(err.value)) == (kind, text)
+    # an equal model built separately is the same model, and below degree 2
+    # there is no map to check the class against
+    same = theorem3_model(SpaceFormSpec(2, 2, 2)).gen("v2")
+    assert euler_action_matrices(data, same) == reference_euler_action_matrices(data, same)
+    assert euler_action_matrices(cochain_complex(model, 1), other.gen("p")) == []
+
+
+def test_matrix_entries_must_be_exact():
+    base = BettiTable.from_dims([1, 0, 1, 0])
+    total = BettiTable.from_dims([1, 0, 0, 1])
+    for bad in (0.1, True, Decimal("0.1"), "one", None):
+        with pytest.raises(ValueError, match=r"^euler action at degree 0: entries must be exact") as err:
+            GysinInput(base, (((bad,),),), total)
+        assert repr(bad) in str(err.value)
+        with pytest.raises(ValueError, match=r"^f_2: entries must be exact"):
+            ActionEntry(2, 1, ((bad,),))
+    half = Fraction(1, 2)
+    inputs = GysinInput(base, (((half,),),), total)
+    assert inputs.euler[0][0][0] is half
+    assert ActionEntry(2, 1, ((half,),)).matrix[0][0] is half
+    assert GysinInput(base, ((("1/2",),),), total).euler == inputs.euler
+    assert ActionEntry(2, 2, ((3, "-2/6"), (0, 1))).matrix == ((3, Fraction(-1, 3)), (0, 1))
+    assert all(type(v) is Fraction for row in ActionEntry(2, 2, ((3, "-2/6"), (0, 1))).matrix for v in row)
 
 
 def test_euler_class_requires_closed_degree_two_generator():
