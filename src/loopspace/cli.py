@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import __version__, serialize
 from .bott import bott_index, certify_theorem4, certify_theorem5, index_parity, is_nondegenerate
-from .dsl import ParseResult, parse_path, document_text
+from .dsl import ParseResult, document_text, model_text, parse_path
 from .gca.algebra import DgaModel, GcaError
 from .gca.cohomology import (
     DEFAULT_MAX_DEGREE,
@@ -159,11 +159,12 @@ def _load(path: str, kind: str):
     return result.value
 
 
-def _emit(args, kind: str, input_echo, result_json, table: Callable[[], str]) -> None:
-    """Print the JSON document, or the text table, which ``table`` builds
-    only when it is printed."""
+def _emit(args, kind: str, input_echo: Callable, result_json: Callable, table: Callable[[], str]) -> None:
+    """Print the JSON document or the text table.  Each part is passed as a
+    callable, so only the parts of the printed one are built: the input
+    echo and the result for ``--json``, the table otherwise."""
     if args.json:
-        print(serialize.dumps(serialize.payload(kind, input_echo, result_json)))
+        print(serialize.dumps(serialize.payload(kind, input_echo(), result_json())))
     else:
         print(table())
 
@@ -192,7 +193,7 @@ def cmd_cohomology(args) -> int:
         lines.append(f"(truncated at degree {max_degree})")
         return "\n".join(lines)
 
-    _emit(args, "cohomology", document_text(model), serialize.betti_json(table), text)
+    _emit(args, "cohomology", lambda: document_text(model), lambda: serialize.betti_json(table), text)
     return 0
 
 
@@ -201,7 +202,7 @@ def cmd_ring_verify(args) -> int:
     model: DgaModel = _load(args.file, "dga")
     presentation = RingPresentation(args.deg_w, args.deg_z, args.nilpotency)
     report = verify_ring_presentation(model, presentation, max_degree)
-    _emit(args, "ring-verify", document_text(model), serialize.ring_report_json(report),
+    _emit(args, "ring-verify", lambda: document_text(model), lambda: serialize.ring_report_json(report),
           lambda: report.format() + f"\n(truncated at degree {max_degree})")
     return 0 if report.passed else 1
 
@@ -224,15 +225,15 @@ def cmd_homotopy(args) -> int:
         lines.append(f"(truncated at degree {max_degree})")
         return "\n".join(lines)
 
-    _emit(args, "homotopy", document_text(spec), serialize.homotopy_json(table), text)
+    _emit(args, "homotopy", lambda: document_text(spec), lambda: serialize.homotopy_json(table), text)
     return 0
 
 
 def cmd_spaceform_model(args) -> int:
     spec: SpaceFormSpec = _load(args.file, "spaceform")
     model = theorem3_model(spec)
-    _emit(args, "spaceform-model", document_text(spec), serialize.model_json(model),
-          lambda: document_text(model).rstrip("\n"))
+    _emit(args, "spaceform-model", lambda: document_text(spec), lambda: serialize.model_json(model),
+          lambda: model_text(model).rstrip("\n"))
     return 0
 
 
@@ -251,8 +252,9 @@ def cmd_gysin_check(args) -> int:
         total=cohomology(total_model, max_degree),
     )
     report = gysin_check(inputs)
-    echo = {"base": document_text(base_model), "total": document_text(total_model)}
-    _emit(args, "gysin-check", echo, serialize.gysin_report_json(report), report.format)
+    _emit(args, "gysin-check",
+          lambda: {"base": document_text(base_model), "total": document_text(total_model)},
+          lambda: serialize.gysin_report_json(report), report.format)
     return 0 if report.passed else 1
 
 
@@ -266,7 +268,7 @@ def cmd_bott_index(args) -> int:
         "parity": "odd" if index_parity(f, m) else "even",
         "nondegenerate": is_nondegenerate(f, m),
     }
-    _emit(args, "bott-index", document_text(f), result, lambda: (
+    _emit(args, "bott-index", lambda: document_text(f), lambda: result, lambda: (
         f"ind gamma^{m} = {value}\n"
         f"parity: {result['parity']}\n"
         f"nondegenerate at m={m}: {'yes' if result['nondegenerate'] else 'no'}"
@@ -289,7 +291,8 @@ def cmd_certify_rp2(args) -> int:
         cert = certify_theorem4(args.grid, args.values, args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(args, "certificate", None, serialize.certificate_json(cert), lambda: _certificate_table(cert))
+    _emit(args, "certificate", lambda: None, lambda: serialize.certificate_json(cert),
+          lambda: _certificate_table(cert))
     return 0 if cert.established else 1
 
 
@@ -300,8 +303,8 @@ def cmd_certify_theorem5(args) -> int:
         cert = certify_theorem5(spec, True, args.k, f, args.iterates)
     except ValueError as exc:
         raise UsageError(str(exc))
-    echo = {"spaceform": document_text(spec), "bott": document_text(f)}
-    _emit(args, "certificate", echo, serialize.certificate_json(cert), lambda: _certificate_table(cert))
+    _emit(args, "certificate", lambda: {"spaceform": document_text(spec), "bott": document_text(f)},
+          lambda: serialize.certificate_json(cert), lambda: _certificate_table(cert))
     return 0 if cert.established else 1
 
 

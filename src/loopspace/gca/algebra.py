@@ -9,15 +9,20 @@ Monomials are plain exponent tuples over the generators in canonical
 order: generators are ordered by (degree, declaration order) and products are
 normalised to that order, accumulating Koszul signs.  A generator of odd
 degree squares to zero, so its exponent in any stored monomial is 0 or 1.
-The monomial basis of each degree is read from one memoized table of
-exponent tails: the tails of generators i onward of a given degree are the
-tails of generators i+1 onward, each prefixed by an exponent of generator i.
+The monomial basis of each degree is read from one table of exponent tails,
+one level per generator and one entry per degree: the tails of generators i
+onward of a given degree are the tails of generators i+1 onward, each
+prefixed by an exponent of generator i.  The table is built bottom-up, from
+the last generator to the first, and extended to the highest degree asked
+for; each extension is published in one assignment, so a concurrent reader
+sees either the old table or the new one, never a half-built level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
@@ -90,7 +95,7 @@ class DgaModel:
     models as degenerate.
     """
 
-    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_odd", "_basis_cache")
+    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails")
 
     def __init__(
         self,
@@ -107,8 +112,12 @@ class DgaModel:
         self.name = name
         self.generators = tuple(sorted(gens, key=lambda g: g.degree))
         self._index = {g.name: i for i, g in enumerate(self.generators)}
-        self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
-        self._basis_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+        self._degrees = tuple(g.degree for g in self.generators)
+        self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
+        # _tails[i][d]: the exponent tuples of generators i onward of total
+        # degree d, lexicographically descending; the last level has only the
+        # empty tail, in degree 0, and the others start empty
+        self._tails = ((),) * self.ngens + ((((),),),)
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
         collapsed = []
@@ -141,7 +150,7 @@ class DgaModel:
         return len(self.generators)
 
     def monomial_degree(self, mon: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(mon, self.generators))
+        return sum(map(mul, mon, self._degrees))
 
     def exponent_map(self, mon: Monomial) -> dict[str, int]:
         return {g.name: e for g, e in zip(self.generators, mon) if e}
@@ -227,43 +236,68 @@ class DgaModel:
     # -- monomial arithmetic --------------------------------------------
 
     def multiply_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-        """Koszul-signed product; None when an odd generator would square."""
+        """Koszul-signed product; None when an odd generator would square.
+
+        The sign is (-1)^(pairs of an odd factor of a after an odd factor of
+        b), counted in one pass over the odd generators in canonical order;
+        a model with no odd generator skips the pass."""
         sign = 1
+        b_before = 0  # parity of the odd factors of b seen so far
         for i in self._odd:
-            if a[i] and b[i]:
-                return None
-        a_odd = [i for i in self._odd if a[i]]
-        b_odd = [i for i in self._odd if b[i]]
-        if a_odd and b_odd:
-            inversions = sum(1 for i in a_odd for j in b_odd if i > j)
-            if inversions % 2:
-                sign = -1
-        return sign, tuple(x + y for x, y in zip(a, b))
+            if a[i]:
+                if b[i]:
+                    return None
+                if b_before:
+                    sign = -sign
+            elif b[i]:
+                b_before ^= 1
+        return sign, tuple(map(add, a, b))
 
     # -- basis enumeration ------------------------------------------------
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, lexicographically
         descending in the canonical exponent vector."""
-        return self._tails(0, degree) if degree >= 0 else ()
+        if degree < 0:
+            return ()
+        tails = self._tails
+        if degree >= len(tails[0]):
+            tails = self._extend_tails(degree)
+        return tails[0][degree]
 
-    def _tails(self, i: int, degree: int) -> tuple[tuple[int, ...], ...]:
-        """Exponent tuples of generators i onward with total degree
-        ``degree``, lexicographically descending; memoized per (i, degree)."""
-        cached = self._basis_cache.get((i, degree))
-        if cached is None:
-            if i == len(self.generators):
-                cached = ((),) if degree == 0 else ()
+    def _extend_tails(self, degree: int) -> tuple:
+        """The tail table extended to ``degree``, built bottom-up from the
+        last generator and published in one assignment."""
+        old = self._tails
+        start = len(old[0])
+        below = old[-1] + ((),) * (degree + 1 - len(old[-1]))
+        levels = [below]
+        for i in reversed(range(self.ngens)):
+            step = self._degrees[i]
+            cap = 1 if step % 2 else degree
+            below = old[i] + tuple(
+                tuple([(e,) + tail
+                       for e in range(min(d // step, cap), -1, -1)
+                       for tail in below[d - e * step]])
+                for d in range(start, degree + 1)
+            )
+            levels.append(below)
+        tails = self._tails = tuple(reversed(levels))
+        return tails
+
+    def basis_sizes(self, top: int) -> tuple[int, ...]:
+        """len(basis(d)) for d = 0..top, counted without enumerating: the
+        coefficients of prod over odd generators of (1 + t^deg) times prod
+        over even generators of 1 / (1 - t^deg), truncated at t^top."""
+        sizes = [1] + [0] * top
+        for step in self._degrees:
+            if step % 2:
+                for d in range(top, step - 1, -1):
+                    sizes[d] += sizes[d - step]
             else:
-                step = self.generators[i].degree
-                top = degree // step if step % 2 == 0 else min(degree // step, 1)
-                cached = tuple(
-                    (e,) + tail
-                    for e in range(top, -1, -1)
-                    for tail in self._tails(i + 1, degree - e * step)
-                )
-            self._basis_cache[i, degree] = cached
-        return cached
+                for d in range(step, top + 1):
+                    sizes[d] += sizes[d - step]
+        return tuple(sizes)
 
     # -- value semantics ---------------------------------------------------
 
@@ -467,19 +501,23 @@ def leibniz(
     coefficient zero.
     """
     out: dict[Monomial, Coeff] = {}
+    degrees = model._degrees
     prefix_deg = 0
     suffix_deg = model.monomial_degree(mon)
-    for i, (e, g) in enumerate(zip(mon, model.generators)):
-        suffix_deg -= e * g.degree
-        if e and diffs[i]:
+    for i, e in enumerate(mon):
+        if not e:
+            continue
+        step = e * degrees[i]
+        suffix_deg -= step
+        if diffs[i]:
             rest = mon[:i] + (e - 1,) + mon[i + 1 :]
-            odd = prefix_deg + (0 if g.degree % 2 else suffix_deg)
+            odd = prefix_deg + (0 if degrees[i] % 2 else suffix_deg)
             factor = -e if odd % 2 else e
             for dmon, dc in diffs[i].items():
                 prod = model.multiply_monomials(rest, dmon)
                 if prod:
                     out[prod[1]] = out.get(prod[1], 0) + prod[0] * factor * dc
-        prefix_deg += e * g.degree
+        prefix_deg += step
     return out
 
 

@@ -292,8 +292,9 @@ def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
     (Dulmage-Mendelsohn 1958) split the matrix, after permuting rows and
     columns, into a block diagonal, so its rank is the sum of the block
     ranks.  A union-find joins every column to the first column seen in each
-    of its rows; each block is then reduced on its own by
-    :func:`linalg.echelon`.
+    of its rows.  Every column of a block is nonzero, so a block with one
+    column, or with one row, has rank 1 and is counted without elimination;
+    each other block is reduced on its own by :func:`linalg.echelon`.
     """
     parent = list(range(len(columns)))
 
@@ -315,25 +316,29 @@ def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
             blocks.setdefault(find(j), []).append(j)
     total = 0
     for cols in blocks.values():
-        rows = {i: r for r, i in enumerate(sorted({i for j in cols for i in columns[j]}))}
+        rows = sorted({i for j in cols for i in columns[j]})
+        if len(cols) == 1 or len(rows) == 1:
+            total += 1
+            continue
+        position = {i: r for r, i in enumerate(rows)}
         dense = [[0] * len(cols) for _ in rows]
         for c, j in enumerate(cols):
             for i, v in columns[j].items():
-                dense[rows[i]][c] = v
+                dense[position[i]][c] = v
         total += linalg.rank(dense)
     return total
 
 
 def _check_complex_input(model: DgaModel, max_degree: int, basis_limit: int) -> None:
     """The gate shared by every cochain computation: a valid model and
-    bases within the limit in degrees 0..max_degree+1."""
+    bases within the limit in degrees 0..max_degree+1, counted before any
+    is enumerated (see :meth:`DgaModel.basis_sizes`)."""
     if max_degree < 0:
         raise GcaError(f"max_degree must be >= 0, got {max_degree}")
     report = check_model(model)
     if not report.ok:
         raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
-    for d in range(max_degree + 2):
-        size = len(model.basis(d))
+    for d, size in enumerate(model.basis_sizes(max_degree + 1)):
         if size > basis_limit:
             raise BasisLimitError(d, size, basis_limit)
 
@@ -345,6 +350,7 @@ def cochain_complex(
     basis_limit: int = DEFAULT_BASIS_LIMIT,
 ) -> ComplexData:
     _check_complex_input(model, max_degree, basis_limit)
+    model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     degrees = []
     image: tuple[tuple[int, ...], ...] = ()
     for d in range(max_degree + 1):
@@ -388,6 +394,7 @@ def cohomology(
     if with_representatives:
         return cochain_complex(model, max_degree, basis_limit=basis_limit).betti(with_representatives=True)
     _check_complex_input(model, max_degree, basis_limit)
+    model.basis(max_degree + 1)  # every basis the ranks read, in one table extension
     diffs = integer_differentials(model)
     ranks = [block_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
     dims = [len(model.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]

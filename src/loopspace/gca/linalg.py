@@ -9,6 +9,11 @@ are scaled first.  Pivots are chosen by first nonzero column, then smallest
 absolute entry, then lowest row index; the fixed rule makes every result
 deterministic.  Rank, null space (primitive integer vectors), column space
 and solutions are read off the reduced form without further elimination.
+
+A pivot step only rescales a row whose entry in the pivot column is 0, by
+the new pivot over the previous one.  Those factors telescope, so such rows
+are left as they are and rescaled once, exactly, when they are next needed:
+the work of a step is proportional to the rows it actually changes.
 """
 
 from __future__ import annotations
@@ -42,31 +47,53 @@ def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     every row carries the same pivot value and each pivot column has one
     nonzero entry.  The pivot columns are the first linearly independent
     columns, in order.
+
+    A row whose head (its entry in the pivot column) is 0 is only scaled by
+    pivot / previous_pivot.  Over a run of such steps the factors telescope:
+    a row last brought up to date when the previous pivot was L equals
+    stored * P // L once the previous pivot is P, and that division is exact
+    because each step's scaled row is an integer.  So each row keeps the
+    previous pivot it is current at (its level) and is brought up to date
+    only when it is read: when its head is nonzero in the pivot search (which
+    then compares up-to-date values, so the pivots are unchanged), when it
+    is eliminated, and once at the end.  The pivot row itself is not
+    changed by its step, so its level becomes the new pivot.
     """
     m = [row for row in integerize_rows(rows) if any(row)]
+    level = [1] * len(m)
     pivots: list[int] = []
     prev = 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
-        best = -1
-        for i in range(r, len(m)):
-            v = m[i][c]
-            if v and (best == -1 or abs(v) < abs(m[best][c])):
-                best = i
-        if best == -1:
+        hits = [i for i, row in enumerate(m) if row[c]]
+        if not hits or hits[-1] < r:
             continue
-        m[r], m[best] = m[best], m[r]
-        top = m[r]
+        best = -1
+        for i in hits:
+            if level[i] != prev:
+                m[i] = [x * prev // level[i] for x in m[i]]
+                level[i] = prev
+            if i >= r and (best == -1 or abs(m[i][c]) < low):
+                best, low = i, abs(m[i][c])
+        top = m[best]
         piv = top[c]
-        for i, row in enumerate(m):
-            head = row[c]
-            if i != r and (head or piv != prev):
-                m[i] = [(piv * x - head * y) // prev for x, y in zip(row, top)]
+        for i in hits:
+            if i != best:
+                head = m[i][c]
+                m[i] = [(piv * x - head * y) // prev for x, y in zip(m[i], top)]
+                level[i] = piv
+        m[r], m[best] = top, m[r]
+        level[best] = level[r]
+        level[r] = piv
         pivots.append(c)
         prev = piv
         if r + 1 == len(m):
             break
-    return m[: len(pivots)], pivots
+    del m[len(pivots):]
+    for i, row in enumerate(m):
+        if level[i] != prev:
+            m[i] = [x * prev // level[i] for x in row]
+    return m, pivots
 
 
 def rank(rows: Sequence[Row]) -> int:

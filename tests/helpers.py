@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from loopspace.bott import BottFunction
 from loopspace.gca import (
@@ -123,6 +124,80 @@ def random_homogeneous(rng: random.Random, model: DgaModel, max_degree: int = 8)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         element = element + model.monomial_element(mono, c)
     return element, degree
+
+
+# -- reference kernels -------------------------------------------------------
+#
+# The exact kernels as they were before they learned to skip zeros: an
+# elimination that rewrites every row at every pivot step, and a Koszul sign
+# counted over lists of odd positions.
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    assert r == 0, f"inexact division {a} / {b}"
+    return q
+
+
+def reference_echelon(rows):
+    """Fraction-free Gauss-Jordan that updates every other row at every
+    pivot step to (pivot*x - head*y) / previous_pivot, asserting each
+    division exact.  Pivots: first nonzero column, then smallest absolute
+    entry, then lowest row index."""
+    m = []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        row = [int(Fraction(x) * scale) for x in row]
+        if any(row):
+            m.append(row)
+    pivots = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        best = -1
+        for i in range(r, len(m)):
+            v = m[i][c]
+            if v and (best == -1 or abs(v) < abs(m[best][c])):
+                best = i
+        if best == -1:
+            continue
+        m[r], m[best] = m[best], m[r]
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            head = row[c]
+            if i != r and (head or piv != prev):
+                m[i] = [_exact_quotient(piv * x - head * y, prev) for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = piv
+        if r + 1 == len(m):
+            break
+    return m[: len(pivots)], pivots
+
+
+def reference_multiply_monomials(model: DgaModel, a, b):
+    """Koszul-signed product of two exponent tuples, or None when an odd
+    generator would square; the sign counts the inversions between the
+    lists of odd positions of a and of b."""
+    odd = [i for i, g in enumerate(model.generators) if g.degree % 2]
+    if any(a[i] and b[i] for i in odd):
+        return None
+    a_odd = [i for i in odd if a[i]]
+    b_odd = [i for i in odd if b[i]]
+    inversions = sum(1 for i in a_odd for j in b_odd if i > j)
+    return (-1) ** inversions, tuple(x + y for x, y in zip(a, b))
+
+
+def reference_basis(model: DgaModel, degree: int):
+    """The monomials of a degree as exponent tuples, lexicographically
+    descending, enumerated by :func:`_monomials_of_degree`."""
+    if degree < 0:
+        return []
+    pool = [(g.name, g.degree) for g in model.generators]
+    return sorted(
+        (tuple(mono.get(g.name, 0) for g in model.generators) for mono in _monomials_of_degree(pool, degree)),
+        reverse=True,
+    )
 
 
 # -- reference cochain complex -----------------------------------------------

@@ -19,7 +19,14 @@ from loopspace.gca import (
 
 from loopspace.gca.algebra import multiply_terms
 
-from helpers import odd_differential_models, random_homogeneous, random_model, reference_product
+from helpers import (
+    odd_differential_models,
+    random_homogeneous,
+    random_model,
+    reference_basis,
+    reference_multiply_monomials,
+    reference_product,
+)
 
 
 @pytest.fixture
@@ -257,3 +264,61 @@ def test_d_squared_zero_randomized():
         model = random_model(rng)
         x, _ = random_homogeneous(rng, model)
         assert apply_differential(apply_differential(x)).is_zero
+
+
+def test_multiply_monomials_matches_the_list_based_sign():
+    models = [
+        DgaModel([("u2", 2), ("v2", 2), ("w4", 4)]),  # no odd generator
+        DgaModel([("u2", 2), ("x3", 3), ("v4", 4)]),  # one
+        DgaModel([("a1", 1), ("b1", 1), ("u2", 2), ("c3", 3), ("d3", 3), ("e5", 5)]),  # several
+        *odd_differential_models(),
+    ]
+    for model in models:
+        monomials = [m for d in range(9) for m in model.basis(d)]
+        for a in monomials:
+            for b in monomials:
+                assert model.multiply_monomials(a, b) == reference_multiply_monomials(model, a, b), (a, b)
+
+
+def test_basis_matches_the_enumeration_reference():
+    """Degrees asked in increasing, decreasing and random order give the
+    same bases, including no generators, degree 0 and negative degrees."""
+    rng = random.Random(2024)
+    models = [random_model(rng) for _ in range(20)] + [DgaModel([]), even_model(),
+                                                        *odd_differential_models()]
+    degrees = list(range(-2, 15))
+    for model in models:
+        for order in (degrees, degrees[::-1], rng.sample(degrees, len(degrees))):
+            fresh = DgaModel(model.generators)
+            for d in order:
+                assert list(fresh.basis(d)) == reference_basis(fresh, d), (model, d)
+
+
+def test_basis_table_under_concurrent_extension():
+    """Threads extending one model's basis table, each in its own order of
+    degrees, only ever read complete bases."""
+    import sys
+    import threading
+
+    model = DgaModel([("a1", 1), ("u2", 2), ("v2", 2), ("x3", 3), ("w4", 4)])
+    expected = {d: reference_basis(model, d) for d in range(-1, 19)}
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for d in rng.sample(sorted(expected), len(expected)):
+            if list(model.basis(d)) != expected[d]:
+                errors.append(d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -254,6 +254,24 @@ def test_text_output_is_byte_identical():
         assert command_digest(text_argv) == TEXT_EXPECTED[label], label
 
 
+def test_text_output_builds_no_json(monkeypatch):
+    """Without --json no command builds its input echo or its JSON result,
+    and the text stays byte-identical."""
+    from loopspace import cli, serialize
+    from test_golden import COMMANDS, command_digest
+
+    def forbidden(*args):
+        raise AssertionError("JSON was built for text output")
+
+    monkeypatch.setattr(cli, "document_text", forbidden)
+    for name in dir(serialize):
+        if name.endswith("_json"):
+            monkeypatch.setattr(serialize, name, forbidden)
+    for label, argv in COMMANDS.items():
+        text_argv = [a for a in argv if a != "--json"]
+        assert command_digest(text_argv) == TEXT_EXPECTED[label], label
+
+
 def test_json_output_builds_no_text_table(capsys, monkeypatch):
     from loopspace import cli
     from loopspace.gca import DgaModel

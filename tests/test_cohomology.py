@@ -300,8 +300,10 @@ def _sparse_integer_matrix(rng, kind):
         return [], ncols
     if kind == "one dense block":
         return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(ncols)] for _ in range(nrows)], ncols
-    if kind == "block diagonal":
+    if kind in ("block diagonal", "one-row and one-column blocks"):
         sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        if kind == "one-row and one-column blocks":  # ranked without elimination
+            sizes = [rng.choice(((1, 1), (1, c), (c, 1))) for _, c in sizes]
         nrows, ncols = sum(r for r, _ in sizes), sum(c for _, c in sizes)
         rows = [[0] * ncols for _ in range(nrows)]
         r0 = c0 = 0
@@ -329,11 +331,47 @@ def _sparse_integer_matrix(rng, kind):
 
 def test_block_rank_sums_to_the_whole_rank():
     rng = random.Random(1958)
-    kinds = ("no rows", "zero columns", "one dense block", "block diagonal", "duplicate rows", "sparse")
-    for n in range(200):
+    kinds = ("no rows", "zero columns", "one dense block", "block diagonal", "duplicate rows", "sparse",
+             "one-row and one-column blocks")
+    for n in range(34 * len(kinds)):  # 34 of each kind, as many as each had among six
         rows, ncols = _sparse_integer_matrix(rng, kinds[n % len(kinds)])
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
         assert block_rank(columns) == linalg.rank(rows), (kinds[n % len(kinds)], rows)
+
+
+def test_basis_sizes_count_the_enumerated_bases():
+    rng = random.Random(31415)
+    models = [random_model(rng) for _ in range(40)] + [DgaModel([]), DgaModel([("x", 3)])]
+    for model in models:
+        assert model.basis_sizes(14) == tuple(len(model.basis(d)) for d in range(15)), model
+    assert DgaModel([("a", 2)]).basis_sizes(0) == (1,)
+
+
+def test_basis_limit_is_checked_before_any_basis_is_enumerated(monkeypatch):
+    twelve = DgaModel([(f"a{i}", 2) for i in range(12)])
+
+    def forbidden(self, degree):
+        raise AssertionError("a basis was enumerated before the limit check")
+
+    monkeypatch.setattr(DgaModel, "basis", forbidden)
+    for with_representatives in (False, True):
+        with pytest.raises(BasisLimitError) as err:
+            cohomology(twelve, 24, with_representatives=with_representatives)
+        # C(21, 11) monomials of degree 20 in twelve degree-2 generators
+        assert (err.value.degree, err.value.size) == (20, 352_716)
+        assert str(err.value) == (
+            "monomial basis at degree 20 has 352716 elements, exceeding the limit 200000"
+        )
+
+
+def test_six_generator_cohomology_json_is_byte_identical():
+    """sha256 of the exit code and `cohomology --max-degree 16 --json` on
+    fixtures/six_gen.dga, a large sparse elimination, recorded before the
+    kernels skipped zeros."""
+    from test_golden import command_digest
+
+    digest = command_digest(("cohomology", "--max-degree", "16", "--json", "six_gen.dga"))
+    assert digest == "56f8717483a660b6f19624e9b2518f5355a11b938c31dc7f60b750db1b11a61b"
 
 
 def test_six_generator_complete_intersection_to_degree_32():

@@ -3,8 +3,15 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+from loopspace.dsl import parse_path
 from loopspace.gca import linalg
+from loopspace.gca.cohomology import differential_matrix
+
+from helpers import reference_echelon
+
+SIX_GEN = Path(__file__).resolve().parent.parent / "fixtures" / "six_gen.dga"
 
 
 def frac_matrix(rows):
@@ -170,3 +177,57 @@ def test_echelon_canonical_form_against_incremental_span():
         image = linalg.IncrementalSpan(nrows)
         assert all(image.add(vec) for vec in basis)
         assert all(image.contains(col) for col in cols)
+
+
+def _reference_matrix(rng, kind):
+    """A random matrix of the given kind for the eager-reference check."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    values = (-3, -2, -1, 1, 2, 3)
+    if kind == "non-unit pivots":
+        values = (-6, -4, -3, -2, 2, 3, 4, 6)
+    elif kind == "ties in |pivot|":
+        k = rng.randint(1, 3)
+        values = (-k, k, -2 * k, 2 * k)
+    if kind == "block diagonal":
+        sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        nrows, ncols = sum(r for r, _ in sizes), sum(c for _, c in sizes)
+        m = [[0] * ncols for _ in range(nrows)]
+        r0 = c0 = 0
+        for r, c in sizes:
+            for i in range(r):
+                for j in range(c):
+                    m[r0 + i][c0 + j] = rng.choice(values + (0,))
+            r0, c0 = r0 + r, c0 + c
+        return m
+    if kind == "banded":
+        width = rng.randint(0, 2)
+        return [[rng.choice(values) if abs(i - j) <= width else 0 for j in range(ncols)]
+                for i in range(nrows)]
+    density = 1.0 if kind in ("dense", "ties in |pivot|") else rng.uniform(0.1, 0.5)
+    m = [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)]
+         for _ in range(nrows)]
+    if kind == "zero and duplicate rows":
+        for _ in range(rng.randint(1, 3)):
+            m.insert(rng.randint(0, len(m)), [0] * ncols)
+            m.insert(rng.randint(0, len(m)), list(rng.choice(m)))
+    elif kind == "fractions":
+        m = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
+    return m
+
+
+def test_echelon_matches_the_eager_reference():
+    """Lazily rescaled rows give the rows and pivots of the elimination that
+    rewrites every row at every step, on every kind of matrix."""
+    rng = random.Random(1968)
+    kinds = ("dense", "sparse", "banded", "block diagonal", "zero and duplicate rows",
+             "fractions", "non-unit pivots", "ties in |pivot|")
+    for n in range(560):
+        m = _reference_matrix(rng, kinds[n % len(kinds)])
+        assert linalg.echelon(m) == reference_echelon(m), (kinds[n % len(kinds)], m)
+
+
+def test_echelon_matches_the_eager_reference_on_the_six_generator_model():
+    model = parse_path(SIX_GEN, kind="dga").value
+    for d in range(17):
+        matrix = differential_matrix(model, d)
+        assert linalg.echelon(matrix) == reference_echelon(matrix), d
