@@ -31,6 +31,7 @@ from .gca.cohomology import (
 from .spaceforms import (
     GysinInput,
     SpaceFormSpec,
+    check_gysin_degree,
     euler_action_matrices,
     euler_class,
     gysin_check,
@@ -239,6 +240,10 @@ def cmd_spaceform_model(args) -> int:
 
 def cmd_gysin_check(args) -> int:
     max_degree = _resolve_max_degree(args.max_degree)
+    try:
+        check_gysin_degree(max_degree)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     base_model: DgaModel = _load(args.base_file, "dga")
     total_model: DgaModel = _load(args.total_file, "dga")
     try:

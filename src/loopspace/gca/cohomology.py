@@ -30,6 +30,14 @@ reduced image rows; a Fraction is formed only for the answer.  The ring
 search multiplies integer combinations of the representatives as integer
 {monomial: int} maps and reads their classes the same way, with no Fraction
 at all.
+
+Two cases need no elimination, and both are common: in the pencil models
+with dx = (p*u2 + q*v2)^a every even degree has d_d = 0 and every odd
+degree has no incoming image.  A zero d_d has a reduced form with no rows,
+so its kernel is the unit vectors in column order and every column is free;
+an empty image fills no free column, so the representatives are the whole
+kernel.  Both are exactly what the reductions return on such input, so the
+data, and every output byte, are the same as when every degree is reduced.
 """
 
 from __future__ import annotations
@@ -349,28 +357,48 @@ def cochain_complex(
     *,
     basis_limit: int = DEFAULT_BASIS_LIMIT,
 ) -> ComplexData:
+    """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
+
+    Each degree builds the dense integer matrix of L*d_d by
+    :func:`differential_matrix` and reduces it once, unless it is zero:
+    then there is no reduced row and no pivot, the kernel is the unit
+    vectors in ascending column order and the free columns are every column,
+    last first, which is what the reduction of a zero matrix gives.  The
+    incoming image is reduced at the free columns unless it is empty: then
+    no free column is filled and the representatives are the kernel.  The
+    image in degree d+1 is the pivot columns of L*d_d, read column by
+    column without transposing the matrix."""
     _check_complex_input(model, max_degree, basis_limit)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     degrees = []
     image: tuple[tuple[int, ...], ...] = ()
     for d in range(max_degree + 1):
         basis = model.basis(d)
+        n = len(basis)
         matrix = differential_matrix(model, d)
-        ech, pivots = linalg.echelon(matrix)
-        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis)))
-        free = tuple(sorted(set(range(len(basis))).difference(pivots), reverse=True))
-        # reduced from the last free column, the image has its pivots at the
-        # free columns it fills, and the greedy representatives at the others
-        at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
-        filled = {free[p] for p in image_pivots}
-        reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
+        if any(map(any, matrix)):
+            ech, pivots = linalg.echelon(matrix)
+            kernel = tuple(linalg.kernel_from_echelon(ech, pivots, n))
+            free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
+        else:  # d_d = 0: every column is free, and its kernel vector is a unit vector
+            ech, pivots = [], []
+            zeros = (0,) * n
+            kernel = tuple(zeros[:f] + (1,) + zeros[f + 1:] for f in range(n))
+            free = tuple(reversed(range(n)))
+        if image:
+            # reduced from the last free column, the image has its pivots at
+            # the free columns it fills, and the greedy representatives at the others
+            at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
+            filled = {free[p] for p in image_pivots}
+            reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
+        else:  # no image: every kernel vector is a representative
+            at_free, image_pivots, reps = [], [], kernel
         degrees.append(DegreeData(
             d, basis, kernel, image, reps, len(pivots), tuple(map(tuple, ech)),
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         # the pivot columns of L*d_d are a basis of its image in degree d+1
-        columns = list(zip(*matrix))
-        image = tuple(columns[p] for p in pivots)
+        image = tuple(tuple(row[p] for row in matrix) for p in pivots)
     return ComplexData(model, max_degree, tuple(degrees))
 
 

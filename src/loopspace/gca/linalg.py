@@ -4,11 +4,12 @@ Matrices are lists of rows; entries are ints or Fractions.  ``echelon`` is
 the only elimination: a fraction-free Gauss-Jordan reduction of the
 integerised matrix (Bareiss 1968, applied above the pivot as well as
 below), in which every division is exact, so no rounding can occur
-anywhere.  Integer rows go in as they are; only rows that hold a Fraction
-are scaled first.  Pivots are chosen by first nonzero column, then smallest
-absolute entry, then lowest row index; the fixed rule makes every result
-deterministic.  Rank, null space (primitive integer vectors), column space
-and solutions are read off the reduced form without further elimination.
+anywhere.  Zero rows are dropped before anything else; each other row is
+copied, and a row that holds a Fraction is scaled to integers.  Pivots are
+chosen by first nonzero column, then smallest absolute entry, then lowest
+row index; the fixed rule makes every result deterministic.  Rank, null
+space (primitive integer vectors), column space and solutions are read off
+the reduced form without further elimination.
 
 A pivot step only rescales a row whose entry in the pivot column is 0, by
 the new pivot over the previous one.  Those factors telescope, so such rows
@@ -42,6 +43,9 @@ def integerize_rows(rows: Sequence[Row]) -> list[list[int]]:
 def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     """Reduced echelon form of the integerised matrix: (rows, pivot columns).
 
+    Zero rows are dropped first, so only the nonzero rows are type-checked
+    and copied by :func:`integerize_rows`.
+
     Fraction-free Gauss-Jordan: each pivot step updates every other row to
     (pivot*x - head*y) / previous_pivot, which divides exactly.  At the end
     every row carries the same pivot value and each pivot column has one
@@ -59,7 +63,7 @@ def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     is eliminated, and once at the end.  The pivot row itself is not
     changed by its step, so its level becomes the new pivot.
     """
-    m = [row for row in integerize_rows(rows) if any(row)]
+    m = integerize_rows([row for row in rows if any(row)])
     level = [1] * len(m)
     pivots: list[int] = []
     prev = 1

@@ -469,11 +469,23 @@ class GysinReport:
         )
 
 
+def check_gysin_degree(max_degree: int) -> None:
+    """Raise ValueError unless a Gysin check truncated at max_degree checks
+    some degree: it checks degrees 0..max_degree-2 (see :func:`gysin_check`),
+    so it needs max_degree >= 2."""
+    if max_degree < 2:
+        raise ValueError(
+            f"gysin-check checks degrees 0..max_degree-2, so it needs max_degree >= 2, got {max_degree}"
+        )
+
+
 def gysin_check(inputs: GysinInput) -> GysinReport:
     """Verify the circle-bundle rank identity
     total[p] = dim coker(euler at p-2) + dim ker(euler at p-1)
     for every p up to max_degree - 2 (higher degrees would consult maps
-    beyond the truncation)."""
+    beyond the truncation).  Raises ValueError when that leaves no degree
+    (see :func:`check_gysin_degree`)."""
+    check_gysin_degree(inputs.base.max_degree)
     top = inputs.base.max_degree - 2
     for p, (coker, ker) in enumerate(_rank_identity(inputs.base, inputs.euler, top)):
         expected = coker + ker

@@ -23,7 +23,13 @@ from loopspace.gca import (
     linalg,
     quotient_ring_dims,
 )
-from loopspace.gca.cohomology import _CANDIDATE_DIM_LIMIT, _candidate_coefficients, _quotient_monomials
+from loopspace.gca.cohomology import (
+    _CANDIDATE_DIM_LIMIT,
+    DegreeData,
+    _candidate_coefficients,
+    _quotient_monomials,
+    differential_matrix,
+)
 from loopspace.spaceforms import euler_class
 
 
@@ -244,6 +250,31 @@ def reference_cochain_complex(model: DgaModel, max_degree: int):
         out.append((kernel, image, reps, len(basis) - len(kernel)))
         image = linalg.column_space_basis(rows, len(basis))
     return out
+
+
+def reference_dense_cochain_complex(model: DgaModel, max_degree: int):
+    """The DegreeData of every degree as cochain_complex built them before
+    it skipped the eliminations of zero differentials and empty images:
+    every d_d and every incoming image is reduced (here by the eager
+    reference_echelon), and the image is read from the transpose of d_d."""
+    degrees = []
+    image = ()
+    for d in range(max_degree + 1):
+        basis = model.basis(d)
+        matrix = differential_matrix(model, d)
+        ech, pivots = reference_echelon(matrix)
+        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis)))
+        free = tuple(sorted(set(range(len(basis))).difference(pivots), reverse=True))
+        at_free, image_pivots = reference_echelon([[vec[f] for f in free] for vec in image])
+        filled = {free[p] for p in image_pivots}
+        reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
+        degrees.append(DegreeData(
+            d, basis, kernel, image, reps, len(pivots), tuple(map(tuple, ech)),
+            free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
+        ))
+        columns = list(zip(*matrix))
+        image = tuple(columns[p] for p in pivots)
+    return tuple(degrees)
 
 
 # -- reference cup products --------------------------------------------------

@@ -88,6 +88,30 @@ def test_gysin_check_pass_and_fail(capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_gysin_check_below_degree_two_is_a_usage_error(capsys, monkeypatch, degree):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr("loopspace.cli.cochain_complex", forbidden)
+    code, out, err = run(capsys, "gysin-check", "--max-degree", degree, "--json", CP2, CP2)
+    assert code == 2 and out == ""
+    assert "max_degree >= 2" in err
+
+
+def test_gysin_check_below_degree_two_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("LOOPSPACE_MAX_DEGREE", "1")
+    code, out, err = run(capsys, "gysin-check", CP2, CP2)
+    assert code == 2 and out == ""
+    assert "got 1" in err
+
+
+def test_gysin_check_at_degree_two_checks_degree_zero(capsys):
+    code, out, _ = run(capsys, "gysin-check", "--max-degree", "2", "--json", CP2, CP2)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["passed"] and result["checked_up_to"] == 0
+
+
 def test_bott_index_command(capsys):
     code, out, _ = run(capsys, "bott", "index", "--iterate", "7", QUARTER)
     assert code == 0

@@ -25,7 +25,7 @@ from loopspace.gca import (
     quotient_ring_dims,
     verify_ring_presentation,
 )
-from loopspace.gca.cohomology import block_rank, differential_matrix, integer_differentials
+from loopspace.gca.cohomology import DegreeData, block_rank, differential_matrix, integer_differentials
 from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
 from loopspace.spaceforms import euler_action_matrices
@@ -36,11 +36,13 @@ from helpers import (
     quotient_counts_oracle,
     random_model,
     reference_cochain_complex,
+    reference_dense_cochain_complex,
     reference_verify_ring_presentation,
 )
 
 cohomology_module = importlib.import_module("loopspace.gca.cohomology")  # the package binds the function to the name
 RATIONAL_PENCIL = Path(__file__).resolve().parent.parent / "fixtures" / "rational_pencil.dga"
+SIX_GEN = Path(__file__).resolve().parent.parent / "fixtures" / "six_gen.dga"
 
 
 def two_gen_model():
@@ -145,6 +147,35 @@ def test_rank_nullity_bookkeeping_randomized():
 def _coprime_models(count=6):
     rng = random.Random(2718)
     return [coprime_denominator_model(rng) for _ in range(count)]
+
+
+def test_skipped_eliminations_match_the_dense_reference():
+    """Degrees where d_d is zero or no image comes in are not eliminated;
+    every DegreeData field, and its repr, equals the complex that reduces
+    every d_d and every image."""
+    rng = random.Random(31415)
+    cases = [(random_model(rng), 8) for _ in range(40)]
+    cases += [(m, 12) for m in _coprime_models()]
+    cases += [(pencil_power_model(p, q, a), 14)
+              for p in range(-3, 4) for q in (-3, -2, -1, 1, 2, 3) for a in range(2, 6)]
+    # every generator closed: every degree has d_d = 0 and no image
+    cases.append((DgaModel([("a", 2), ("b", 2), ("t", 3), ("e", 4)], {}), 12))
+    # a closed odd generator beside active ones
+    cases.append((DgaModel([("a", 2), ("b", 2), ("t", 3), ("x", 3), ("y", 5)],
+                           {"x": [(1, {"a": 2})], "y": [(2, {"b": 3}), (-1, {"a": 1, "b": 2})]}), 14))
+    cases.append((parse_path(SIX_GEN, kind="dga").value, 14))
+    kinds = set()
+    for model, max_degree in cases:
+        got = cochain_complex(model, max_degree).degrees
+        want = reference_dense_cochain_complex(model, max_degree)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for f in dataclasses.fields(DegreeData):
+                assert getattr(a, f.name) == getattr(b, f.name), (model, a.degree, f.name)
+            kinds.add((a.rank_out > 0, bool(a.image), len(a.basis) > 1))
+        assert repr(got) == repr(want), model
+    # zero and nonzero d_d, with and without an image, on bases of 2 or more
+    assert kinds >= {(r, i, True) for r in (False, True) for i in (False, True)}
 
 
 def test_integer_complex_matches_the_fraction_reference():

@@ -231,3 +231,23 @@ def test_echelon_matches_the_eager_reference_on_the_six_generator_model():
     for d in range(17):
         matrix = differential_matrix(model, d)
         assert linalg.echelon(matrix) == reference_echelon(matrix), d
+
+
+def test_echelon_drops_zero_rows_before_integerising(monkeypatch):
+    """Zero rows interleaved anywhere, in int and in Fraction form, leave
+    the reference's rows and pivots, and none of them is integerised."""
+    rng = random.Random(1970)
+    seen = []
+    original = linalg.integerize_rows
+    monkeypatch.setattr(linalg, "integerize_rows", lambda rows: seen.extend(rows) or original(rows))
+    for n in range(240):
+        m = _reference_matrix(rng, ("dense", "sparse", "block diagonal", "non-unit pivots")[n % 4])
+        ncols = len(m[0])
+        if n % 8 == 0:
+            m = [[0] * ncols for _ in m]
+        for _ in range(rng.randint(1, 4)):
+            m.insert(rng.randint(0, len(m)), [0] * ncols)
+        fractions = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
+        for rows in (m, fractions):
+            assert linalg.echelon(rows) == reference_echelon(rows), rows
+    assert seen and all(any(row) for row in seen)

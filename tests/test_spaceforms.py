@@ -268,6 +268,12 @@ def test_gysin_forced_failure_at_degree_one():
     assert report.first_failure == 1
 
 
+def test_gysin_check_needs_max_degree_two():
+    base = BettiTable.from_dims([1, 0])
+    with pytest.raises(ValueError, match="max_degree >= 2"):
+        gysin_check(GysinInput(base, (), base))
+
+
 def test_gysin_shape_mismatch_rejected():
     base = BettiTable.from_dims([1, 0, 1, 0])
     total = BettiTable.from_dims([1, 0, 0, 1])
