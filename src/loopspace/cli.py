@@ -18,7 +18,7 @@ import sys
 from typing import Callable
 
 from . import __version__, serialize
-from .bott import bott_index, certify_theorem4, certify_theorem5, index_parity, is_nondegenerate
+from .bott import bott_index, certify_theorem4, certify_theorem5, is_nondegenerate
 from .dsl import ParseResult, document_text, model_text, parse_path
 from .gca.algebra import DgaModel, GcaError
 from .gca.cohomology import (
@@ -270,7 +270,7 @@ def cmd_bott_index(args) -> int:
     result = {
         "iterate": m,
         "index": value,
-        "parity": "odd" if index_parity(f, m) else "even",
+        "parity": "odd" if value % 2 else "even",
         "nondegenerate": is_nondegenerate(f, m),
     }
     _emit(args, "bott-index", lambda: document_text(f), lambda: result, lambda: (

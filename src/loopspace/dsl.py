@@ -13,9 +13,10 @@ Grammar (one block per document, ``#`` starts a line comment)::
                                "arcs" "=" int-list ";" "points" "=" int-list ";" "}"
 
 Rationals are exact ``p/q`` literals (a leading minus is allowed); angles
-are fractions of a turn.  Parsing never raises on malformed input: every
-problem becomes a :class:`Diagnostic` with a line and column inside the
-source, and a document with errors yields no value.
+are fractions of a turn.  The tokens come from one compiled pattern, and
+any character it does not expect is an error token.  Parsing never raises
+on malformed input: every problem becomes a :class:`Diagnostic` with a line
+and column inside the source, and a document with errors yields no value.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class Diagnostic:
 @dataclass(frozen=True)
 class SourceSpec:
     text: str
-    path: str | None = None
     kind: str | None = None
 
     def __post_init__(self):
@@ -76,50 +76,29 @@ class _Token(NamedTuple):
     column: int
 
 
-_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = frozenset("{};:=^*,+")
+# the alternatives are tried in order: a newline, blanks and a comment make
+# no token (their groups are unnamed), and any other single character is an ERROR
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|[ \t\r\f\v]+|#[^\n]*"
+    r"|(?P<NUMBER>-?[0-9]+(?:/[0-9]+)?)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[{};:=^*,+])|(?P<ERROR>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of the text, each at its line and column (both from 1),
+    and an EOF token one column past the last character."""
     tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
+    line, line_start = 1, 0  # line_start: the offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r\f\v":
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-                col += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        m = _IDENT.match(text, pos)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, col))
-        else:
-            tokens.append(_Token("ERROR", ch, line, col))
-        pos += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind:
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -459,7 +438,7 @@ def parse(source: str | SourceSpec) -> ParseResult:
 def parse_path(path, kind: str | None = None) -> ParseResult:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return parse(SourceSpec(text=text, path=str(path), kind=kind))
+    return parse(SourceSpec(text=text, kind=kind))
 
 
 # ---------------------------------------------------------------------------

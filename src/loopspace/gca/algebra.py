@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
@@ -95,7 +96,8 @@ class DgaModel:
     models as degenerate.
     """
 
-    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails")
+    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails",
+                 "_integer_diffs")
 
     def __init__(
         self,
@@ -118,6 +120,7 @@ class DgaModel:
         # degree d, lexicographically descending; the last level has only the
         # empty tail, in degree 0, and the others start empty
         self._tails = ((),) * self.ngens + ((((),),),)
+        self._integer_diffs = None  # see integer_differentials
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
         collapsed = []
@@ -232,6 +235,23 @@ class DgaModel:
         """The generator differentials as {monomial: coefficient} maps, one
         per generator in canonical order (read-only views)."""
         return tuple(MappingProxyType(self._diffs[g.name]) for g in self.generators)
+
+    def integer_differentials(self) -> tuple[Mapping[Monomial, int], ...]:
+        """L times each generator differential, in canonical order, where L
+        is the lcm of every coefficient denominator of the generator
+        differentials (not to be modified).  The Leibniz rule is linear in
+        the generator differentials, so these give L*d on every degree,
+        which has the same rank as d.  The model never changes, so they are
+        computed on first use and published in one assignment."""
+        diffs = self._integer_diffs
+        if diffs is None:
+            diffs = self._integer_diffs = self._scale_differentials()
+        return diffs
+
+    def _scale_differentials(self) -> tuple[dict[Monomial, int], ...]:
+        scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
+        return tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
+                     for g in self.generators)
 
     # -- monomial arithmetic --------------------------------------------
 

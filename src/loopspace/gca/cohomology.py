@@ -8,9 +8,11 @@ Betti numbers alone (:func:`cohomology` without representatives) come from
 ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  Each d_d is built as
 sparse integer columns of L*d, where L is the lcm of every coefficient
 denominator of the generator differentials, which leaves every rank
-unchanged.  The columns split into the connected blocks of their row/column
-nonzero graph, and each block is reduced on its own, so no kernel, image or
-dense matrix of the whole differential is ever formed.
+unchanged; L*d is held by the model, computed on first use by either path
+(see :meth:`DgaModel.integer_differentials`).  The columns split into the
+connected blocks of their row/column nonzero graph, and each block is
+reduced on its own, so no kernel, image or dense matrix of the whole
+differential is ever formed.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) reduces each dense integer matrix of L*d_d
@@ -246,8 +248,9 @@ def _sparse_columns(
 def differential_matrix(model: DgaModel, degree: int) -> list[list[int]]:
     """Dense integer matrix of L*d from degree to degree+1 over the monomial
     bases (rows indexed by the target basis, columns by the source basis),
-    where L is the scale of :func:`integer_differentials`."""
-    columns = _sparse_columns(model, degree, _integer_differentials_of(model))
+    from the integer differentials the model holds (see
+    :meth:`DgaModel.integer_differentials`)."""
+    columns = _sparse_columns(model, degree, model.integer_differentials())
     rows = [[0] * len(columns) for _ in model.basis(degree + 1)]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -255,42 +258,10 @@ def differential_matrix(model: DgaModel, degree: int) -> list[list[int]]:
     return rows
 
 
-def _scaled(terms: Mapping[Monomial, Fraction], scale: int) -> dict[Monomial, int]:
-    """scale times the terms, for a scale that every denominator divides."""
-    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
-
-
 def integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
     """(scale * terms, scale) for the lcm ``scale`` of the terms' denominators."""
     scale = lcm(*(c.denominator for c in terms.values()))
-    return _scaled(terms, scale), scale
-
-
-def integer_differentials(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
-    """L times each generator differential, where L is the lcm of every
-    coefficient denominator of the model's generator differentials.  The
-    Leibniz rule is linear in the generator differentials, so these give L*d
-    on every degree, which has the same rank as d."""
-    diffs = model.differential_terms()
-    scale = lcm(*(c.denominator for dg in diffs for c in dg.values()))
-    return tuple(_scaled(dg, scale) for dg in diffs)
-
-
-# the last model passed to _integer_differentials_of, and its integer differentials
-_last_integer_differentials: tuple[DgaModel | None, tuple[dict[Monomial, int], ...]] = (None, ())
-
-
-def _integer_differentials_of(model: DgaModel) -> tuple[dict[Monomial, int], ...]:
-    """:func:`integer_differentials` of the model, computed once for a run of
-    calls on the same model object, so that building a complex degree by
-    degree computes them once.  A model never changes after construction,
-    and the pair is read and replaced as one tuple, so a concurrent call on
-    another model cannot mix the two."""
-    global _last_integer_differentials
-    last = _last_integer_differentials
-    if last[0] is not model:
-        last = _last_integer_differentials = (model, integer_differentials(model))
-    return last[1]
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, scale
 
 
 def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
@@ -415,7 +386,7 @@ def cohomology(
     over the monomial basis of each degree.  Requires a model that passes
     :func:`check_model`.  Without representatives the dimensions come from
     ranks alone: each d_d is built as sparse integer columns of L*d (see
-    :func:`integer_differentials`) and ranked block by block (see
+    :meth:`DgaModel.integer_differentials`) and ranked block by block (see
     :func:`block_rank`); no kernel or image is formed.  With
     representatives the table is read off :func:`cochain_complex`.
     """
@@ -423,7 +394,7 @@ def cohomology(
         return cochain_complex(model, max_degree, basis_limit=basis_limit).betti(with_representatives=True)
     _check_complex_input(model, max_degree, basis_limit)
     model.basis(max_degree + 1)  # every basis the ranks read, in one table extension
-    diffs = integer_differentials(model)
+    diffs = model.integer_differentials()
     ranks = [block_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
     dims = [len(model.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
     return BettiTable(max_degree, tuple(dims))
@@ -594,7 +565,7 @@ def verify_ring_presentation(
 
     Three checks: (i) Betti numbers equal the monomial counts of the
     presented quotient; (ii) some degree-deg_w class w has w^a exact while
-    w^(a-1) is not; (iii) for some degree-deg_z class z, the products
+    w^(a-1) is not (for a = 1 only w = 0); (iii) for some degree-deg_z class z, the products
     w^i z^j are linearly independent in cohomology.  Candidates for w and z
     are searched over small integer combinations of the computed
     representatives, which is exhaustive up to scaling for the coefficient
@@ -667,12 +638,14 @@ def _find_w(data: ComplexData, presentation: RingPresentation) -> tuple[int, ...
     a = presentation.nilpotency
     deg = presentation.deg_w
     degree_data = data._degree_data(deg)
+    if a == 1:  # only w = 0 has w^1 exact, and w^0 = 1 is never exact
+        return (0,) * len(degree_data.basis)
     for candidate in _class_candidates(data, deg):
         x = degree_data.terms(candidate)
         below = _powers(data.model, x, a - 1)[-1]
         if not _exact(data, multiply_terms(data.model, below, x), a * deg):
             continue
-        if a > 1 and _exact(data, below, (a - 1) * deg):
+        if _exact(data, below, (a - 1) * deg):
             continue
         return candidate
     return None

@@ -9,10 +9,12 @@ guaranteed by construction rather than by the library's own checks.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 from loopspace.bott import BottFunction
+from loopspace.dsl import _Token
 from loopspace.gca import (
     AlgebraElement,
     DgaModel,
@@ -330,11 +332,13 @@ def _reference_candidates(data, degree: int):
 def _reference_find_w(data, presentation):
     a = presentation.nilpotency
     deg = presentation.deg_w
+    if a == 1:  # w^1 exact only for w = 0
+        return data.model.zero()
     for candidate in _reference_candidates(data, deg):
         below = _reference_powers(candidate, a - 1)[-1]
         if not data.is_exact(reference_product(below, candidate), a * deg):
             continue
-        if a > 1 and data.is_exact(below, (a - 1) * deg):
+        if data.is_exact(below, (a - 1) * deg):
             continue
         return candidate
     return None
@@ -462,3 +466,55 @@ def random_bott(rng: random.Random) -> BottFunction:
     for d in disc:
         points.append(min(arcs[disc.index(d) - 1], arcs[disc.index(d)]))
     return BottFunction(tuple(disc), tuple(arcs), tuple(points))
+
+
+# -- DSL scanner ---------------------------------------------------------------
+
+_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PUNCT = frozenset("{};:=^*,+")
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """The character-by-character scanner the DSL used before its single
+    pattern: its own position, line and column bookkeeping, blanks and
+    comments skipped one character at a time, two probes per token."""
+    tokens: list[_Token] = []
+    pos, line, col = 0, 1, 1
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r\f\v":
+            pos += 1
+            col += 1
+            continue
+        if ch == "#":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+                col += 1
+            continue
+        m = _NUMBER.match(text, pos)
+        if m:
+            tokens.append(_Token("NUMBER", m.group(), line, col))
+            col += m.end() - pos
+            pos = m.end()
+            continue
+        m = _IDENT.match(text, pos)
+        if m:
+            tokens.append(_Token("IDENT", m.group(), line, col))
+            col += m.end() - pos
+            pos = m.end()
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token("PUNCT", ch, line, col))
+        else:
+            tokens.append(_Token("ERROR", ch, line, col))
+        pos += 1
+        col += 1
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens

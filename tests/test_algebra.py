@@ -296,12 +296,17 @@ def test_basis_matches_the_enumeration_reference():
 
 def test_basis_table_under_concurrent_extension():
     """Threads extending one model's basis table, each in its own order of
-    degrees, only ever read complete bases."""
+    degrees, only ever read complete bases, and read the integer
+    differentials the model holds whole while another thread may be filling
+    them in."""
     import sys
     import threading
 
-    model = DgaModel([("a1", 1), ("u2", 2), ("v2", 2), ("x3", 3), ("w4", 4)])
+    model = DgaModel([("a1", 1), ("u2", 2), ("v2", 2), ("x3", 3), ("w4", 4)],
+                     {"x3": [("1/2", {"u2": 2}), ("-1/3", {"v2": 2})]})
     expected = {d: reference_basis(model, d) for d in range(-1, 19)}
+    u2_squared, v2_squared = model.monomial({"u2": 2}), model.monomial({"v2": 2})
+    integer_diffs = ({}, {}, {}, {u2_squared: 3, v2_squared: -2}, {})
     errors = []
 
     def worker(seed):
@@ -309,6 +314,8 @@ def test_basis_table_under_concurrent_extension():
         for d in rng.sample(sorted(expected), len(expected)):
             if list(model.basis(d)) != expected[d]:
                 errors.append(d)
+            if model.integer_differentials() != integer_diffs:
+                errors.append("integer differentials")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -72,6 +72,21 @@ def test_ring_verify_pass_and_fail(capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_ring_verify_nilpotency_one_passes_with_w_zero(capsys, tmp_path):
+    path = tmp_path / "one.dga"
+    path.write_text("model m { generator z:2; }\n")
+    args = ("ring-verify", "--deg-w", "2", "--deg-z", "2", "--nilpotency", "1", "--max-degree", "10")
+    code, out, err = run(capsys, *args, str(path))
+    assert (code, err) == (0, "")
+    assert out == ("pass  H* = Q[w,z]/(w^1), deg w = 2, deg z = 2, up to degree 10\n"
+                   "w = 0\nz = z\n(truncated at degree 10)\n")
+    code, out, _ = run(capsys, *args, "--json", str(path))
+    result = json.loads(out)["result"]
+    assert code == 0 and result["passed"] and result["messages"] == []
+    assert (result["w"], result["z"]) == ("0", "z")
+    assert result["actual_dims"] == result["expected_dims"] == [1, 0] * 5 + [1]
+
+
 def test_spaceform_model_emits_parseable_dsl(capsys):
     code, out, _ = run(capsys, "spaceform-model", RP2)
     assert code == 0
@@ -119,6 +134,27 @@ def test_bott_index_command(capsys):
     code, out, _ = run(capsys, "bott", "index", "--iterate", "2", "--json", QUARTER)
     doc = json.loads(out)
     assert doc["result"] == {"index": 1, "iterate": 2, "nondegenerate": False, "parity": "odd"}
+
+
+def test_bott_index_command_computes_the_index_once(capsys, monkeypatch):
+    import loopspace.bott as bott_module
+    import loopspace.cli as cli_module
+
+    calls = []
+    original = bott_module.bott_index
+
+    def counted(f, m):
+        calls.append(m)
+        return original(f, m)
+
+    # the cli binds the name at import; the bott module's own callers read it there
+    monkeypatch.setattr(cli_module, "bott_index", counted)
+    monkeypatch.setattr(bott_module, "bott_index", counted)
+    for m, parity in (("7", "even"), ("2", "odd")):
+        calls.clear()
+        code, out, _ = run(capsys, "bott", "index", "--iterate", m, "--json", QUARTER)
+        assert code == 0 and json.loads(out)["result"]["parity"] == parity
+        assert calls == [int(m)]
 
 
 def test_certify_rp2_small(capsys):

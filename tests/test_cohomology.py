@@ -25,7 +25,7 @@ from loopspace.gca import (
     quotient_ring_dims,
     verify_ring_presentation,
 )
-from loopspace.gca.cohomology import DegreeData, block_rank, differential_matrix, integer_differentials
+from loopspace.gca.cohomology import DegreeData, block_rank, differential_matrix
 from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
 from loopspace.spaceforms import euler_action_matrices
@@ -203,11 +203,13 @@ def test_integer_complex_matches_the_fraction_reference():
 def test_cochain_complex_stays_in_integers(monkeypatch):
     model = _coprime_models(1)[0]
     calls = []
-    original = cohomology_module.integer_differentials
-    monkeypatch.setattr(cohomology_module, "integer_differentials", lambda m: calls.append(m) or original(m))
+    original = DgaModel._scale_differentials
+    monkeypatch.setattr(DgaModel, "_scale_differentials", lambda m: calls.append(m) or original(m))
     data = cochain_complex(model, 10)
     matrices = [differential_matrix(model, d) for d in range(11)]
-    assert calls == [model]  # once for the whole complex, and reused by the matrices after it
+    assert cohomology(model, 10).dims == data.betti().dims
+    # once for the model, and reused by the matrices and the rank path after it
+    assert calls == [model]
     assert all(type(v) is int for rows in matrices for row in rows for v in row)
     assert any(v for rows in matrices for row in rows for v in row)
     assert all(type(v) is int for dd in data.degrees for vectors in (dd.reduced_out, dd.image_at_free)
@@ -289,7 +291,7 @@ def test_rank_only_dims_match_the_full_complex():
         model = coprime_denominator_model(rng)
         # one scale L for every generator, above the lcm of each one's denominators
         own = [model.differential_of(g.name).terms for g in model.generators]
-        scales = {int_c / own[i][m] for i, dg in enumerate(integer_differentials(model))
+        scales = {int_c / own[i][m] for i, dg in enumerate(model.integer_differentials())
                   for m, int_c in dg.items()}
         assert len(scales) == 1
         assert scales.pop() > max(lcm(*(c.denominator for c in terms.values())) for terms in own)
@@ -550,6 +552,7 @@ def test_ring_search_matches_the_element_reference():
     unlinked = DgaModel([("u2", 2), ("a3", 3), ("e4", 4), ("b5", 5), ("x5", 5)],
                         {"e4": [(1, {"u2": 1, "a3": 1})], "x5": [(1, {"u2": 3})]})
     cases += [(unlinked, RingPresentation(2, 3, 3), degree) for degree in (6, 8)]
+    cases += [(model, RingPresentation(2, 2, 1), 10) for model in _nilpotency_one_models()]
     verdicts = set()
     for model, presentation, degree in cases:
         report = verify_ring_presentation(model, presentation, degree)
@@ -559,6 +562,27 @@ def test_ring_search_matches_the_element_reference():
     # passes, dimension mismatches, and FAILs with and without a w
     assert verdicts >= {(True, True, False, False), (False, False, True, True),
                         (False, True, True, True), (False, True, False, True)}
+
+
+def _nilpotency_one_models():
+    """Q[z] with deg z = 2, and Q[u,v]/(u^2) with deg u = 2 and deg v = 4,
+    which has the Betti numbers of Q[z] but the square of its one degree-2
+    class exact."""
+    return (DgaModel([("z", 2)]),
+            DgaModel([("u", 2), ("e", 3), ("v", 4)], {"e": [(1, {"u": 2})]}))
+
+
+def test_verify_ring_presentation_nilpotency_one_takes_w_zero():
+    polynomial, square_zero = _nilpotency_one_models()
+    report = verify_ring_presentation(polynomial, RingPresentation(2, 2, 1), 10)
+    assert report.passed and report.messages == (), report.format()
+    assert report.w.is_zero and polynomial.format_element(report.z) == "z"
+    assert report.format().split("\n")[1:] == ["w = 0", "z = z"]
+    # with w = 0 the verdict rests on the dimensions and on z
+    report = verify_ring_presentation(square_zero, RingPresentation(2, 2, 1), 10)
+    assert report.actual_dims == report.expected_dims and report.w.is_zero
+    assert not report.passed and report.z is None
+    assert report.messages == ("no degree-2 class z with independent products w^i z^j was found",)
 
 
 def test_verify_ring_presentation_odd_k1():

@@ -1,17 +1,23 @@
 """Parsing, diagnostics with locations, and print/parse round-trips."""
 
 import random
+import string
+import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from loopspace.bott import BottFunction, bott_index
-from loopspace.dsl import SourceSpec, document_text, parse, parse_path
+from loopspace.dsl import SourceSpec, _tokenize, document_text, parse, parse_path
 from loopspace.gca import DgaModel
 from loopspace.spaceforms import SpaceFormSpec
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import reference_tokenize
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def test_parse_model_example():
@@ -200,3 +206,63 @@ def test_fuzz_smoke_no_crashes():
         for d in result.diagnostics:
             assert 1 <= d.line <= len(lines)
             assert d.column >= 1
+
+
+# -- the scanner against the character-by-character reference ----------------
+
+
+def _bench_dsl_texts() -> list[str]:
+    """Every DSL text the four bench workloads generate at seed 43: the
+    files their commands read, malformed ones included, and the documents
+    (and their reprints) that the round-trip jobs parse, recorded by running
+    those jobs against a recording parser."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    texts: list[str] = []
+
+    def recording_parse(source):
+        texts.append(source)
+        return parse(source)
+
+    lib = SimpleNamespace(dsl=SimpleNamespace(parse=recording_parse, document_text=document_text))
+    for name in sorted(workloads.WORKLOADS):
+        jobs, files = workloads.generate(name, lib, 43, Path("jobs"))
+        texts.extend(files.values())
+        for job in jobs:
+            if job.label.startswith("round-trip"):
+                job.run()
+    return texts
+
+
+_ALPHABET = (string.digits, "-", "/", string.ascii_letters, "_", "{};:=^*,+", "#", "\n",
+             " \t\r\f\v", "@", "\x00", "é")
+
+
+def _random_text(rng: random.Random) -> str:
+    """A string over every class of the alphabet, each class equally likely."""
+    return "".join(rng.choice(rng.choice(_ALPHABET)) for _ in range(rng.randint(0, 30)))
+
+
+def test_tokens_match_the_reference_on_fixtures_and_bench_documents():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.iterdir())]
+    assert len(texts) >= 8
+    bench = _bench_dsl_texts()
+    assert len(bench) > 300 and any(not parse(t).ok for t in bench)  # malformed ones are among them
+    for text in texts + bench:
+        assert _tokenize(text) == reference_tokenize(text), text
+
+
+def test_tokens_match_the_reference_on_random_strings():
+    rng = random.Random(20240607)
+    edges = ["", "\n", "-", "--1", "1/", "1/2/3", "-0/0", "a#b\nc", "\r\n", "# end", "x\n# end",
+             "12abc", "a1_b-2", "\x00é", "\n\n\t{"]
+    kinds = set()
+    for text in edges + [_random_text(rng) for _ in range(20_000)]:
+        tokens = _tokenize(text)
+        assert tokens == reference_tokenize(text), repr(text)
+        kinds.update(t.kind for t in tokens)
+    assert kinds == {"NUMBER", "IDENT", "PUNCT", "ERROR", "EOF"}
+
