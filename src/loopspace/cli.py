@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check or an
-inconclusive certificate, 2 on usage or parse errors, 141 (128 + SIGPIPE)
+inconclusive certificate, 2 on usage or parse errors and on an input file
+that cannot be read or is not UTF-8, 141 (128 + SIGPIPE)
 when the reader closes stdout before the output is written.  With
 ``--json`` the result is a single stable JSON document on stdout (see
 :mod:`loopspace.serialize`); otherwise a human-readable table is printed.
@@ -153,6 +154,8 @@ def _load(path: str, kind: str):
         result: ParseResult = parse_path(path, kind=kind)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8: {exc.reason} at byte offset {exc.start}")
     for diag in result.diagnostics:
         print(diag.format(path), file=sys.stderr)
     if not result.ok:

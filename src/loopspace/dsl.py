@@ -13,15 +13,26 @@ Grammar (one block per document, ``#`` starts a line comment)::
                                "arcs" "=" int-list ";" "points" "=" int-list ";" "}"
 
 Rationals are exact ``p/q`` literals (a leading minus is allowed); angles
-are fractions of a turn.  The tokens come from one compiled pattern, and
-any character it does not expect is an error token.  Parsing never raises
-on malformed input: every problem becomes a :class:`Diagnostic` with a line
-and column inside the source, and a document with errors yields no value.
+are fractions of a turn.  Parsing never raises on malformed input: every
+problem becomes a :class:`Diagnostic` with a line and column inside the
+source, and a document with errors yields no value.  That includes a
+number with more digits than the interpreter converts to an int.
+
+One ``findall`` of one compiled pattern turns the text into a list of
+token strings: the blanks, newlines and comments before a token are
+skipped inside the same match, and any character the pattern does not
+expect is a one-character error token.  The parser reads a token's kind
+off its text where the grammar needs it, and a diagnostic records the
+index of its token.  Lines and columns are computed only for a document
+that has diagnostics, by :func:`_tokenize` over the same pattern.  Number
+literals are read with ``int``, and a rational as ``Fraction(p, q)`` from
+two ints, never through ``Fraction``'s string parser.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -76,190 +87,243 @@ class _Token(NamedTuple):
     column: int
 
 
-# the alternatives are tried in order: a newline, blanks and a comment make
-# no token (their groups are unnamed), and any other single character is an ERROR
-_TOKEN = re.compile(
-    r"(?P<NEWLINE>\n)|[ \t\r\f\v]+|#[^\n]*"
-    r"|(?P<NUMBER>-?[0-9]+(?:/[0-9]+)?)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<PUNCT>[{};:=^*,+])|(?P<ERROR>.)",
+# One match per token: the blanks, newlines and comments before it are
+# skipped inside the match, and the group holds the token (a NUMBER, an IDENT
+# or any other single character), or "" at the end of the text.  The group
+# always matches, so the skipping part is never backtracked into.
+_SCAN = re.compile(
+    r"(?:[ \t\n\r\f\v]+|#[^\n]*)*(-?[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|.|)",
     re.DOTALL,
 )
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_PUNCT = frozenset("{};:=^*,+")
+_ONE = Fraction(1)  # the coefficient of every term written without one
+
+
+def _is_number(t: str) -> bool:
+    # a NUMBER token starts with a digit, or with "-" followed by one
+    return t[:1] in _DIGITS or (t[:1] == "-" and len(t) > 1)
+
+
+def _kind(t: str) -> str:
+    if not t:
+        return "EOF"
+    if t[0] in _IDENT_START:
+        return "IDENT"
+    if _is_number(t):
+        return "NUMBER"
+    return "PUNCT" if t in _PUNCT else "ERROR"
 
 
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of the text, each at its line and column (both from 1),
     and an EOF token one column past the last character."""
     tokens: list[_Token] = []
-    line, line_start = 1, 0  # line_start: the offset of the line's first character
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-        elif kind:
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    line, line_start, scanned = 1, 0, 0  # line_start: the offset of the line's first character
+    for m in _SCAN.finditer(text):
+        start = m.start(1)
+        newlines = text.count("\n", scanned, start)  # a token holds no newline
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", scanned, start) + 1
+        scanned = start
+        t = m.group(1)
+        tokens.append(_Token(_kind(t), t, line, start - line_start + 1))
+        if not t:
+            break
     return tokens
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its size when it is longer than the interpreter
+    converts to a string."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 class _Parser:
+    """Recursive descent over the token texts of one scan; the grammar reads
+    a token's kind off its text where it needs one.  A diagnostic holds the
+    index of its token, and lines and columns are looked up only when a
+    document has diagnostics."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        # ends with one or two "", the EOF token; the parser never passes the first
+        self.toks: list[str] = _SCAN.findall(text)
         self.pos = 0
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics: list[tuple[str, int, str]] = []  # (severity, token index, message)
+        self.failed = False
 
     # -- helpers ---------------------------------------------------------
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, index: int, message: str) -> None:
+        self.diagnostics.append(("error", index, message))
+        self.failed = True
 
-    def advance(self) -> _Token:
-        t = self.tok
-        if t.kind != "EOF":
+    def warning(self, index: int, message: str) -> None:
+        self.diagnostics.append(("warning", index, message))
+
+    def located(self) -> tuple[Diagnostic, ...]:
+        if not self.diagnostics:
+            return ()
+        tokens = _tokenize(self.text)
+        return tuple(Diagnostic(severity, tokens[i].line, tokens[i].column, message)
+                     for severity, i, message in self.diagnostics)
+
+    def expect_punct(self, ch: str) -> bool:
+        t = self.toks[self.pos]
+        if t == ch:
             self.pos += 1
-        return t
-
-    def error(self, tok: _Token, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", tok.line, tok.column, message))
-
-    def warning(self, tok: _Token, message: str) -> None:
-        self.diagnostics.append(Diagnostic("warning", tok.line, tok.column, message))
-
-    def expect_punct(self, ch: str) -> _Token | None:
-        t = self.tok
-        if t.kind == "PUNCT" and t.text == ch:
-            return self.advance()
-        self.error(t, f"expected {ch!r}" + (f", found {t.text!r}" if t.text else " before end of input"))
-        return None
+            return True
+        self.error(self.pos, f"expected {ch!r}" + (f", found {t!r}" if t else " before end of input"))
+        return False
 
     def skip_statement(self) -> None:
         """Recover to just past the next ';' (or stop before '}'/EOF)."""
+        toks = self.toks
         while True:
-            t = self.tok
-            if t.kind == "EOF" or (t.kind == "PUNCT" and t.text == "}"):
+            t = toks[self.pos]
+            if not t or t == "}":
                 return
-            self.advance()
-            if t.kind == "PUNCT" and t.text == ";":
+            self.pos += 1
+            if t == ";":
                 return
 
     def integer(self, what: str, minimum: int | None = None) -> int | None:
-        t = self.tok
-        if t.kind != "NUMBER" or "/" in t.text:
-            self.error(t, f"expected an integer {what}" + (f", found {t.text!r}" if t.text else ""))
+        i = self.pos
+        t = self.toks[i]
+        if not _is_number(t) or "/" in t:
+            self.error(i, f"expected an integer {what}" + (f", found {t!r}" if t else ""))
             return None
-        self.advance()
-        value = int(t.text)
+        self.pos = i + 1
+        try:
+            value = int(t)
+        except ValueError:  # more digits than the interpreter converts
+            self.error(i, f"{what} has too many digits")
+            return None
         if minimum is not None and value < minimum:
-            self.error(t, f"{what} must be >= {minimum}, got {value}")
+            self.error(i, f"{what} must be >= {minimum}, got {value}")
             return None
         return value
 
     def rational(self, what: str) -> Fraction | None:
-        t = self.tok
-        if t.kind != "NUMBER":
-            self.error(t, f"expected a rational {what}" + (f", found {t.text!r}" if t.text else ""))
+        i = self.pos
+        t = self.toks[i]
+        if not _is_number(t):
+            self.error(i, f"expected a rational {what}" + (f", found {t!r}" if t else ""))
             return None
-        self.advance()
+        self.pos = i + 1
+        num, _, den = t.partition("/")
         try:
-            return Fraction(t.text)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ZeroDivisionError:
-            self.error(t, f"{what} has denominator zero")
-            return None
+            self.error(i, f"{what} has denominator zero")
+        except ValueError:  # more digits than the interpreter converts
+            self.error(i, f"{what} has too many digits")
+        return None
 
-    def ident(self, what: str) -> _Token | None:
-        t = self.tok
-        if t.kind != "IDENT":
-            self.error(t, f"expected {what}" + (f", found {t.text!r}" if t.text else " before end of input"))
-            return None
-        return self.advance()
+    def ident(self, what: str) -> int | None:
+        """The index of the IDENT token read, or None after an error."""
+        i = self.pos
+        t = self.toks[i]
+        if t[:1] in _IDENT_START:
+            self.pos = i + 1
+            return i
+        self.error(i, f"expected {what}" + (f", found {t!r}" if t else " before end of input"))
+        return None
 
     # -- document --------------------------------------------------------
 
     def document(self):
-        t = self.tok
-        if t.kind == "IDENT" and t.text in _BLOCK_KEYWORDS:
-            kind = _BLOCK_KEYWORDS[t.text]
+        t = self.toks[0]
+        kind = _BLOCK_KEYWORDS.get(t)
+        if kind is not None:
+            self.pos = 1  # past the keyword, token 0
             value = {"dga": self.dga_block, "spaceform": self.spaceform_block, "bott": self.bott_block}[kind]()
-            end = self.tok
-            if end.kind == "ERROR":
-                self.error(end, f"unexpected character {end.text!r}")
-            elif end.kind != "EOF":
-                self.error(end, f"unexpected content after the block: {end.text!r}")
+            end = self.toks[self.pos]
+            if _kind(end) == "ERROR":
+                self.error(self.pos, f"unexpected character {end!r}")
+            elif end:
+                self.error(self.pos, f"unexpected content after the block: {end!r}")
             return value, kind
-        if t.kind == "ERROR":
-            self.error(t, f"unexpected character {t.text!r}")
-        elif t.kind == "EOF":
-            self.error(t, "empty document; expected 'model', 'spaceform' or 'bott'")
+        if _kind(t) == "ERROR":
+            self.error(0, f"unexpected character {t!r}")
+        elif not t:
+            self.error(0, "empty document; expected 'model', 'spaceform' or 'bott'")
         else:
-            self.error(t, f"expected 'model', 'spaceform' or 'bott', found {t.text!r}")
+            self.error(0, f"expected 'model', 'spaceform' or 'bott', found {t!r}")
         return None, None
 
     # -- dga -------------------------------------------------------------
 
     def dga_block(self) -> DgaModel | None:
-        self.advance()  # "model"
-        name_tok = self.ident("a model name")
-        if name_tok is None or self.expect_punct("{") is None:
+        toks = self.toks
+        name = self.ident("a model name")
+        if name is None or not self.expect_punct("{"):
             return None
         generators: list[tuple[str, int]] = []
         declared: dict[str, int] = {}
-        diffs: list[tuple[_Token, list[tuple[Fraction, list[tuple[_Token, int]], _Token]]]] = []
+        diffs: list[tuple[int, list[tuple[Fraction, list[tuple[int, int]], int]]]] = []
         diff_targets: set[str] = set()
         while True:
-            t = self.tok
-            if t.kind == "PUNCT" and t.text == "}":
-                self.advance()
+            t = toks[self.pos]
+            if t == "}":
+                self.pos += 1
                 break
-            if t.kind == "EOF":
-                self.error(t, "expected '}' to close the model block")
-                break
-            if t.kind == "IDENT" and t.text == "generator":
-                self.advance()
+            if t == "generator":
+                self.pos += 1
                 gname = self.ident("a generator name")
-                if gname is None or self.expect_punct(":") is None:
+                if gname is None or not self.expect_punct(":"):
                     self.skip_statement()
                     continue
                 degree = self.integer("degree", minimum=1)
                 if degree is None:
                     self.skip_statement()
                     continue
-                if gname.text in declared:
-                    self.error(gname, f"generator {gname.text!r} declared twice")
+                g = toks[gname]
+                if g in declared:
+                    self.error(gname, f"generator {g!r} declared twice")
                 else:
-                    declared[gname.text] = degree
-                    generators.append((gname.text, degree))
+                    declared[g] = degree
+                    generators.append((g, degree))
                 self.expect_punct(";") or self.skip_statement()
-            elif t.kind == "IDENT" and t.text == "d":
-                self.advance()
+            elif t == "d":
+                self.pos += 1
                 target = self.ident("a generator name after 'd'")
-                if target is None or self.expect_punct("=") is None:
+                if target is None or not self.expect_punct("="):
                     self.skip_statement()
                     continue
                 poly = self.poly()
                 if poly is None:
                     self.skip_statement()
                     continue
-                if target.text in diff_targets:
-                    self.error(target, f"differential of {target.text!r} declared twice")
+                if toks[target] in diff_targets:
+                    self.error(target, f"differential of {toks[target]!r} declared twice")
                 else:
-                    diff_targets.add(target.text)
+                    diff_targets.add(toks[target])
                     diffs.append((target, poly))
                 self.expect_punct(";") or self.skip_statement()
-            elif t.kind == "ERROR":
-                self.error(t, f"unexpected character {t.text!r}")
-                self.advance()
+            elif not t:
+                self.error(self.pos, "expected '}' to close the model block")
+                break
+            elif _kind(t) == "ERROR":
+                self.error(self.pos, f"unexpected character {t!r}")
+                self.pos += 1
             else:
-                self.error(t, f"expected 'generator' or 'd', found {t.text!r}")
+                self.error(self.pos, f"expected 'generator' or 'd', found {t!r}")
                 self.skip_statement()
-        return self.build_model(name_tok.text, generators, declared, diffs)
+        return self.build_model(toks[name], generators, declared, diffs)
 
     def poly(self):
-        """List of (coefficient, [(name token, exponent), ...], first token).
+        """List of (coefficient, [(name index, exponent), ...], first index).
         Returns None on a syntax error."""
-        t = self.tok
-        if t.kind == "NUMBER" and t.text == "0" and self.tokens[self.pos + 1].text == ";":
-            self.advance()
+        toks, pos = self.toks, self.pos
+        if toks[pos] == "0" and toks[pos + 1] == ";":
+            self.pos = pos + 1
             return []
         terms = []
         while True:
@@ -267,156 +331,152 @@ class _Parser:
             if term is None:
                 return None
             terms.append(term)
-            if self.tok.kind == "PUNCT" and self.tok.text == "+":
-                self.advance()
+            if toks[self.pos] == "+":
+                self.pos += 1
                 continue
-            break
-        return terms
+            return terms
 
     def term(self):
-        first = self.tok
-        coeff = Fraction(1)
-        if first.kind == "NUMBER":
-            value = self.rational("coefficient")
-            if value is None:
+        toks = self.toks
+        first = self.pos
+        coeff = _ONE
+        if _is_number(toks[first]):
+            coeff = self.rational("coefficient")
+            if coeff is None or not self.expect_punct("*"):
                 return None
-            coeff = value
-            if self.expect_punct("*") is None:
-                return None
-        factors: list[tuple[_Token, int]] = []
+        factors: list[tuple[int, int]] = []
         while True:
             name = self.ident("a generator name in the term")
             if name is None:
                 return None
             exponent = 1
-            if self.tok.kind == "PUNCT" and self.tok.text == "^":
-                self.advance()
-                e = self.integer("exponent", minimum=0)
-                if e is None:
+            if toks[self.pos] == "^":
+                self.pos += 1
+                exponent = self.integer("exponent", minimum=0)
+                if exponent is None:
                     return None
-                exponent = e
             factors.append((name, exponent))
-            if self.tok.kind == "PUNCT" and self.tok.text == "*":
-                self.advance()
+            if toks[self.pos] == "*":
+                self.pos += 1
                 continue
-            break
-        return (coeff, factors, first)
+            return (coeff, factors, first)
 
     def build_model(self, name, generators, declared, diffs) -> DgaModel | None:
+        toks = self.toks
         raw_diffs: dict[str, list] = {}
         for target, terms in diffs:
-            if target.text not in declared:
-                self.error(target, f"undeclared generator {target.text!r}")
+            tname = toks[target]
+            if tname not in declared:
+                self.error(target, f"undeclared generator {tname!r}")
                 continue
-            expected = declared[target.text] + 1
+            expected = declared[tname] + 1
             raw_terms = []
             ok = True
             for coeff, factors, first in terms:
                 exponents: dict[str, int] = {}
                 degree = 0
-                for name_tok, exponent in factors:
-                    if name_tok.text not in declared:
-                        self.error(name_tok, f"undeclared generator {name_tok.text!r}")
+                for i, exponent in factors:
+                    g = toks[i]
+                    if g not in declared:
+                        self.error(i, f"undeclared generator {g!r}")
                         ok = False
                         continue
-                    exponents[name_tok.text] = exponents.get(name_tok.text, 0) + exponent
-                    degree += declared[name_tok.text] * exponent
+                    exponents[g] = exponents.get(g, 0) + exponent
+                    degree += declared[g] * exponent
                 if not ok:
                     continue
                 if degree != expected:
                     self.error(
                         first,
-                        f"term has degree {degree}; d {target.text} requires degree {expected}",
+                        f"term has degree {_decimal(degree)}; d {tname} requires degree {_decimal(expected)}",
                     )
                     ok = False
                     continue
                 raw_terms.append((coeff, exponents))
             if ok:
-                raw_diffs[target.text] = raw_terms
-        if any(d.severity == "error" for d in self.diagnostics):
+                raw_diffs[tname] = raw_terms
+        if self.failed:
             return None
         try:
             return DgaModel(generators, raw_diffs, name=name)
         except GcaError as exc:  # structural problems not caught above
-            self.error(self.tokens[0], str(exc))
+            self.error(0, str(exc))
             return None
 
     # -- spaceform ---------------------------------------------------------
 
     def spaceform_block(self) -> SpaceFormSpec | None:
-        keyword = self.advance()  # "spaceform"
-        if self.expect_punct("{") is None:
+        if not self.expect_punct("{"):
             return None
         values: dict[str, int] = {}
         for field in ("n", "r", "ord"):
-            t = self.ident(f"field {field!r}")
-            if t is None:
+            i = self.ident(f"field {field!r}")
+            if i is None:
                 self.skip_statement()
                 return None
-            if t.text != field:
-                self.error(t, f"expected field {field!r}, found {t.text!r}")
+            if self.toks[i] != field:
+                self.error(i, f"expected field {field!r}, found {self.toks[i]!r}")
                 return None
-            if self.expect_punct("=") is None:
+            if not self.expect_punct("="):
                 return None
             value = self.integer(f"value of {field!r}", minimum=1)
             if value is None:
                 return None
             values[field] = value
-            if self.expect_punct(";") is None:
+            if not self.expect_punct(";"):
                 return None
-        if self.expect_punct("}") is None:
+        if not self.expect_punct("}"):
             return None
         try:
             return SpaceFormSpec(values["n"], values["r"], values["ord"])
         except ValueError as exc:
-            self.error(keyword, str(exc))
+            self.error(0, str(exc))
             return None
 
     # -- bott ----------------------------------------------------------------
 
     def bott_block(self) -> BottFunction | None:
-        keyword = self.advance()  # "bott"
-        if self.expect_punct("{") is None:
+        if not self.expect_punct("{"):
             return None
         disc = self.bott_field("disc", self.rational)
         arcs = self.bott_field("arcs", lambda what: self.integer(what, minimum=0))
         points = self.bott_field("points", lambda what: self.integer(what, minimum=0))
         if disc is None or arcs is None or points is None:
             return None
-        if self.expect_punct("}") is None:
+        if not self.expect_punct("}"):
             return None
-        normalized = [Fraction(t) % 1 for t in disc]
+        normalized = [t % 1 for t in disc]
         if normalized != sorted(normalized):
-            self.warning(keyword, "discontinuities were not sorted; sorting them")
+            self.warning(0, "discontinuities were not sorted; sorting them")
         try:
             return BottFunction.build(disc, arcs, points)
         except ValueError as exc:
-            self.error(keyword, str(exc))
+            self.error(0, str(exc))
             return None
 
     def bott_field(self, field: str, reader):
-        t = self.ident(f"field {field!r}")
-        if t is None:
+        i = self.ident(f"field {field!r}")
+        if i is None:
             return None
-        if t.text != field:
-            self.error(t, f"expected field {field!r}, found {t.text!r}")
+        if self.toks[i] != field:
+            self.error(i, f"expected field {field!r}, found {self.toks[i]!r}")
             return None
-        if self.expect_punct("=") is None:
+        if not self.expect_punct("="):
             return None
         values = []
-        if self.tok.kind == "PUNCT" and self.tok.text == ";":
-            self.advance()
+        if self.toks[self.pos] == ";":
+            self.pos += 1
             return values
         while True:
             v = reader(f"value in {field!r}")
             if v is None:
                 return None
             values.append(v)
-            if self.tok.kind == "PUNCT" and self.tok.text == ",":
-                self.advance()
+            if self.toks[self.pos] == ",":
+                self.pos += 1
                 continue
             break
-        if self.expect_punct(";") is None:
+        if not self.expect_punct(";"):
             return None
         return values
 
@@ -424,15 +484,14 @@ class _Parser:
 def parse(source: str | SourceSpec) -> ParseResult:
     """Parse one document; syntax and semantic problems become located
     diagnostics and an erroneous document yields no value."""
-    spec = source if isinstance(source, SourceSpec) else SourceSpec(text=source)
-    parser = _Parser(spec.text)
+    text, expected = (source.text, source.kind) if isinstance(source, SourceSpec) else (source, None)
+    parser = _Parser(text)
     value, kind = parser.document()
-    if value is not None and spec.kind is not None and kind != spec.kind:
-        parser.error(parser.tokens[0], f"expected a {spec.kind} document, found {kind}")
+    if value is not None and expected is not None and kind != expected:
+        parser.error(0, f"expected a {expected} document, found {kind}")
+    if parser.failed:
         value = None
-    if any(d.severity == "error" for d in parser.diagnostics):
-        value = None
-    return ParseResult(value, kind, tuple(parser.diagnostics))
+    return ParseResult(value, kind, parser.located())
 
 
 def parse_path(path, kind: str | None = None) -> ParseResult:

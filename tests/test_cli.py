@@ -257,6 +257,34 @@ def test_parse_diagnostics_go_to_stderr(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("name, text, argv, diagnostic", [
+    ("big_n.spaceform", "spaceform { n = " + "7" * 5000 + "; r = 8; ord = 2; }",
+     ("homotopy", "--which", "lambda"), "1:17: error: value of 'n' has too many digits"),
+    ("big_disc.bott", "bott { disc = 1/" + "7" * 5000 + "; arcs = 1; points = 0; }",
+     ("bott", "index", "--iterate", "2"), "1:15: error: value in 'disc' has too many digits"),
+    # each number is readable, but the term's degree has too many digits to print
+    ("big_degree.dga", "model m {\n  generator x:" + "7" * 4000 + ";\n  generator y:3;\n"
+     "  d y = x^" + "9" * 4000 + ";\n}", ("cohomology",),
+     "4:9: error: term has degree <26576-bit integer>; d y requires degree 4"),
+], ids=["spaceform-integer", "bott-denominator", "term-degree"])
+def test_oversize_numbers_are_located_errors(capsys, tmp_path, name, text, argv, diagnostic):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"{path}:{diagnostic}"
+
+
+def test_undecodable_input_is_a_read_error(tmp_path):
+    path = tmp_path / "latin1.dga"
+    path.write_bytes(b"model m {\n generator x:2;\xff\n}\n")
+    done = subprocess.run([sys.executable, "-m", "loopspace.cli", "cohomology", str(path)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.decode() == (
+        f"loopspace: error: cannot read {path}: not UTF-8: invalid start byte at byte offset 25\n")
+
+
 def test_env_max_degree_override(capsys, monkeypatch):
     monkeypatch.setenv("LOOPSPACE_MAX_DEGREE", "4")
     code, out, _ = run(capsys, "cohomology", QUOTIENT)

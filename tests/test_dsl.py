@@ -10,11 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 from loopspace.bott import BottFunction, bott_index
-from loopspace.dsl import SourceSpec, _tokenize, document_text, parse, parse_path
+from loopspace import dsl
+from loopspace.dsl import KINDS, SourceSpec, _tokenize, document_text, parse, parse_path
 from loopspace.gca import DgaModel
 from loopspace.spaceforms import SpaceFormSpec
 
-from helpers import reference_tokenize
+from helpers import reference_parse, reference_tokenize
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -266,3 +267,70 @@ def test_tokens_match_the_reference_on_random_strings():
         kinds.update(t.kind for t in tokens)
     assert kinds == {"NUMBER", "IDENT", "PUNCT", "ERROR", "EOF"}
 
+
+# -- the parser against the token-object reference ----------------------------
+
+
+def _fixture_texts() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.iterdir())]
+
+
+def _assert_parses_like_the_reference(text: str, kind: str):
+    """The same value, kind and diagnostics as the reference, with no kind
+    asked for and with `kind` asked for; returns the first result."""
+    result = parse(text)
+    assert result == reference_parse(text), repr(text)
+    spec = SourceSpec(text=text, kind=kind)
+    assert parse(spec) == reference_parse(spec), (kind, text)
+    return result
+
+
+def _mutant(rng: random.Random, seeds: list[str]) -> str:
+    """A seed document after one to three character deletions, insertions,
+    replacements, truncations or splices, or a random string."""
+    if rng.random() < 0.1:
+        return _random_text(rng)
+    text = rng.choice(seeds)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:pos] + text[pos + rng.randint(1, 3):]
+        elif op == 1:
+            text = text[:pos] + rng.choice(rng.choice(_ALPHABET)) + text[pos:]
+        elif op == 2:
+            text = text[:pos] + rng.choice(rng.choice(_ALPHABET)) + text[pos + 1:]
+        elif op == 3:
+            text = text[:pos]
+        else:
+            other = rng.choice(seeds)
+            text = text[:pos] + other[rng.randint(0, len(other)):]
+    return text
+
+
+def test_parse_matches_the_reference_on_fixtures_and_bench_documents():
+    texts = _fixture_texts() + _bench_dsl_texts()
+    for i, text in enumerate(texts):
+        _assert_parses_like_the_reference(text, KINDS[i % len(KINDS)])
+
+
+def test_parse_matches_the_reference_on_mutants():
+    seeds = _fixture_texts() + sorted(set(_bench_dsl_texts()))
+    rng = random.Random(31337)
+    failed = 0
+    for _ in range(40_000):
+        failed += not _assert_parses_like_the_reference(_mutant(rng, seeds), rng.choice(KINDS)).ok
+    assert 20_000 < failed < 40_000  # most mutants are erroneous, not all
+
+
+def test_well_formed_documents_compute_no_positions(monkeypatch):
+    texts = _fixture_texts() + [text for text in _bench_dsl_texts() if reference_parse(text).ok]
+    expected = [reference_parse(text) for text in texts]
+
+    def no_positions(text):
+        raise AssertionError("a well-formed document computed token positions")
+
+    monkeypatch.setattr(dsl, "_tokenize", no_positions)
+    assert [parse(text) for text in texts] == expected
+    with pytest.raises(AssertionError):
+        parse("model m { generator u2; }")  # the patch is in effect
