@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import lt
 from typing import Iterable, Sequence
 
 from .gca.cohomology import BettiTable, RingPresentation, quotient_ring_dims
@@ -33,8 +34,28 @@ INCONCLUSIVE = "inconclusive"
 
 
 def normalize_turn(value) -> Fraction:
-    """Exact angle in turns, reduced into [0, 1)."""
-    return Fraction(value) % 1
+    """Exact angle in turns, reduced into [0, 1): an int (not a bool), a
+    Fraction or a 'p/q' string; a float or any other value is refused."""
+    if isinstance(value, Fraction):
+        return value % 1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value) % 1
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"turns must be exact (int, Fraction or 'p/q' string), got {value!r}")
+
+
+def _index_value(value) -> int:
+    """A value of an index function as a plain int; a bool, a float or any
+    other non-int is refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"values of the index function must be ints, got {value!r}")
+
+
+# discontinuity types accepted without the slower ABC check
+_EXACT_TURN_TYPES = frozenset({Fraction, int})
 
 
 @dataclass(frozen=True)
@@ -62,11 +83,11 @@ class BottFunction:
 
     def __post_init__(self):
         disc = self.discontinuities
-        if list(disc) != sorted(set(disc)):
+        if not all(map(lt, disc, disc[1:])):
             raise ValueError("discontinuities must be strictly increasing")
-        if any(not isinstance(t, Rational) for t in disc):
+        if any(type(t) not in _EXACT_TURN_TYPES and not isinstance(t, Rational) for t in disc):
             raise ValueError("discontinuities must be exact rationals")
-        if any(not (0 <= t < 1) for t in disc):
+        if any(not 0 <= t.numerator < t.denominator for t in disc):
             raise ValueError("discontinuities must be turns in [0, 1)")
         n_arcs = len(disc) if disc else 1
         if len(self.arc_values) != n_arcs:
@@ -119,10 +140,12 @@ class BottFunction:
         their arc and point values.  Omitted point values default to the
         minimum of the two adjacent arc values.  With ``ambient_dim`` = n the
         number of discontinuities is checked against the bound 2n - 2 on
-        unit-circle eigenvalues of a linearised Poincare map.
+        unit-circle eigenvalues of a linearised Poincare map.  Turns must be
+        exact (see ``normalize_turn``) and values ints; a float or a bool is
+        refused, not rounded.
         """
         disc = [normalize_turn(t) for t in discontinuities]
-        arcs = [int(v) for v in arc_values]
+        arcs = [_index_value(v) for v in arc_values]
         if len(set(disc)) != len(disc):
             raise ValueError("duplicate discontinuities")
         if ambient_dim is not None and len(disc) > 2 * ambient_dim - 2:
@@ -140,7 +163,7 @@ class BottFunction:
                     min(arcs_sorted[i - 1], arcs_sorted[i]) for i in range(len(disc_sorted))
                 ]
             else:
-                points = [int(v) for v in point_values]
+                points = [_index_value(v) for v in point_values]
                 if len(points) != len(disc):
                     raise ValueError(f"expected {len(disc)} point values, got {len(points)}")
                 points_sorted = [points[i] for i in order]
@@ -151,7 +174,7 @@ class BottFunction:
 
     @classmethod
     def constant(cls, value: int) -> "BottFunction":
-        return cls((), (int(value),), ())
+        return cls((), (_index_value(value),), ())
 
     def value_at(self, turns) -> int:
         """I at the given angle: the point value on a discontinuity, else
@@ -288,22 +311,34 @@ def _candidate_payload(f: BottFunction) -> dict:
 
 
 def _match_against_targets(
-    f: BottFunction, iterate_cutoff: int, target: Counter, degree_cutoff: int
+    indices: Iterable[tuple[int, int]], target: Counter, degree_cutoff: int
 ) -> tuple[bool, str]:
-    counts: Counter = Counter()
-    for m in range(1, iterate_cutoff + 1, 2):
-        ind = bott_index(f, m)
+    """Match (iterate, index) pairs, in increasing iterate order, against
+    the Betti targets; the reason names the first iterate that fails."""
+    left = dict(target)
+    for m, ind in indices:
         if ind > degree_cutoff:
             continue
         if target.get(ind, 0) == 0:
             return False, f"iterate {m} has index {ind}, not covered by the Betti targets"
-        counts[ind] += 1
-        if counts[ind] > target[ind]:
+        if not left[ind]:
             return False, f"iterate {m} overfills index {ind} (multiplicity {target[ind]})"
+        left[ind] -= 1
     for d in sorted(target):
-        if counts[d] != target[d]:
-            return False, f"index {d} covered {counts[d]} times, target {target[d]}"
+        if left[d]:
+            return False, f"index {d} covered {target[d] - left[d]} times, target {target[d]}"
     return True, ""
+
+
+def grid_pair_root_counts(j: int, N: int, iterates: Iterable[int]) -> list[int]:
+    """For each m, the number of m-th roots of unity strictly inside the arc
+    (j/N, 1 - j/N) through angle 1/2, 0 < j < N/2: m - 1 - 2*floor(m*j/N).
+
+    The roots k/m inside are the integers k with m*j/N < k < m - m*j/N.  So
+    the step function that is a on that arc and 0 elsewhere, points
+    included, has index a times this count at the m-th iterate.
+    """
+    return [m - 1 - 2 * (m * j // N) for m in iterates]
 
 
 QUARTER_TURNS = (Fraction(1, 4), Fraction(3, 4))
@@ -341,24 +376,34 @@ def certify_theorem4(
     betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
     target = Counter({d: n for d, n in enumerate(betti.dims) if n})
 
-    # the pair is sorted and the points are the minima of the adjacent arcs,
-    # exactly as BottFunction.build would normalise it
-    candidates: list[BottFunction] = [BottFunction.constant(0)]
+    # each candidate with its value a on the arc through angle 1/2 and that
+    # arc's root counts at the odd iterates: the index of iterate m is a times
+    # the count (the point values are 0, so a root on a jump adds nothing),
+    # and the V + 1 values of a pair share one list of counts.  The zero
+    # function is index 0 at every iterate.  The pair is sorted and the points
+    # are the minima of the adjacent arcs, exactly as BottFunction.build
+    # would normalise it.
+    iterates = range(1, M + 1, 2)
+    candidates: list[tuple[BottFunction, int, list[int]]] = [
+        (BottFunction.constant(0), 0, [0] * len(iterates))
+    ]
     for j in range(1, (N - 1) // 2 + 1):
         disc = (Fraction(j, N), Fraction(N - j, N))
+        roots = grid_pair_root_counts(j, N, iterates)
         for a in range(0, V + 1):
-            candidates.append(BottFunction(disc, (a, 0), (0, 0)))
+            candidates.append((BottFunction(disc, (a, 0), (0, 0)), a, roots))
 
     transcript: list[dict] = []
     survivors: list[BottFunction] = []
-    for f in candidates:
-        matched, reason = _match_against_targets(f, M, target, degree_cutoff)
+    for f, a, roots in candidates:
+        indices = zip(iterates, map(a.__mul__, roots))
+        matched, reason = _match_against_targets(indices, target, degree_cutoff)
         entry = {"candidate": _candidate_payload(f), "matched": matched}
         if not matched:
             entry["reason"] = reason
         transcript.append(entry)
         if matched:
-            seq = IndexSequence.from_function(f, range(1, M + 1, 2))
+            seq = IndexSequence.from_function(f, iterates)
             assert morse_matches_betti(seq, betti)
             survivors.append(f)
 

@@ -35,6 +35,7 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from typing import NamedTuple
 
 from .bott import BottFunction
@@ -446,7 +447,7 @@ class _Parser:
         if not self.expect_punct("}"):
             return None
         normalized = [t % 1 for t in disc]
-        if normalized != sorted(normalized):
+        if any(map(gt, normalized, normalized[1:])):
             self.warning(0, "discontinuities were not sorted; sorting them")
         try:
             return BottFunction.build(disc, arcs, points)

@@ -23,23 +23,6 @@ from .gca.cohomology import BettiTable, ModelReport, RingReport
 from .spaceforms import GysinReport, HomotopyTable, SpaceFormSpec
 
 
-def jsonable(value):
-    """Recursively convert a value into JSON-encodable data."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, BottFunction):
-        return bott_json(value)
-    if isinstance(value, DgaModel):
-        return model_json(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def model_json(model: DgaModel) -> dict:
     differentials = {}
     for g in model.generators:
@@ -81,6 +64,47 @@ def bott_json(f: BottFunction) -> dict:
         "arcs": list(f.arc_values),
         "points": list(f.point_values),
     }
+
+
+def _as_is(value):
+    return value
+
+
+def _list_json(value) -> list:
+    return [jsonable(v) for v in value]
+
+
+def _dict_json(value) -> dict:
+    return {str(k): jsonable(v) for k, v in value.items()}
+
+
+# the converter of each type jsonable accepts; a subclass takes the converter
+# of its first listed class in method resolution order
+_CONVERTERS = {
+    Fraction: str,
+    bool: _as_is,
+    int: _as_is,
+    str: _as_is,
+    type(None): _as_is,
+    list: _list_json,
+    tuple: _list_json,
+    dict: _dict_json,
+    BottFunction: bott_json,
+    DgaModel: model_json,
+}
+
+
+def jsonable(value):
+    """Recursively convert a value into JSON-encodable data."""
+    convert = _CONVERTERS.get(type(value))
+    if convert is None:
+        for cls in type(value).__mro__:
+            convert = _CONVERTERS.get(cls)
+            if convert is not None:
+                break
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+    return convert(value)
 
 
 def index_sequence_json(seq: IndexSequence) -> dict:

@@ -10,15 +10,29 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from loopspace.bott import BottFunction
+from loopspace.bott import (
+    CONTRADICTION_ESTABLISHED,
+    INCONCLUSIVE,
+    QUARTER_TURNS,
+    BottFunction,
+    Certificate,
+    IndexSequence,
+    _candidate_payload,
+    bott_index,
+    is_nondegenerate,
+    morse_matches_betti,
+)
 from loopspace.dsl import _BLOCK_KEYWORDS, Diagnostic, ParseResult, SourceSpec, _Token
 from loopspace.gca import (
     AlgebraElement,
+    BettiTable,
     DgaModel,
     GcaError,
+    RingPresentation,
     RingReport,
     apply_differential,
     cochain_complex,
@@ -466,6 +480,109 @@ def random_bott(rng: random.Random) -> BottFunction:
     for d in disc:
         points.append(min(arcs[disc.index(d) - 1], arcs[disc.index(d)]))
     return BottFunction(tuple(disc), tuple(arcs), tuple(points))
+
+
+# -- reference theorem-4 certificate -------------------------------------------
+
+
+def _reference_match_against_targets(
+    f: BottFunction, iterate_cutoff: int, target: Counter, degree_cutoff: int
+) -> tuple[bool, str]:
+    counts: Counter = Counter()
+    for m in range(1, iterate_cutoff + 1, 2):
+        ind = bott_index(f, m)
+        if ind > degree_cutoff:
+            continue
+        if target.get(ind, 0) == 0:
+            return False, f"iterate {m} has index {ind}, not covered by the Betti targets"
+        counts[ind] += 1
+        if counts[ind] > target[ind]:
+            return False, f"iterate {m} overfills index {ind} (multiplicity {target[ind]})"
+    for d in sorted(target):
+        if counts[d] != target[d]:
+            return False, f"index {d} covered {counts[d]} times, target {target[d]}"
+    return True, ""
+
+
+
+def reference_certify_theorem4(
+    grid_denominator: int, value_bound: int, iterate_cutoff: int
+) -> Certificate:
+    """``certify_theorem4`` with a bott_index call per odd iterate of every
+    candidate, as it was before the closed-form root counts."""
+    N, V, M = grid_denominator, value_bound, iterate_cutoff
+    if not isinstance(N, int) or N < 2 or N % 2:
+        raise ValueError(f"grid denominator must be an even integer >= 2, got {N!r}")
+    if not isinstance(V, int) or V < 0:
+        raise ValueError(f"value bound must be a non-negative integer, got {V!r}")
+    if not isinstance(M, int) or M % 2 == 0 or M < 2 * N + 1:
+        raise ValueError(f"iterate cutoff must be an odd integer >= 2N+1 = {2 * N + 1}, got {M!r}")
+
+    degree_cutoff = 2 * (((M - 1) // 2) // 2)
+    betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
+    target = Counter({d: n for d, n in enumerate(betti.dims) if n})
+
+    # the pair is sorted and the points are the minima of the adjacent arcs,
+    # exactly as BottFunction.build would normalise it
+    candidates: list[BottFunction] = [BottFunction.constant(0)]
+    for j in range(1, (N - 1) // 2 + 1):
+        disc = (Fraction(j, N), Fraction(N - j, N))
+        for a in range(0, V + 1):
+            candidates.append(BottFunction(disc, (a, 0), (0, 0)))
+
+    transcript: list[dict] = []
+    survivors: list[BottFunction] = []
+    for f in candidates:
+        matched, reason = _reference_match_against_targets(f, M, target, degree_cutoff)
+        entry = {"candidate": _candidate_payload(f), "matched": matched}
+        if not matched:
+            entry["reason"] = reason
+        transcript.append(entry)
+        if matched:
+            seq = IndexSequence.from_function(f, range(1, M + 1, 2))
+            assert morse_matches_betti(seq, betti)
+            survivors.append(f)
+
+    survivors.sort(key=lambda f: (f.discontinuities, f.arc_values))
+    all_fail_required = bool(survivors)
+    for f in survivors:
+        quarter = f.discontinuities == QUARTER_TURNS
+        degenerate = not is_nondegenerate(f, 2)
+        transcript.append(
+            {
+                "survivor": _candidate_payload(f),
+                "quarter_turns": quarter,
+                "degenerate_at_iterate_2": degenerate,
+                "fails_nondegeneracy": quarter and degenerate,
+            }
+        )
+        if not (quarter and degenerate):
+            all_fail_required = False
+
+    if not survivors:
+        verdict = INCONCLUSIVE
+        transcript.append({"note": "no candidate matched the Betti targets; the Morse premise failed"})
+    else:
+        verdict = CONTRADICTION_ESTABLISHED if all_fail_required else INCONCLUSIVE
+
+    parameters = {
+        "grid_denominator": N,
+        "value_bound": V,
+        "iterate_cutoff": M,
+        "degree_cutoff": degree_cutoff,
+        "betti_targets": list(betti.dims),
+        "candidates": len(candidates),
+        "search_space": "conjugate pairs {j/N, 1-j/N}, 0 < j < N/2, plus the zero function; "
+        "inner arc through angle 0 fixed to 0; point values at the minimum "
+        "of adjacent arcs",
+    }
+    return Certificate(
+        kind="theorem4",
+        parameters=parameters,
+        survivors=tuple(_candidate_payload(f) for f in survivors),
+        verdict=verdict,
+        transcript=tuple(transcript),
+    )
 
 
 # -- DSL scanner ---------------------------------------------------------------

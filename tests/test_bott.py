@@ -14,6 +14,7 @@ from loopspace.bott import (
     bott_index,
     certify_theorem4,
     certify_theorem5,
+    grid_pair_root_counts,
     index_parity,
     is_nondegenerate,
     morse_matches_betti,
@@ -22,10 +23,11 @@ from loopspace.bott import (
     quarter_turn_function,
     schwarz_even,
 )
+from loopspace import bott, serialize
 from loopspace.gca.cohomology import BettiTable
 from loopspace.spaceforms import SpaceFormSpec
 
-from helpers import bott_index_by_scan, random_bott, step_value_by_scan
+from helpers import bott_index_by_scan, random_bott, reference_certify_theorem4, step_value_by_scan
 
 
 # -- construction and evaluation ----------------------------------------------
@@ -61,8 +63,10 @@ def test_constructor_rejects_bad_data():
         )
 
 
-# the exact messages of invalid constructions, as worded before the
-# conjugation check moved to integer numerators
+# the exact messages of invalid constructions: the conjugation messages as
+# worded before that check moved to integer numerators, one case for each
+# other check of __post_init__ in the order they run, then two faults at
+# once, where the earlier check names the fault
 @pytest.mark.parametrize(
     "disc, arcs, points, message",
     [
@@ -80,12 +84,76 @@ def test_constructor_rejects_bad_data():
         ((Fraction(0), Fraction(3, 11), Fraction(1, 2), Fraction(8, 11)), (0, 1, 2, 3), (0, 0, 0, 0),
          "arc values are not conjugation symmetric (arc after 0 vs arc after 8/11)"),
         ((0.25, 0.75), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+        ((Fraction(3, 4), Fraction(1, 4)), (1, 0), (0, 0), "discontinuities must be strictly increasing"),
+        ((Fraction(1, 4), Fraction(1, 4)), (1, 0), (0, 0), "discontinuities must be strictly increasing"),
+        ((Fraction(-1, 4), Fraction(1, 4)), (1, 0), (0, 0), "discontinuities must be turns in [0, 1)"),
+        ((Fraction(1, 4), 1), (1, 0), (0, 0), "discontinuities must be turns in [0, 1)"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1,), (0, 0), "expected 2 arc values, got 1"),
+        ((), (1, 2), (), "expected 1 arc values, got 2"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1, 0), (0,), "expected 2 point values, got 1"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1, -1), (0, 0),
+         "values of the index function are non-negative integers"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1, 0.5), (0, 0),
+         "values of the index function are non-negative integers"),
+        # two faults
+        ((0.75, 0.25), (1, 0), (0, 0), "discontinuities must be strictly increasing"),
+        ((0.25, 1.5), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+        ((Fraction(1, 4), Fraction(5, 4)), (1,), (0, 0), "discontinuities must be turns in [0, 1)"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1,), (0,), "expected 2 arc values, got 1"),
+        ((Fraction(1, 4), Fraction(3, 4)), (1, -1), (0,), "expected 2 point values, got 1"),
+        ((Fraction(1, 4),), (-1,), (0,), "values of the index function are non-negative integers"),
     ],
 )
 def test_constructor_error_messages(disc, arcs, points, message):
     with pytest.raises(ValueError) as excinfo:
         BottFunction(disc, arcs, points)
     assert str(excinfo.value) == message
+
+
+def test_validation_accepts_rational_subtypes():
+    class Turn(Fraction):
+        pass
+
+    f = BottFunction((Turn(1, 4), Turn(3, 4)), (1, 0), (0, 0))
+    assert f == quarter_turn_function() and f.numerators == (1, 3)
+    assert BottFunction((0, Fraction(1, 2)), (1, 1), (1, 1)).numerators == (0, 1)
+    assert BottFunction((False,), (2,), (2,)).denominator == 1
+
+
+@pytest.mark.parametrize("turn", [0.25, 1.5, True, None, Fraction(1, 4) + 0j, "quarter", "1/0"])
+def test_build_and_value_at_refuse_inexact_turns(turn):
+    message = f"turns must be exact (int, Fraction or 'p/q' string), got {turn!r}"
+    with pytest.raises(ValueError) as excinfo:
+        BottFunction.build((turn, Fraction(3, 4)), (1, 0))
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        quarter_turn_function().value_at(turn)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, Fraction(1), "1", None])
+def test_build_refuses_non_int_values(value):
+    message = f"values of the index function must be ints, got {value!r}"
+    quarter = (Fraction(1, 4), Fraction(3, 4))
+    for arcs, points in [((value, 0), None), ((1, 0), (value, value))]:
+        with pytest.raises(ValueError) as excinfo:
+            BottFunction.build(quarter, arcs, points)
+        assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        BottFunction.constant(value)
+    assert str(excinfo.value) == message
+
+
+def test_build_accepts_exact_turns_and_int_values():
+    class Level(int):
+        pass
+
+    f = quarter_turn_function()
+    built = BottFunction.build(("1/4", "3/4"), (Level(1), 0))
+    assert built == f and type(built.arc_values[0]) is int
+    assert BottFunction.build((1 + Fraction(1, 4), -1 + Fraction(3, 4)), (1, 0)) == f
+    assert f.value_at("1/2") == 1 and f.value_at(2) == 0 and f.value_at(Fraction(5, 4)) == 0
+    assert BottFunction.constant(Level(2)) == BottFunction.constant(2)
 
 
 def test_derived_numerators_stay_out_of_equality_and_printing():
@@ -325,6 +393,52 @@ def test_index_sequence_validation():
 
 
 # -- certificates ----------------------------------------------------------------------
+
+
+def test_grid_pair_root_counts_match_scan_oracle():
+    # every grid pair of even N <= 40 at every odd iterate m <= 4N + 1, with
+    # value 1 on the arc through 1/2; values 0, 2 and 3 on the grids N <= 16
+    # (the scan over the whole family at four values takes about 17 s)
+    for N in range(2, 41, 2):
+        for j in range(1, N // 2):
+            iterates = range(1, 4 * N + 2, 2)
+            counts = grid_pair_root_counts(j, N, iterates)
+            for a in (0, 1, 2, 3) if N <= 16 else (1,):
+                f = BottFunction((Fraction(j, N), Fraction(N - j, N)), (a, 0), (0, 0))
+                assert [a * c for c in counts] == [bott_index_by_scan(f, m) for m in iterates], (j, N, a)
+
+
+def test_certify_theorem4_matches_reference_search():
+    # the reference builds every candidate and calls bott_index per iterate
+    for N in range(2, 41, 2):
+        for V in (0, 1, 2, 5):
+            for M in (2 * N + 1, 2 * N + 3, 4 * N + 1):
+                cert, ref = certify_theorem4(N, V, M), reference_certify_theorem4(N, V, M)
+                assert cert == ref, (N, V, M)
+                assert serialize.dumps(serialize.certificate_json(cert)) == serialize.dumps(
+                    serialize.certificate_json(ref)
+                )
+
+
+def test_certify_theorem4_validates_every_candidate_and_indexes_only_survivors(monkeypatch):
+    validated, indexed = [], []
+    post_init, index = BottFunction.__post_init__, bott.bott_index
+
+    def counting_post_init(self):
+        validated.append(self)
+        post_init(self)
+
+    def counting_index(f, m):
+        indexed.append(f)
+        return index(f, m)
+
+    monkeypatch.setattr(BottFunction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(bott, "bott_index", counting_index)
+    cert = certify_theorem4(36, 3, 73)
+    assert len(validated) == cert.parameters["candidates"] == 1 + 17 * 4
+    # the one survivor's sequence is checked through bott_index, nothing else is
+    assert len(cert.survivors) == 1 and len(indexed) == 37
+    assert set(indexed) == {quarter_turn_function()}
 
 
 def test_certify_theorem4_small_grid():
