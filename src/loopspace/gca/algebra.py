@@ -72,7 +72,10 @@ def _coeff(value: CoeffLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise GcaError(f"coefficient must be exact (int, Fraction or 'p/q' string), got {value!r}")
 
 

@@ -17,18 +17,20 @@ differential is ever formed.
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) reduces each dense integer matrix of L*d_d
 once, by the exact elimination of :mod:`.linalg`, over the monomial basis of
-each degree.  Its rank and its kernel (one primitive integer vector per free
-column) are read off the reduced form, and its pivot columns are the basis
-of the image in degree d+1 (L times the image of d, which spans the same
-space).  The image of d_{d-1} at the free columns of d_d is the image in
-kernel coordinates, up to scaling, since each kernel vector is nonzero at
-exactly one free column; reduced once from the last free column, its pivots
-are the free columns it fills.  The kernel vectors at the others are the
-first ones, left to right, that extend the image span: the representatives,
-the same for identical inputs.  A class query scales the element to
-integers, tests it against the reduced rows of d_d (which span the row
-space of d_d, so they annihilate exactly the cocycles) and subtracts the
-reduced image rows; a Fraction is formed only for the answer.  The ring
+each degree.  Its kernel has one primitive integer vector per free column,
+nonzero there and zero at every other free column, and its pivot columns
+are the basis of the image in degree d+1 (L times the image of d, which
+spans the same space).  So the image of d_{d-1} at the free columns of d_d
+is the image in kernel coordinates, up to scaling; reduced once from the
+last free column, its pivots are the free columns it fills.  The kernel
+vectors at the others are the first ones, left to right, that extend the
+image span: the representatives, the same for identical inputs.  A kernel
+vector depends on its own free column only, so it is built only at a
+representative's column; the rest of the kernel, the image and the rank
+are never stored.  A class query scales the element to integers, tests it
+against the reduced rows of d_d (which span the row space of d_d, so they
+annihilate exactly the cocycles) and subtracts the reduced image rows; a
+Fraction is formed only for the answer.  The ring
 search multiplies integer combinations of the representatives as integer
 {monomial: int} maps and reads their classes the same way, with no Fraction
 at all.
@@ -36,10 +38,10 @@ at all.
 Two cases need no elimination, and both are common: in the pencil models
 with dx = (p*u2 + q*v2)^a every even degree has d_d = 0 and every odd
 degree has no incoming image.  A zero d_d has a reduced form with no rows,
-so its kernel is the unit vectors in column order and every column is free;
-an empty image fills no free column, so the representatives are the whole
-kernel.  Both are exactly what the reductions return on such input, so the
-data, and every output byte, are the same as when every degree is reduced.
+so every column is free and its kernel vectors are unit vectors; an empty
+image fills no free column, so every free column is a representative's.
+Both are exactly what the reductions return on such input, so the data,
+and every output byte, are the same as when every degree is reduced.
 """
 
 from __future__ import annotations
@@ -114,19 +116,18 @@ class BettiTable:
 @dataclass(frozen=True)
 class DegreeData:
     """Cochain data of one degree, as integer coordinate vectors over the
-    basis: the kernel (primitive vectors), the incoming image (pivot columns
-    of L*d_{d-1}), the chosen representatives, the rank of the outgoing
-    differential and its reduced rows, its free columns (last first), and
-    the image at those columns, reduced, with its pivots (positions in
-    ``free``): the image in kernel coordinates up to scaling.  ``index``
-    maps each basis monomial to its position."""
+    basis: the representatives (primitive kernel vectors, each nonzero at
+    exactly one free column, its own), the reduced rows of the outgoing
+    differential, its free columns (last first), and the incoming image at
+    those columns, reduced, with its pivots (positions in ``free``): the
+    image in kernel coordinates up to scaling.  ``index`` maps each basis
+    monomial to its position.  This is all a class query reads: the kernel
+    outside the representatives, the incoming image itself and the rank of
+    the outgoing differential (the number of reduced rows) are not kept."""
 
     degree: int
     basis: tuple[Monomial, ...]
-    kernel: tuple[tuple[int, ...], ...]
-    image: tuple[tuple[int, ...], ...]
     reps: tuple[tuple[int, ...], ...]
-    rank_out: int
     reduced_out: tuple[tuple[int, ...], ...]
     free: tuple[int, ...]
     image_at_free: tuple[tuple[int, ...], ...]
@@ -178,14 +179,20 @@ class ComplexData:
         The element is scaled to integers once, by the lcm of its
         denominators, and its class is read by :meth:`_class_numerators`;
         a Fraction is formed only for each returned coordinate."""
-        if element.model is not self.model and element.model != self.model:
-            raise UnknownGeneratorError("element does not belong to the given model")
         self._degree_data(degree)
-        if not element.is_zero and element.homogeneous_degree() != degree:
-            raise GcaError("element is not homogeneous of the requested degree")
+        self._check_element(element, degree, "element does not belong to the given model")
         terms, scale = integer_terms(element.terms)
         numerators, den = self._class_numerators(terms, degree)
         return [Fraction(n, den * scale) for n in numerators]
+
+    def _check_element(self, element: AlgebraElement, degree: int, foreign: str) -> None:
+        """The gate of every class query: an element of this model (else an
+        :class:`UnknownGeneratorError` with the text ``foreign``), zero or
+        homogeneous of the degree.  The truncation is not checked here."""
+        if element.model is not self.model and element.model != self.model:
+            raise UnknownGeneratorError(foreign)
+        if not element.is_zero and element.homogeneous_degree() != degree:
+            raise GcaError("element is not homogeneous of the requested degree")
 
     def _class_numerators(self, terms: Mapping[Monomial, int], degree: int) -> tuple[list[int], int]:
         """The class of an integer cocycle, given as {monomial: int} over the
@@ -201,7 +208,7 @@ class ComplexData:
         The element is exact exactly when every numerator is 0, and the
         rank of numerator vectors is the rank of their classes."""
         data = self._degree_data(degree)
-        if not data.kernel:
+        if not data.free:
             if not terms:
                 return [], 1
             raise GcaError("nonzero element in a degree with trivial cocycle space")
@@ -332,40 +339,40 @@ def cochain_complex(
 
     Each degree builds the dense integer matrix of L*d_d by
     :func:`differential_matrix` and reduces it once, unless it is zero:
-    then there is no reduced row and no pivot, the kernel is the unit
-    vectors in ascending column order and the free columns are every column,
-    last first, which is what the reduction of a zero matrix gives.  The
-    incoming image is reduced at the free columns unless it is empty: then
-    no free column is filled and the representatives are the kernel.  The
-    image in degree d+1 is the pivot columns of L*d_d, read column by
-    column without transposing the matrix."""
+    then there is no reduced row and no pivot, and the free columns are
+    every column, last first, which is what the reduction of a zero matrix
+    gives.  The incoming image is reduced at the free columns unless it is
+    empty: then it fills no free column.  A kernel vector is built only at
+    each free column the image does not fill, in ascending order: these are
+    the representatives, the first kernel vectors that extend the image
+    span.  The image in degree d+1 is the pivot columns of L*d_d, read
+    column by column without transposing the matrix; it is kept only for
+    the next degree."""
     _check_complex_input(model, max_degree, basis_limit)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     degrees = []
-    image: tuple[tuple[int, ...], ...] = ()
+    image: tuple[tuple[int, ...], ...] = ()  # of L*d_{d-1}, kept for one degree
     for d in range(max_degree + 1):
         basis = model.basis(d)
         n = len(basis)
         matrix = differential_matrix(model, d)
         if any(map(any, matrix)):
             ech, pivots = linalg.echelon(matrix)
-            kernel = tuple(linalg.kernel_from_echelon(ech, pivots, n))
             free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
-        else:  # d_d = 0: every column is free, and its kernel vector is a unit vector
-            ech, pivots = [], []
-            zeros = (0,) * n
-            kernel = tuple(zeros[:f] + (1,) + zeros[f + 1:] for f in range(n))
-            free = tuple(reversed(range(n)))
+        else:  # d_d = 0: every column is free
+            ech, pivots, free = [], [], tuple(reversed(range(n)))
         if image:
             # reduced from the last free column, the image has its pivots at
             # the free columns it fills, and the greedy representatives at the others
             at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
-            filled = {free[p] for p in image_pivots}
-            reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
-        else:  # no image: every kernel vector is a representative
-            at_free, image_pivots, reps = [], [], kernel
+        else:  # no image: no free column is filled
+            at_free, image_pivots = [], []
+        # a kernel vector depends on its own free column only, so it is
+        # built only at the representatives' columns, ascending
+        filled = {free[p] for p in image_pivots}
+        own = [f for f in reversed(free) if f not in filled]
         degrees.append(DegreeData(
-            d, basis, kernel, image, reps, len(pivots), tuple(map(tuple, ech)),
+            d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(map(tuple, ech)),
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         # the pivot columns of L*d_d are a basis of its image in degree d+1

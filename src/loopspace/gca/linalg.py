@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = Sequence[Fraction | int]
 
@@ -113,19 +113,21 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec) if g == 1 else tuple(v // g for v in vec)
 
 
-def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[int, ...]]:
-    """The null space read off a reduced echelon form, one primitive integer
-    vector per free column f: nonzero at f, zero at every other free column,
-    first nonzero entry positive.
+def kernel_from_echelon(
+    ech: list[list[int]], pivots: list[int], ncols: int, columns: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """Null space vectors read off a reduced echelon form, one primitive
+    integer vector per free column f of ``columns``, in their order: nonzero
+    at f, zero at every other free column, first nonzero entry positive.
+    Each vector depends on its own free column only, so a subset of the free
+    columns gives the matching subset of the null space; a form with no rows
+    gives unit vectors.
 
     Every row of the form carries the same pivot value d, so d times the
     kernel vector is d at f and -row[f] at the pivot of each row."""
     d = ech[0][pivots[0]] if ech else 1
     basis = []
-    pivot_set = set(pivots)
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in columns:
         x = [0] * ncols
         x[f] = d
         for row, p in zip(ech, pivots):
@@ -136,7 +138,8 @@ def kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right null space, one primitive vector per free column."""
-    return kernel_from_echelon(*echelon(rows), ncols)
+    ech, pivots = echelon(rows)
+    return kernel_from_echelon(ech, pivots, ncols, sorted(set(range(ncols)).difference(pivots)))
 
 
 def row_space_basis(rows: Sequence[Row]) -> list[tuple[int, ...]]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gca import linalg
-from .gca.algebra import AlgebraElement, DgaModel, GcaError, UnknownGeneratorError, multiply_terms
+from .gca.algebra import AlgebraElement, DgaModel, multiply_terms
 from .gca.cohomology import (
     DEFAULT_BASIS_LIMIT,
     DEFAULT_MAX_DEGREE,
@@ -45,7 +45,7 @@ def _entry(x, what: str) -> Fraction:
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what}: entries must be exact (int, Fraction or 'p/q' string), got {x!r}")
 
@@ -372,16 +372,16 @@ def euler_action_matrices(
     :meth:`ComplexData.class_coordinates`), and a Fraction is formed only
     for a matrix entry.  An Euler class of another model, of a degree other
     than 2, or that is not a cocycle raises the error that
-    ``data.class_coordinates(euler * model.one(), 2)`` raises."""
+    ``data.class_coordinates(euler * model.one(), 2)`` raises; the first two
+    are refused by the gate of every class query (see
+    :meth:`ComplexData._check_element`), also below degree 2, where there
+    is no map and the answer is []."""
     model = data.model
     if euler is None:
         euler = euler_class(model)
+    data._check_element(euler, 2, "operands belong to different models")
     if data.max_degree < 2:
         return []
-    if euler.model is not model and euler.model != model:
-        raise UnknownGeneratorError("operands belong to different models")
-    if not euler.is_zero and euler.homogeneous_degree() != 2:
-        raise GcaError("element is not homogeneous of the requested degree")
     e, scale = integer_terms(euler.terms)
     matrices: list[Matrix] = []
     for p in range(data.max_degree - 1):

@@ -268,24 +268,41 @@ def reference_cochain_complex(model: DgaModel, max_degree: int):
     return out
 
 
+def reference_integer_images(model: DgaModel, max_degree: int):
+    """The incoming image of every degree 0..max_degree as cochain_complex
+    forms it, one degree at a time: the pivot columns of the integer matrix
+    of L*d_{d-1} (pivots by the eager reference_echelon), read from its
+    transpose; no vector in degree 0."""
+    images = []
+    image = ()
+    for d in range(max_degree + 1):
+        images.append(image)
+        matrix = differential_matrix(model, d)
+        columns = list(zip(*matrix))
+        image = tuple(columns[p] for p in reference_echelon(matrix)[1])
+    return images
+
+
 def reference_dense_cochain_complex(model: DgaModel, max_degree: int):
     """The DegreeData of every degree as cochain_complex built them before
-    it skipped the eliminations of zero differentials and empty images:
-    every d_d and every incoming image is reduced (here by the eager
-    reference_echelon), and the image is read from the transpose of d_d."""
+    it skipped the eliminations of zero differentials and empty images and
+    built kernel vectors at the representatives' columns only: every d_d
+    and every incoming image is reduced (here by the eager
+    reference_echelon), the whole kernel is built and filtered down to the
+    representatives, and the image is read from the transpose of d_d."""
     degrees = []
     image = ()
     for d in range(max_degree + 1):
         basis = model.basis(d)
         matrix = differential_matrix(model, d)
         ech, pivots = reference_echelon(matrix)
-        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis)))
         free = tuple(sorted(set(range(len(basis))).difference(pivots), reverse=True))
+        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis), free[::-1]))
         at_free, image_pivots = reference_echelon([[vec[f] for f in free] for vec in image])
         filled = {free[p] for p in image_pivots}
         reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
         degrees.append(DegreeData(
-            d, basis, kernel, image, reps, len(pivots), tuple(map(tuple, ech)),
+            d, basis, reps, tuple(map(tuple, ech)),
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         columns = list(zip(*matrix))

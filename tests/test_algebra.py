@@ -87,6 +87,26 @@ def test_generator_validation():
         DgaModel([("x", 2)], {"y": []})
 
 
+def test_inexact_coefficients_raise_gca_error_at_every_entry_point():
+    # a zero denominator and a string that is no number are refused like a
+    # float, with the same type and text
+    model = DgaModel([("a", 2), ("x", 3)])
+    a = model.gen("a")
+    for bad in ("1/0", "abc", 0.5):
+        entry_points = (
+            lambda: DgaModel([("a", 2), ("x", 3)], {"x": [(bad, {"a": 2})]}),
+            lambda: model.element([(bad, {"a": 1})]),
+            lambda: model.monomial_element(model.monomial({"a": 1}), bad),
+            lambda: a.scale(bad),
+        )
+        for call in entry_points:
+            with pytest.raises(GcaError) as err:
+                call()
+            assert (type(err.value), str(err.value)) == (
+                GcaError, f"coefficient must be exact (int, Fraction or 'p/q' string), got {bad!r}"
+            )
+
+
 def test_monomial_rejects_odd_square(odd_pair):
     with pytest.raises(GcaError):
         odd_pair.monomial({"u3": 2})

@@ -300,7 +300,8 @@ def test_env_max_degree_override(capsys, monkeypatch):
 
 # sha256 of the exit code and the text (not --json) stdout of every command
 # pinned by test_golden.py, recorded before the text tables were built only
-# for text output
+# for text output (the six_gen one before kernel vectors were built at the
+# representatives' columns only)
 TEXT_EXPECTED = {
     "bott index m=1000003": "36a7c51c5db697697d323c21d4c1574c9f95ef4a04d3b1dae0c8c2cff2338e9b",
     "bott index m=7": "7b7eda82caa4dffcad124549a1e2e8439b3edb191a4329e94c97544789edc041",
@@ -311,6 +312,7 @@ TEXT_EXPECTED = {
     "cohomology cp2.dga": "17c7c9d35f5713c5378fa9474c30763e86172be6a39e7f5ee9d26a8c25554b2a",
     "cohomology quotient_s2.dga": "69f0e13c336b26f2c24712d531c75954eee445587d1c92eb661ef91a83e5f2b4",
     "cohomology rational_pencil.dga": "ce98c7bea61cc80c7c1563079627a5d481a1c0b24c7ab4d6c5059476c5e333c3",
+    "cohomology six_gen.dga": "ca85489d16efde537257ba82a02d0eb9db20936dd23ba9ce07395ef5a8c8d833",
     "cohomology sphere5.dga": "f4510cd299acdcd2ccf68410c50a6b990dccc0ce473c6325c316837509f5a807",
     "gysin-check cp2.dga cp2.dga": "d08c394f8ca3ddfcf2e1d1bb2b7eb0fcd02d69cc8d902980bcb04851ba34382f",
     "gysin-check cp2.dga quotient_s2.dga": "aa3a406dca330e80c2ffe1443f90af36fb3d6dfbf0f2315c40c44f5dcd9a332a",

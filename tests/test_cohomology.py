@@ -37,6 +37,8 @@ from helpers import (
     random_model,
     reference_cochain_complex,
     reference_dense_cochain_complex,
+    reference_echelon,
+    reference_integer_images,
     reference_verify_ring_presentation,
 )
 
@@ -128,20 +130,24 @@ def test_check_model_rejects_broken_d_squared():
 
 
 def test_rank_nullity_bookkeeping_randomized():
+    # kernel, image and rank are read from the plain Fraction reference,
+    # since the complex keeps only the representatives of the kernel
     rng = random.Random(31415)
     for _ in range(40):
         model = random_model(rng)
         data = cochain_complex(model, 8)
-        for d in range(9):
+        for d, (kernel, image, reps, rank_out) in enumerate(reference_cochain_complex(model, 8)):
             dd = data.degrees[d]
-            assert len(dd.basis) == len(dd.kernel) + dd.rank_out
-            assert dd.rank_out == linalg.rank(differential_matrix(model, d))
-            assert len(dd.reps) == len(dd.kernel) - len(dd.image)
+            assert len(dd.free) == len(kernel)
+            assert len(dd.reduced_out) == rank_out
+            assert len(dd.basis) == len(kernel) + rank_out
+            assert rank_out == linalg.rank(differential_matrix(model, d))
+            assert len(dd.reps) == len(kernel) - len(image)
             # the representatives are the greedy choice over the kernel basis
             span = linalg.IncrementalSpan(len(dd.basis))
-            for vec in dd.image:
+            for vec in image:
                 assert span.add(vec)
-            assert dd.reps == tuple(vec for vec in dd.kernel if span.add(vec))
+            assert dd.reps == tuple(vec for vec in kernel if span.add(vec)) == tuple(reps)
 
 
 def _coprime_models(count=6):
@@ -150,9 +156,10 @@ def _coprime_models(count=6):
 
 
 def test_skipped_eliminations_match_the_dense_reference():
-    """Degrees where d_d is zero or no image comes in are not eliminated;
+    """Degrees where d_d is zero or no image comes in are not eliminated,
+    and kernel vectors are built at the representatives' columns only;
     every DegreeData field, and its repr, equals the complex that reduces
-    every d_d and every image."""
+    every d_d and every image and filters the whole kernel."""
     rng = random.Random(31415)
     cases = [(random_model(rng), 8) for _ in range(40)]
     cases += [(m, 12) for m in _coprime_models()]
@@ -172,10 +179,41 @@ def test_skipped_eliminations_match_the_dense_reference():
         for a, b in zip(got, want):
             for f in dataclasses.fields(DegreeData):
                 assert getattr(a, f.name) == getattr(b, f.name), (model, a.degree, f.name)
-            kinds.add((a.rank_out > 0, bool(a.image), len(a.basis) > 1))
+            # an image vector is a nonzero kernel vector, so it is nonzero
+            # at some free column: the image is empty exactly when image_at_free is
+            kinds.add((bool(a.reduced_out), bool(a.image_at_free), len(a.basis) > 1))
         assert repr(got) == repr(want), model
     # zero and nonzero d_d, with and without an image, on bases of 2 or more
     assert kinds >= {(r, i, True) for r in (False, True) for i in (False, True)}
+
+
+def test_kernel_vectors_are_built_at_the_representatives_columns_only(monkeypatch):
+    """cochain_complex asks kernel_from_echelon for the free columns the
+    incoming image does not fill, ascending, one call per degree: each is
+    the own free column of one representative, in order, and no kernel
+    vector is built at a pivot column or at a filled free column."""
+    calls = []
+
+    def recording(ech, pivots, ncols, columns):
+        calls.append(list(columns))
+        return kernel_from_echelon(ech, pivots, ncols, calls[-1])
+
+    kernel_from_echelon = linalg.kernel_from_echelon
+    monkeypatch.setattr(linalg, "kernel_from_echelon", recording)
+    rng = random.Random(31415)
+    cases = [(random_model(rng), 8) for _ in range(20)]
+    cases += [(pencil_power_model(2, 3, 3), 14), (parse_path(SIX_GEN, kind="dga").value, 12)]
+    for model, max_degree in cases:
+        calls.clear()
+        data = cochain_complex(model, max_degree)
+        assert len(calls) == len(data.degrees)
+        for dd, columns in zip(data.degrees, calls):
+            pivots = reference_echelon(differential_matrix(model, dd.degree))[1]
+            free = [j for j in range(len(dd.basis)) if j not in pivots]
+            filled = {dd.free[p] for p in dd.image_pivots}
+            assert columns == [f for f in free if f not in filled], (model, dd.degree)
+            assert columns == [next(f for f in free if rep[f]) for rep in dd.reps]
+            assert all(sum(1 for f in free if rep[f]) == 1 for rep in dd.reps)
 
 
 def test_integer_complex_matches_the_fraction_reference():
@@ -186,13 +224,16 @@ def test_integer_complex_matches_the_fraction_reference():
     for model, max_degree in models:
         data = cochain_complex(model, max_degree)
         scales = set()
-        for dd, (kernel, image, reps, rank_out) in zip(data.degrees, reference_cochain_complex(model, max_degree)):
-            assert dd.kernel == tuple(kernel) and dd.reps == tuple(reps), (model, dd.degree)
-            assert dd.rank_out == rank_out
-            assert all(type(v) is int for vectors in (dd.kernel, dd.image) for vec in vectors for v in vec)
-            # the image is L times the reference, with one L for the whole complex
-            assert len(dd.image) == len(image)
-            for vec, ref in zip(dd.image, image):
+        references = reference_cochain_complex(model, max_degree)
+        images = reference_integer_images(model, max_degree)
+        for dd, (kernel, image, reps, rank_out), int_image in zip(data.degrees, references, images):
+            assert dd.reps == tuple(reps), (model, dd.degree)
+            assert set(dd.reps) <= set(kernel) and len(dd.free) == len(kernel)
+            assert len(dd.reduced_out) == rank_out
+            assert all(type(v) is int for vectors in (dd.reps, int_image) for vec in vectors for v in vec)
+            # the integer image is L times the reference, with one L for the whole complex
+            assert len(int_image) == len(image)
+            for vec, ref in zip(int_image, image):
                 p = next(i for i, v in enumerate(ref) if v)
                 scale = vec[p] / ref[p]
                 assert scale > 0 and vec == tuple(scale * v for v in ref)
@@ -421,12 +462,13 @@ def test_six_generator_complete_intersection_to_degree_32():
 
 def test_representatives_are_cocycles_independent_of_image():
     data = cochain_complex(even_k1_model(), 10)
+    images = reference_integer_images(even_k1_model(), 10)
     for d in range(11):
         dd = data.degrees[d]
         for rep in data.representative_elements(d):
             assert apply_differential(rep).is_zero
         span = linalg.IncrementalSpan(len(dd.basis))
-        for vec in dd.image:
+        for vec in images[d]:
             assert span.add(vec)
         for vec in dd.reps:
             assert span.add(vec)
@@ -468,8 +510,9 @@ def test_class_coordinates_match_a_solve_over_reps_and_image():
     fractions = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 6), Fraction(-1, 2), 0, 1, -3]
     for model, max_degree in models:
         data = cochain_complex(model, max_degree)
+        images = reference_integer_images(model, max_degree)
         for d, dd in enumerate(data.degrees):
-            columns = [*dd.reps, *dd.image]
+            columns = [*dd.reps, *images[d]]
             elements = [model.from_coords(dd.basis, vec) for vec in columns]
             for k, x in enumerate(elements):  # reps map to unit vectors, image vectors to zero
                 assert data.class_coordinates(x, d) == [int(j == k) for j in range(len(dd.reps))]

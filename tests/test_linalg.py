@@ -125,6 +125,24 @@ def test_randomized_rank_nullity_and_determinism():
         assert len(linalg.column_space_basis(m, ncols)) == r
 
 
+def test_kernel_at_any_subset_of_free_columns_is_that_subset_of_the_nullspace():
+    # each kernel vector depends on its own free column only, so the vectors
+    # built at some free columns, in any order, are those of nullspace
+    rng = random.Random(1618)
+    for _ in range(100):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)] for _ in range(nrows)]
+        ech, pivots = linalg.echelon(m)
+        free = [j for j in range(ncols) if j not in pivots]
+        kernel = dict(zip(free, linalg.nullspace(m, ncols)))
+        columns = [f for f in free if rng.random() < 0.5]
+        rng.shuffle(columns)
+        assert linalg.kernel_from_echelon(ech, pivots, ncols, columns) == [kernel[f] for f in columns]
+        assert linalg.kernel_from_echelon(ech, pivots, ncols, []) == []
+    # a form with no rows gives unit vectors
+    assert linalg.kernel_from_echelon([], [], 3, [2, 0]) == [(0, 0, 1), (1, 0, 0)]
+
+
 def test_rank_transpose_invariance_randomized():
     rng = random.Random(11)
     for _ in range(50):

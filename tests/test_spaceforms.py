@@ -337,16 +337,32 @@ def test_euler_action_error_paths():
             euler_action_matrices(complex_data, euler)
         assert (type(err.value), str(err.value)) == (kind, text)
     # an equal model built separately is the same model, and below degree 2
-    # there is no map to check the class against
+    # there is no map, so a valid class gives no matrix
     same = theorem3_model(SpaceFormSpec(2, 2, 2)).gen("v2")
     assert euler_action_matrices(data, same) == reference_euler_action_matrices(data, same)
-    assert euler_action_matrices(cochain_complex(model, 1), other.gen("p")) == []
+    assert euler_action_matrices(cochain_complex(model, 1), same) == []
+
+
+def test_euler_class_gate_does_not_depend_on_the_truncation():
+    # a foreign or a degree-3 class is refused alike, with or without a map
+    model = theorem3_model(SpaceFormSpec(2, 2, 2))
+    other = DgaModel([("p", 2), ("q", 2), ("r", 3)])
+    cases = [
+        (other.gen("p"), UnknownGeneratorError, "operands belong to different models"),
+        (model.gen("u3"), GcaError, "element is not homogeneous of the requested degree"),
+    ]
+    for max_degree in (1, 2):
+        data = cochain_complex(model, max_degree)
+        for euler, kind, text in cases:
+            with pytest.raises(GcaError) as err:
+                euler_action_matrices(data, euler)
+            assert (type(err.value), str(err.value)) == (kind, text), max_degree
 
 
 def test_matrix_entries_must_be_exact():
     base = BettiTable.from_dims([1, 0, 1, 0])
     total = BettiTable.from_dims([1, 0, 0, 1])
-    for bad in (0.1, True, Decimal("0.1"), "one", None):
+    for bad in (0.1, True, Decimal("0.1"), "one", "1/0", None):
         with pytest.raises(ValueError, match=r"^euler action at degree 0: entries must be exact") as err:
             GysinInput(base, (((bad,),),), total)
         assert repr(bad) in str(err.value)
