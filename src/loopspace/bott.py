@@ -376,33 +376,37 @@ def certify_theorem4(
     betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
     target = Counter({d: n for d, n in enumerate(betti.dims) if n})
 
-    # each candidate with its value a on the arc through angle 1/2 and that
-    # arc's root counts at the odd iterates: the index of iterate m is a times
-    # the count (the point values are 0, so a root on a jump adds nothing),
-    # and the V + 1 values of a pair share one list of counts.  The zero
-    # function is index 0 at every iterate.  The pair is sorted and the points
-    # are the minima of the adjacent arcs, exactly as BottFunction.build
-    # would normalise it.
+    # each candidate as its sorted jump pair (none for the zero function), its
+    # value a on the arc through angle 1/2 and that arc's root counts at the
+    # odd iterates: the index of iterate m is a times the count (the point
+    # values are 0, so a root on a jump adds nothing), and the V + 1 values of
+    # a pair share one list of counts.  Every candidate is valid by
+    # construction (j/N < 1/2 < 1 - j/N, non-negative int values, points the
+    # minima of the adjacent arcs, as BottFunction.build would normalise
+    # them), so its transcript payload is built directly and only a survivor
+    # becomes a BottFunction.
     iterates = range(1, M + 1, 2)
-    candidates: list[tuple[BottFunction, int, list[int]]] = [
-        (BottFunction.constant(0), 0, [0] * len(iterates))
-    ]
+    candidates: list[tuple[tuple[Fraction, ...], int, list[int]]] = [((), 0, [0] * len(iterates))]
     for j in range(1, (N - 1) // 2 + 1):
         disc = (Fraction(j, N), Fraction(N - j, N))
         roots = grid_pair_root_counts(j, N, iterates)
-        for a in range(0, V + 1):
-            candidates.append((BottFunction(disc, (a, 0), (0, 0)), a, roots))
+        candidates.extend((disc, a, roots) for a in range(0, V + 1))
 
     transcript: list[dict] = []
     survivors: list[BottFunction] = []
-    for f, a, roots in candidates:
+    for disc, a, roots in candidates:
         indices = zip(iterates, map(a.__mul__, roots))
         matched, reason = _match_against_targets(indices, target, degree_cutoff)
-        entry = {"candidate": _candidate_payload(f), "matched": matched}
+        if disc:
+            candidate = {"disc": list(disc), "arcs": [a, 0], "points": [0, 0]}
+        else:
+            candidate = {"disc": [], "arcs": [0], "points": []}
+        entry = {"candidate": candidate, "matched": matched}
         if not matched:
             entry["reason"] = reason
         transcript.append(entry)
         if matched:
+            f = BottFunction(disc, (a, 0), (0, 0)) if disc else BottFunction.constant(0)
             seq = IndexSequence.from_function(f, iterates)
             assert morse_matches_betti(seq, betti)
             survivors.append(f)

@@ -121,13 +121,17 @@ def kernel_from_echelon(
     at f, zero at every other free column, first nonzero entry positive.
     Each vector depends on its own free column only, so a subset of the free
     columns gives the matching subset of the null space; a form with no rows
-    gives unit vectors.
+    gives unit vectors.  A pivot column among ``columns`` raises
+    ``ValueError``: the vector built there would not be in the null space.
 
     Every row of the form carries the same pivot value d, so d times the
     kernel vector is d at f and -row[f] at the pivot of each row."""
     d = ech[0][pivots[0]] if ech else 1
+    pivot_set = set(pivots)
     basis = []
     for f in columns:
+        if f in pivot_set:
+            raise ValueError(f"column {f} is a pivot column of the echelon form, not a free one")
         x = [0] * ncols
         x[f] = d
         for row, p in zip(ech, pivots):

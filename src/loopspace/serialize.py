@@ -70,12 +70,35 @@ def _as_is(value):
     return value
 
 
+# scalar types converted inline by the container converters, without a call
+# to jsonable; a subclass (an IntEnum, a Fraction subtype) still goes through it
+_PLAIN = frozenset({bool, int, str, type(None)})
+
+
 def _list_json(value) -> list:
-    return [jsonable(v) for v in value]
+    out = []
+    for v in value:
+        t = type(v)
+        if t in _PLAIN:
+            out.append(v)
+        elif t is Fraction:
+            out.append(str(v))
+        else:
+            out.append(jsonable(v))
+    return out
 
 
 def _dict_json(value) -> dict:
-    return {str(k): jsonable(v) for k, v in value.items()}
+    out = {}
+    for k, v in value.items():
+        t = type(v)
+        if t in _PLAIN:
+            out[str(k)] = v
+        elif t is Fraction:
+            out[str(k)] = str(v)
+        else:
+            out[str(k)] = jsonable(v)
+    return out
 
 
 # the converter of each type jsonable accepts; a subclass takes the converter

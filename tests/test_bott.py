@@ -169,7 +169,7 @@ def test_derived_numerators_stay_out_of_equality_and_printing():
 
 
 def test_grid_candidates_equal_their_built_form():
-    # certify_theorem4 constructs its candidates directly in sorted form
+    # certify_theorem4 constructs its survivors directly in sorted form
     for N in (2, 4, 10, 36):
         for j in range(1, (N - 1) // 2 + 1):
             for a in range(3):
@@ -420,7 +420,8 @@ def test_certify_theorem4_matches_reference_search():
                 )
 
 
-def test_certify_theorem4_validates_every_candidate_and_indexes_only_survivors(monkeypatch):
+def test_certify_theorem4_builds_and_indexes_only_survivors(monkeypatch):
+    quarter = quarter_turn_function()
     validated, indexed = [], []
     post_init, index = BottFunction.__post_init__, bott.bott_index
 
@@ -435,10 +436,27 @@ def test_certify_theorem4_validates_every_candidate_and_indexes_only_survivors(m
     monkeypatch.setattr(BottFunction, "__post_init__", counting_post_init)
     monkeypatch.setattr(bott, "bott_index", counting_index)
     cert = certify_theorem4(36, 3, 73)
-    assert len(validated) == cert.parameters["candidates"] == 1 + 17 * 4
-    # the one survivor's sequence is checked through bott_index, nothing else is
-    assert len(cert.survivors) == 1 and len(indexed) == 37
-    assert set(indexed) == {quarter_turn_function()}
+    assert cert.parameters["candidates"] == 1 + 17 * 4
+    # only the one survivor becomes a BottFunction, and its sequence is
+    # checked through bott_index, nothing else is
+    assert len(cert.survivors) == 1 and validated == [quarter]
+    assert len(indexed) == 37 and set(indexed) == {quarter}
+
+
+def test_certify_theorem4_candidates_are_valid_bott_functions():
+    # the transcript payloads are built without a BottFunction; building and
+    # validating one from each payload's own data must give the payload back
+    for N in range(2, 81, 2):
+        for V in range(4):
+            cert = certify_theorem4(N, V, 2 * N + 1)
+            payloads = [e["candidate"] for e in cert.transcript if "candidate" in e]
+            assert len(payloads) == cert.parameters["candidates"], (N, V)
+            for p in payloads:
+                built = BottFunction.build(p["disc"], p["arcs"], p["points"])
+                assert p == bott._candidate_payload(built), (N, V, p)
+            # every payload holds fresh lists, shared with no other entry
+            lists = [v for p in payloads for v in p.values()]
+            assert len(set(map(id, lists))) == len(lists), (N, V)
 
 
 def test_certify_theorem4_small_grid():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 from loopspace.dsl import parse_path
 from loopspace.gca import linalg
 from loopspace.gca.cohomology import differential_matrix
@@ -141,6 +143,30 @@ def test_kernel_at_any_subset_of_free_columns_is_that_subset_of_the_nullspace():
         assert linalg.kernel_from_echelon(ech, pivots, ncols, []) == []
     # a form with no rows gives unit vectors
     assert linalg.kernel_from_echelon([], [], 3, [2, 0]) == [(0, 0, 1), (1, 0, 0)]
+
+
+def test_kernel_from_echelon_refuses_a_pivot_column():
+    # column 0 is the pivot of [1, 1]; the vector (1, 0) built there is not
+    # in the kernel
+    with pytest.raises(ValueError, match="column 0 is a pivot column"):
+        linalg.kernel_from_echelon(*linalg.echelon([[1, 1]]), 2, [0])
+    with pytest.raises(ValueError, match="column 2 is a pivot column"):
+        linalg.kernel_from_echelon(*linalg.echelon([[0, 1, 0], [0, 0, 3]]), 3, [0, 2])
+
+
+def test_kernel_vectors_at_free_columns_annihilate_every_row():
+    # checked against the original matrix, not the echelon form it was read from
+    rng = random.Random(2718)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        m = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(ncols)] for _ in range(nrows)]
+        ech, pivots = linalg.echelon(m)
+        free = [j for j in range(ncols) if j not in pivots]
+        rng.shuffle(free)
+        for f, x in zip(free, linalg.kernel_from_echelon(ech, pivots, ncols, free)):
+            assert x[f] != 0 and all(x[g] == 0 for g in free if g != f), (m, f)
+            for row in m:
+                assert sum(a * b for a, b in zip(row, x)) == 0, (m, f, x)
 
 
 def test_rank_transpose_invariance_randomized():

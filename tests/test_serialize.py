@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from loopspace import serialize
-from loopspace.bott import quarter_turn_function
+from loopspace.bott import certify_theorem4, quarter_turn_function
 from loopspace.gca import DgaModel
 
 
@@ -52,6 +52,42 @@ def test_result_objects_use_their_converters():
 
 @pytest.mark.parametrize("value", [1.5, {1, 2}, b"bytes", 1j, object()])
 def test_unknown_types_are_refused(value):
-    with pytest.raises(TypeError) as excinfo:
-        serialize.jsonable({"outer": [value]})
-    assert str(excinfo.value) == f"cannot serialize {type(value).__name__}"
+    for nested in ({"outer": [value]}, {"outer": [[value]]}):
+        with pytest.raises(TypeError) as excinfo:
+            serialize.jsonable(nested)
+        assert str(excinfo.value) == f"cannot serialize {type(value).__name__}"
+
+
+def test_scalars_inside_containers_convert_as_at_top_level():
+    # the container converters take exact scalar types inline and hand
+    # every subclass to jsonable
+    for value in (Level(3), Colour.RED, Turn(1, 4), Fraction(-5, 6), True, None, "s", 7):
+        top = serialize.jsonable(value)
+        for converted in (
+            serialize.jsonable([value])[0],
+            serialize.jsonable((0, value))[1],
+            serialize.jsonable({"k": value})["k"],
+            serialize.jsonable({"k": [(value,)]})["k"][0][0],
+        ):
+            assert converted == top and type(converted) is type(top), value
+    assert json.dumps(serialize.jsonable({"c": [Colour.RED, Level(2)], "t": (Turn(3, 4),)})) == (
+        '{"c": [1, 2], "t": ["3/4"]}'
+    )
+
+
+def test_plain_scalars_in_a_certificate_take_no_jsonable_call(monkeypatch):
+    cert = certify_theorem4(72, 2, 145)
+    seen = []
+    jsonable = serialize.jsonable
+
+    def counting(value):
+        seen.append(value)
+        return jsonable(value)
+
+    monkeypatch.setattr(serialize, "jsonable", counting)
+    document = serialize.certificate_json(cert)
+    monkeypatch.undo()
+    assert document == serialize.certificate_json(cert)
+    assert seen, "the containers still go through jsonable"
+    scalars = [v for v in seen if type(v) in (int, str, bool, type(None), Fraction)]
+    assert scalars == []
