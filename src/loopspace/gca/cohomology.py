@@ -15,33 +15,40 @@ reduced on its own, so no kernel, image or dense matrix of the whole
 differential is ever formed.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
-coordinates, ring verification) reduces each dense integer matrix of L*d_d
-once, by the exact elimination of :mod:`.linalg`, over the monomial basis of
-each degree.  Its kernel has one primitive integer vector per free column,
-nonzero there and zero at every other free column, and its pivot columns
-are the basis of the image in degree d+1 (L times the image of d, which
-spans the same space).  So the image of d_{d-1} at the free columns of d_d
-is the image in kernel coordinates, up to scaling; reduced once from the
-last free column, its pivots are the free columns it fills.  The kernel
+coordinates, ring verification) keeps each d_d as the same sparse integer
+columns of L*d_d and factors it, by the exact elimination of :mod:`.linalg`,
+only for its kernel.  The kernel has one primitive integer vector per free
+column, nonzero there and zero at every other free column, and the pivot
+columns are the basis of the image in degree d+1 (L times the image of d,
+which spans the same space).  So the image of d_{d-1} at the free columns
+of d_d is the image in kernel coordinates, up to scaling; reduced once from
+the last free column, its pivots are the free columns it fills.  The kernel
 vectors at the others are the first ones, left to right, that extend the
 image span: the representatives, the same for identical inputs.  A kernel
 vector depends on its own free column only, so it is built only at a
-representative's column; the rest of the kernel, the image and the rank
-are never stored.  A class query scales the element to integers, tests it
-against the reduced rows of d_d (which span the row space of d_d, so they
-annihilate exactly the cocycles) and subtracts the reduced image rows; a
-Fraction is formed only for the answer.  The ring
-search multiplies integer combinations of the representatives as integer
-{monomial: int} maps and reads their classes the same way, with no Fraction
-at all.
+representative's column; the rest of the kernel, the image and the rank are
+never stored.  A class query scales the element to integers, tests it by
+applying the columns of L*d_d to its own terms (so it reads no elimination
+product of d_d) and subtracts the reduced image rows; a Fraction is formed
+only for the answer.  The ring search multiplies integer combinations of
+the representatives as integer {monomial: int} maps and reads their classes
+the same way, with no Fraction at all.
 
-Two cases need no elimination, and both are common: in the pencil models
-with dx = (p*u2 + q*v2)^a every even degree has d_d = 0 and every odd
-degree has no incoming image.  A zero d_d has a reduced form with no rows,
-so every column is free and its kernel vectors are unit vectors; an empty
+Three cases need no elimination of d_d, and all are common: in the pencil
+models with dx = (p*u2 + q*v2)^a, CP^(a-1) and the Theorem 3 models, every
+even degree has d_d = 0, every odd degree has no incoming image, and every
+nonzero d_d is injective.  A zero d_d has a reduced form with no rows, so
+every column is free and its kernel vectors are unit vectors; an empty
 image fills no free column, so every free column is a representative's.
-Both are exactly what the reductions return on such input, so the data,
-and every output byte, are the same as when every degree is reduced.
+When d_{d+1} = 0, every column of degree d+1 is free, and the image of d_d
+reduced there has the rank of d_d, because restriction to the free columns
+is injective on the kernel of d_{d+1}.  So that image is reduced one degree
+early, from every column of d_d: if its rank is dim C^d, d_d is injective,
+with no free column and no representative, every column is a pivot column
+and the reduction is the one degree d+1 reads.  Only otherwise is d_d
+factored.  Each case gives exactly what the reductions return on such
+input, so the data, and every output byte, are the same as when every
+degree is reduced.
 """
 
 from __future__ import annotations
@@ -117,18 +124,19 @@ class BettiTable:
 class DegreeData:
     """Cochain data of one degree, as integer coordinate vectors over the
     basis: the representatives (primitive kernel vectors, each nonzero at
-    exactly one free column, its own), the reduced rows of the outgoing
-    differential, its free columns (last first), and the incoming image at
+    exactly one free column, its own), the outgoing differential L*d_d as
+    sparse columns (one {target basis index: nonzero value} map per basis
+    monomial), its free columns (last first), and the incoming image at
     those columns, reduced, with its pivots (positions in ``free``): the
     image in kernel coordinates up to scaling.  ``index`` maps each basis
-    monomial to its position.  This is all a class query reads: the kernel
-    outside the representatives, the incoming image itself and the rank of
-    the outgoing differential (the number of reduced rows) are not kept."""
+    monomial to its position.  This is all a class query reads: no
+    elimination product of d_d, the kernel outside the representatives and
+    the incoming image itself are not kept."""
 
     degree: int
     basis: tuple[Monomial, ...]
     reps: tuple[tuple[int, ...], ...]
-    reduced_out: tuple[tuple[int, ...], ...]
+    out_columns: tuple[Mapping[int, int], ...]
     free: tuple[int, ...]
     image_at_free: tuple[tuple[int, ...], ...]
     image_pivots: tuple[int, ...]
@@ -180,17 +188,17 @@ class ComplexData:
         denominators, and its class is read by :meth:`_class_numerators`;
         a Fraction is formed only for each returned coordinate."""
         self._degree_data(degree)
-        self._check_element(element, degree, "element does not belong to the given model")
+        self._check_element(element, degree)
         terms, scale = integer_terms(element.terms)
         numerators, den = self._class_numerators(terms, degree)
         return [Fraction(n, den * scale) for n in numerators]
 
-    def _check_element(self, element: AlgebraElement, degree: int, foreign: str) -> None:
+    def _check_element(self, element: AlgebraElement, degree: int) -> None:
         """The gate of every class query: an element of this model (else an
-        :class:`UnknownGeneratorError` with the text ``foreign``), zero or
-        homogeneous of the degree.  The truncation is not checked here."""
+        :class:`UnknownGeneratorError`), zero or homogeneous of the degree.
+        The truncation is not checked here."""
         if element.model is not self.model and element.model != self.model:
-            raise UnknownGeneratorError(foreign)
+            raise UnknownGeneratorError("element does not belong to the model of the complex")
         if not element.is_zero and element.homogeneous_degree() != degree:
             raise GcaError("element is not homogeneous of the requested degree")
 
@@ -200,11 +208,11 @@ class ComplexData:
         representative basis are numerator / den.  The caller vouches for
         the model and the degree of the terms.
 
-        The terms are a cocycle exactly when every reduced row of d_d
-        annihilates them.  Their entries at the free columns, less the
-        reduced image rows (each carrying the pivot value D, alone in its
-        pivot column), leave D times the class at the representatives' own
-        free columns, each scaled by that representative's entry there.
+        The terms are a cocycle exactly when the columns of L*d_d at their
+        own positions sum to zero.  Their entries at the free columns, less
+        the reduced image rows (each carrying the pivot value D, alone in
+        its pivot column), leave D times the class at the representatives'
+        own free columns, each scaled by that representative's entry there.
         The element is exact exactly when every numerator is 0, and the
         rank of numerator vectors is the rank of their classes."""
         data = self._degree_data(degree)
@@ -213,7 +221,11 @@ class ComplexData:
                 return [], 1
             raise GcaError("nonzero element in a degree with trivial cocycle space")
         x = {data.index[m]: c for m, c in terms.items()}
-        if any(sum(row[i] * v for i, v in x.items()) for row in data.reduced_out):
+        boundary: dict[int, int] = {}
+        for j, c in x.items():
+            for i, v in data.out_columns[j].items():
+                boundary[i] = boundary.get(i, 0) + c * v
+        if any(boundary.values()):
             raise GcaError(f"element of degree {degree} is not a cocycle class")
         at_free = [x.get(f, 0) for f in data.free]
         pivot_value = data.image_at_free[0][data.image_pivots[0]] if data.image_pivots else 1
@@ -252,12 +264,16 @@ def _sparse_columns(
     return columns
 
 
-def differential_matrix(model: DgaModel, degree: int) -> list[list[int]]:
+def differential_matrix(
+    model: DgaModel, degree: int, columns: Sequence[Mapping[int, int]] | None = None
+) -> list[list[int]]:
     """Dense integer matrix of L*d from degree to degree+1 over the monomial
     bases (rows indexed by the target basis, columns by the source basis),
     from the integer differentials the model holds (see
-    :meth:`DgaModel.integer_differentials`)."""
-    columns = _sparse_columns(model, degree, model.integer_differentials())
+    :meth:`DgaModel.integer_differentials`), or from the sparse ``columns``
+    of :func:`_sparse_columns` when the caller has built them."""
+    if columns is None:
+        columns = _sparse_columns(model, degree, model.integer_differentials())
     rows = [[0] * len(columns) for _ in model.basis(degree + 1)]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -337,34 +353,53 @@ def cochain_complex(
 ) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
 
-    Each degree builds the dense integer matrix of L*d_d by
-    :func:`differential_matrix` and reduces it once, unless it is zero:
-    then there is no reduced row and no pivot, and the free columns are
-    every column, last first, which is what the reduction of a zero matrix
-    gives.  The incoming image is reduced at the free columns unless it is
-    empty: then it fills no free column.  A kernel vector is built only at
-    each free column the image does not fill, in ascending order: these are
-    the representatives, the first kernel vectors that extend the image
-    span.  The image in degree d+1 is the pivot columns of L*d_d, read
-    column by column without transposing the matrix; it is kept only for
-    the next degree."""
+    Each degree builds the sparse integer columns of L*d_d once (see
+    :func:`_sparse_columns`), one degree ahead, and keeps them.  When
+    d_{d+1} = 0 and d_d may be injective (every column nonzero, and no more
+    columns than rows), the image of d_d is reduced at every column of
+    degree d+1, last first, which are all free there: rank dim C^d means
+    d_d is injective, so it has no free column and no representative, its
+    columns are all pivot columns, and that reduction is the incoming image
+    of degree d+1.  Otherwise a nonzero d_d is made dense by
+    :func:`differential_matrix` from its columns and reduced once; a zero
+    d_d has no reduced row and no pivot, and its free columns are every
+    column, last first, which is what the reduction of a zero matrix gives.
+    The incoming image, the pivot columns of L*d_{d-1}, is reduced at the
+    free columns unless it is empty: then it fills no free column.  A
+    kernel vector is built only at each free column the image does not
+    fill, in ascending order: these are the representatives, the first
+    kernel vectors that extend the image span."""
     _check_complex_input(model, max_degree, basis_limit)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
+    diffs = model.integer_differentials()
+    following = _sparse_columns(model, 0, diffs)
     degrees = []
-    image: tuple[tuple[int, ...], ...] = ()  # of L*d_{d-1}, kept for one degree
+    image: list[Mapping[int, int]] = []  # pivot columns of L*d_{d-1}, kept for one degree
+    early = None  # or, when d_d = 0, that image already reduced at every column
     for d in range(max_degree + 1):
-        basis = model.basis(d)
+        basis, columns = model.basis(d), following
         n = len(basis)
-        matrix = differential_matrix(model, d)
-        if any(map(any, matrix)):
-            ech, pivots = linalg.echelon(matrix)
+        following = _sparse_columns(model, d + 1, diffs) if d < max_degree else None
+        reduced = None
+        if following is not None and not any(following) and 0 < n <= len(following) and all(columns):
+            # d_{d+1} = 0: the image of d_d at the free columns of degree d+1
+            # is read now, from every column, and its rank is the rank of d_d
+            ahead = range(len(following) - 1, -1, -1)
+            reduced = linalg.echelon([[column.get(f, 0) for f in ahead] for column in columns])
+        if reduced is not None and len(reduced[1]) == n:  # d_d is injective
+            ech, pivots, free = [], [], ()
+        elif any(columns):
+            reduced = None  # d_d has a kernel: degree d+1 reduces the pivot columns
+            ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
             free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
         else:  # d_d = 0: every column is free
             ech, pivots, free = [], [], tuple(reversed(range(n)))
-        if image:
+        if early is not None:
+            at_free, image_pivots = early
+        elif image:
             # reduced from the last free column, the image has its pivots at
             # the free columns it fills, and the greedy representatives at the others
-            at_free, image_pivots = linalg.echelon([[vec[f] for f in free] for vec in image])
+            at_free, image_pivots = linalg.echelon([[column.get(f, 0) for f in free] for column in image])
         else:  # no image: no free column is filled
             at_free, image_pivots = [], []
         # a kernel vector depends on its own free column only, so it is
@@ -372,11 +407,11 @@ def cochain_complex(
         filled = {free[p] for p in image_pivots}
         own = [f for f in reversed(free) if f not in filled]
         degrees.append(DegreeData(
-            d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(map(tuple, ech)),
+            d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         # the pivot columns of L*d_d are a basis of its image in degree d+1
-        image = tuple(tuple(row[p] for row in matrix) for p in pivots)
+        early, image = reduced, [columns[p] for p in pivots]
     return ComplexData(model, max_degree, tuple(degrees))
 
 

@@ -372,14 +372,14 @@ def euler_action_matrices(
     :meth:`ComplexData.class_coordinates`), and a Fraction is formed only
     for a matrix entry.  An Euler class of another model, of a degree other
     than 2, or that is not a cocycle raises the error that
-    ``data.class_coordinates(euler * model.one(), 2)`` raises; the first two
-    are refused by the gate of every class query (see
+    ``data.class_coordinates(euler, 2)`` raises; the first two are refused
+    by the gate of every class query (see
     :meth:`ComplexData._check_element`), also below degree 2, where there
     is no map and the answer is []."""
     model = data.model
     if euler is None:
         euler = euler_class(model)
-    data._check_element(euler, 2, "operands belong to different models")
+    data._check_element(euler, 2)
     if data.max_degree < 2:
         return []
     e, scale = integer_terms(euler.terms)

@@ -283,13 +283,20 @@ def reference_integer_images(model: DgaModel, max_degree: int):
     return images
 
 
+def matrix_columns(rows, ncols: int):
+    """The sparse columns {row: nonzero value} of a dense matrix with
+    ``ncols`` columns, read one cell at a time."""
+    return tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols))
+
+
 def reference_dense_cochain_complex(model: DgaModel, max_degree: int):
     """The DegreeData of every degree as cochain_complex built them before
-    it skipped the eliminations of zero differentials and empty images and
-    built kernel vectors at the representatives' columns only: every d_d
-    and every incoming image is reduced (here by the eager
+    it skipped the eliminations of zero and injective differentials and of
+    empty images and built kernel vectors at the representatives' columns
+    only: every d_d and every incoming image is reduced (here by the eager
     reference_echelon), the whole kernel is built and filtered down to the
-    representatives, and the image is read from the transpose of d_d."""
+    representatives, the image is read from the transpose of d_d, and the
+    outgoing columns from the dense matrix of d_d."""
     degrees = []
     image = ()
     for d in range(max_degree + 1):
@@ -302,7 +309,7 @@ def reference_dense_cochain_complex(model: DgaModel, max_degree: int):
         filled = {free[p] for p in image_pivots}
         reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
         degrees.append(DegreeData(
-            d, basis, reps, tuple(map(tuple, ech)),
+            d, basis, reps, matrix_columns(matrix, len(basis)),
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         columns = list(zip(*matrix))

@@ -345,8 +345,10 @@ def test_text_output_is_byte_identical():
 
 
 def test_text_output_builds_no_json(monkeypatch):
-    """Without --json no command builds its input echo or its JSON result,
-    and the text stays byte-identical."""
+    """Without --json no command builds its input echo, its JSON result or
+    the JSON document, and the text stays byte-identical.  The public
+    builders are replaced; the private converters behind them are not,
+    since a text table may use them without building a document."""
     from loopspace import cli, serialize
     from test_golden import COMMANDS, command_digest
 
@@ -354,9 +356,10 @@ def test_text_output_builds_no_json(monkeypatch):
         raise AssertionError("JSON was built for text output")
 
     monkeypatch.setattr(cli, "document_text", forbidden)
-    for name in dir(serialize):
-        if name.endswith("_json"):
-            monkeypatch.setattr(serialize, name, forbidden)
+    builders = [name for name in dir(serialize) if name.endswith("_json") and not name.startswith("_")]
+    assert {"betti_json", "ring_report_json", "certificate_json"} <= set(builders)
+    for name in builders + ["payload", "dumps"]:
+        monkeypatch.setattr(serialize, name, forbidden)
     for label, argv in COMMANDS.items():
         text_argv = [a for a in argv if a != "--json"]
         assert command_digest(text_argv) == TEXT_EXPECTED[label], label

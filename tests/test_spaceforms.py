@@ -318,14 +318,14 @@ def test_euler_action_matches_the_element_reference():
 
 
 def test_euler_action_error_paths():
-    # type and text as the element products and class queries raised them
+    # type and text as the class queries of degree 2 raise them
     data = cochain_complex(theorem3_model(SpaceFormSpec(2, 2, 2)), 8)
     model = data.model
     other = DgaModel([("p", 2), ("q", 2), ("r", 3)])
     abc = DgaModel([("a", 1), ("b", 1), ("c", 1), ("x", 2)], {"x": [(1, {"a": 1, "b": 1, "c": 1})]})
     abc_data = cochain_complex(abc, 6)
     cases = [
-        (data, other.gen("p"), UnknownGeneratorError, "operands belong to different models"),
+        (data, other.gen("p"), UnknownGeneratorError, "element does not belong to the model of the complex"),
         (data, model.gen("u2") ** 2, GcaError, "element is not homogeneous of the requested degree"),
         (data, model.gen("u2") + model.one(), MixedDegreeError, "element mixes degrees [0, 2]"),
         (abc_data, abc.gen("x"), GcaError, "element of degree 2 is not a cocycle class"),
@@ -348,7 +348,7 @@ def test_euler_class_gate_does_not_depend_on_the_truncation():
     model = theorem3_model(SpaceFormSpec(2, 2, 2))
     other = DgaModel([("p", 2), ("q", 2), ("r", 3)])
     cases = [
-        (other.gen("p"), UnknownGeneratorError, "operands belong to different models"),
+        (other.gen("p"), UnknownGeneratorError, "element does not belong to the model of the complex"),
         (model.gen("u3"), GcaError, "element is not homogeneous of the requested degree"),
     ]
     for max_degree in (1, 2):
