@@ -10,13 +10,8 @@ base is a quotient minimal model and the Euler class is u2.
 from fractions import Fraction
 
 from loopspace import SpaceFormSpec, gysin_check
-from loopspace.gca import BettiTable, cochain_complex
-from loopspace.spaceforms import (
-    GysinInput,
-    euler_action_matrices,
-    rank_identity_totals,
-    theorem3_model,
-)
+from loopspace.gca import BettiTable
+from loopspace.spaceforms import GysinInput, circle_quotient_gysin_input
 
 
 def hopf_bundle_input(k: int) -> GysinInput:
@@ -38,13 +33,10 @@ def main():
 
     print()
     for n in (2, 3, 5, 6):
-        data = cochain_complex(theorem3_model(SpaceFormSpec(n, 2, 2)), 18)
-        base = data.betti()
-        euler = tuple(euler_action_matrices(data))
-        totals = rank_identity_totals(base, euler)
-        outcome = gysin_check(GysinInput(base, euler, totals))
+        inputs = circle_quotient_gysin_input(SpaceFormSpec(n, 2, 2), 18)
+        outcome = gysin_check(inputs)
         print(f"loop-space fibration over the n={n} quotient: "
-              f"{'pass' if outcome.passed else 'FAIL'}; forced totals {totals.dims[:10]}...")
+              f"{'pass' if outcome.passed else 'FAIL'}; forced totals {inputs.total.dims[:10]}...")
 
 
 if __name__ == "__main__":

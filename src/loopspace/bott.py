@@ -26,6 +26,7 @@ from numbers import Rational
 from operator import lt
 from typing import Iterable, Sequence
 
+from .gca.algebra import GcaError, exact_int, exact_rational
 from .gca.cohomology import BettiTable, RingPresentation, quotient_ring_dims
 from .spaceforms import SpaceFormSpec, theorem2_table
 
@@ -36,23 +37,12 @@ INCONCLUSIVE = "inconclusive"
 def normalize_turn(value) -> Fraction:
     """Exact angle in turns, reduced into [0, 1): an int (not a bool), a
     Fraction or a 'p/q' string; a float or any other value is refused."""
-    if isinstance(value, Fraction):
-        return value % 1
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value) % 1
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"turns must be exact (int, Fraction or 'p/q' string), got {value!r}")
+    return exact_rational(value, "turns") % 1
 
 
-def _index_value(value) -> int:
-    """A value of an index function as a plain int; a bool, a float or any
-    other non-int is refused rather than truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"values of the index function must be ints, got {value!r}")
-
+# the message of a value of BottFunction.build that is not an int; a negative
+# int is refused by the constructor, with its own message
+_INDEX_VALUE_MESSAGE = "values of the index function must be ints, got {value!r}"
 
 # discontinuity types accepted without the slower ABC check
 _EXACT_TURN_TYPES = frozenset({Fraction, int})
@@ -85,7 +75,9 @@ class BottFunction:
         disc = self.discontinuities
         if not all(map(lt, disc, disc[1:])):
             raise ValueError("discontinuities must be strictly increasing")
-        if any(type(t) not in _EXACT_TURN_TYPES and not isinstance(t, Rational) for t in disc):
+        # a bool is a Rational, but its DSL text does not parse
+        if any(type(t) not in _EXACT_TURN_TYPES and (type(t) is bool or not isinstance(t, Rational))
+               for t in disc):
             raise ValueError("discontinuities must be exact rationals")
         if any(not 0 <= t.numerator < t.denominator for t in disc):
             raise ValueError("discontinuities must be turns in [0, 1)")
@@ -94,9 +86,8 @@ class BottFunction:
             raise ValueError(f"expected {n_arcs} arc values, got {len(self.arc_values)}")
         if len(self.point_values) != len(disc):
             raise ValueError(f"expected {len(disc)} point values, got {len(self.point_values)}")
-        values = self.arc_values + self.point_values
-        if any(not isinstance(v, int) or v < 0 for v in values):
-            raise ValueError("values of the index function are non-negative integers")
+        for v in self.arc_values + self.point_values:
+            exact_int(v, 0, "values of the index function are non-negative integers")
         L = math.lcm(*(t.denominator for t in disc))
         object.__setattr__(self, "denominator", L)
         object.__setattr__(self, "numerators", tuple(t.numerator * (L // t.denominator) for t in disc))
@@ -145,7 +136,7 @@ class BottFunction:
         refused, not rounded.
         """
         disc = [normalize_turn(t) for t in discontinuities]
-        arcs = [_index_value(v) for v in arc_values]
+        arcs = [exact_int(v, -math.inf, _INDEX_VALUE_MESSAGE) for v in arc_values]
         if len(set(disc)) != len(disc):
             raise ValueError("duplicate discontinuities")
         if ambient_dim is not None and len(disc) > 2 * ambient_dim - 2:
@@ -163,7 +154,7 @@ class BottFunction:
                     min(arcs_sorted[i - 1], arcs_sorted[i]) for i in range(len(disc_sorted))
                 ]
             else:
-                points = [_index_value(v) for v in point_values]
+                points = [exact_int(v, -math.inf, _INDEX_VALUE_MESSAGE) for v in point_values]
                 if len(points) != len(disc):
                     raise ValueError(f"expected {len(disc)} point values, got {len(points)}")
                 points_sorted = [points[i] for i in order]
@@ -174,7 +165,7 @@ class BottFunction:
 
     @classmethod
     def constant(cls, value: int) -> "BottFunction":
-        return cls((), (_index_value(value),), ())
+        return cls((), (exact_int(value, -math.inf, _INDEX_VALUE_MESSAGE),), ())
 
     def value_at(self, turns) -> int:
         """I at the given angle: the point value on a discontinuity, else
@@ -196,6 +187,9 @@ def quarter_turn_function() -> BottFunction:
     return BottFunction.build((Fraction(1, 4), Fraction(3, 4)), (1, 0), (0, 0))
 
 
+_ITERATE_MESSAGE = "iterate must be a positive integer, got {value!r}"
+
+
 def bott_index(f: BottFunction, m: int) -> int:
     """Index of the m-th iterate: the exact sum of I over the m-th roots of
     unity (turns j/m, j = 0..m-1).
@@ -205,8 +199,7 @@ def bott_index(f: BottFunction, m: int) -> int:
     arc (a/L, b/L) when m*a < j*L < m*b, so each arc costs one floor and
     one ceiling division whatever the size of m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"iterate must be a positive integer, got {m!r}")
+    exact_int(m, 1, _ITERATE_MESSAGE)
     nums = f.numerators
     if not nums:
         return m * f.arc_values[0]
@@ -223,8 +216,7 @@ def bott_index(f: BottFunction, m: int) -> int:
 def is_nondegenerate(f: BottFunction, m: int) -> bool:
     """True when no discontinuity angle lands on +-1 after m-fold iteration,
     i.e. m * turns is never an integer or a half-integer."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"iterate must be a positive integer, got {m!r}")
+    exact_int(m, 1, _ITERATE_MESSAGE)
     L = f.denominator
     for n in f.numerators:
         r = m * n % L
@@ -246,6 +238,9 @@ def index_parity(f: BottFunction, m: int) -> int:
     return bott_index(f, m) % 2
 
 
+_INDICES_MESSAGE = "indices are non-negative integers"
+
+
 @dataclass(frozen=True)
 class IndexSequence:
     """Indices of selected iterates, (m, index) with m strictly increasing."""
@@ -253,11 +248,12 @@ class IndexSequence:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        ms = [m for m, _ in self.entries]
-        if ms != sorted(set(ms)) or any(m < 1 for m in ms):
-            raise ValueError("iterates must be strictly increasing positive integers")
-        if any(i < 0 for _, i in self.entries):
-            raise ValueError("indices are non-negative")
+        message = "iterates must be strictly increasing positive integers"
+        ms = [exact_int(m, 1, message) for m, _ in self.entries]
+        if ms != sorted(set(ms)):
+            raise ValueError(message)
+        for _, i in self.entries:
+            exact_int(i, 0, _INDICES_MESSAGE)
 
     @classmethod
     def from_function(cls, f: BottFunction, iterates: Iterable[int]) -> "IndexSequence":
@@ -365,12 +361,13 @@ def certify_theorem4(
     eliminate the off-quarter candidates).
     """
     N, V, M = grid_denominator, value_bound, iterate_cutoff
-    if not isinstance(N, int) or N < 2 or N % 2:
-        raise ValueError(f"grid denominator must be an even integer >= 2, got {N!r}")
-    if not isinstance(V, int) or V < 0:
-        raise ValueError(f"value bound must be a non-negative integer, got {V!r}")
-    if not isinstance(M, int) or M % 2 == 0 or M < 2 * N + 1:
-        raise ValueError(f"iterate cutoff must be an odd integer >= 2N+1 = {2 * N + 1}, got {M!r}")
+    grid_message = "grid denominator must be an even integer >= 2, got {value!r}"
+    if exact_int(N, 2, grid_message) % 2:
+        raise GcaError(grid_message.format(value=N))
+    exact_int(V, 0, "value bound must be a non-negative integer, got {value!r}")
+    cutoff_message = f"iterate cutoff must be an odd integer >= 2N+1 = {2 * N + 1}, got {{value!r}}"
+    if exact_int(M, 2 * N + 1, cutoff_message) % 2 == 0:
+        raise GcaError(cutoff_message.format(value=M))
 
     degree_cutoff = 2 * (((M - 1) // 2) // 2)
     betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
@@ -481,10 +478,8 @@ def certify_theorem5(
         raise ValueError(f"h must have even order, got {spec.element_order}")
     if not pairwise_nonconjugate:
         raise ValueError("the certificate requires pairwise non-conjugate centralizer elements")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(iterate_count, int) or iterate_count < 0:
-        raise ValueError(f"iterate count must be >= 0, got {iterate_count!r}")
+    exact_int(k, 1, "k must be a positive integer, got {value!r}")
+    exact_int(iterate_count, 0, "iterate count must be an integer >= 0, got {value!r}")
     if bott_index(f, k) != 0:
         raise ValueError(
             f"the minimal geodesic must have index 0, got bott_index(f, {k}) = {bott_index(f, k)}"
@@ -548,8 +543,8 @@ def certify_theorem5(
 def parity_distinct(ind_a: int, ind_b: int) -> bool:
     """Whether two homology-contributing geodesics of these indices are
     forced distinct because their indices have different parity."""
-    if ind_a < 0 or ind_b < 0:
-        raise ValueError("indices are non-negative")
+    exact_int(ind_a, 0, _INDICES_MESSAGE)
+    exact_int(ind_b, 0, _INDICES_MESSAGE)
     return (ind_a - ind_b) % 2 == 1
 
 

@@ -29,7 +29,36 @@ from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 
 class GcaError(ValueError):
-    """Invalid algebraic input."""
+    """Invalid input: to the algebra, the cohomology and ring searches, the
+    space-form tables and the Bott index functions and certificates."""
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """``value`` as an exact rational: a Fraction as it is, an int that is
+    not a bool, or a 'p/q' string; a float, a bool, a Decimal, a string
+    that is no number or a zero denominator raises :class:`GcaError`, whose
+    text starts with ``what``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise GcaError(f"{what} must be exact (int, Fraction or 'p/q' string), got {value!r}")
+
+
+def exact_int(value, minimum: float, message: str, *, name: str | None = None) -> int:
+    """``value`` as a plain int: an int or an int subclass that is not a
+    bool, at least ``minimum`` (``-math.inf`` for no bound).  Anything else
+    raises :class:`GcaError` with ``message.format(value=value, name=name)``,
+    formatted only then."""
+    if type(value) is int:  # the common case, tested first
+        if value >= minimum:
+            return value
+    elif isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise GcaError(message.format(value=value, name=name))
 
 
 class UnknownGeneratorError(GcaError):
@@ -64,19 +93,8 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise GcaError(f"generator name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise GcaError(f"generator {self.name!r} must have integer degree >= 1, got {self.degree!r}")
-
-
-def _coeff(value: CoeffLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise GcaError(f"coefficient must be exact (int, Fraction or 'p/q' string), got {value!r}")
+        exact_int(self.degree, 1, "generator {name!r} must have integer degree >= 1, got {value!r}",
+                  name=self.name)
 
 
 class DgaModel:
@@ -190,7 +208,7 @@ class DgaModel:
         return AlgebraElement(self, {self.monomial({name: 1}): Fraction(1)})
 
     def monomial_element(self, mon: Monomial, coeff: CoeffLike = 1) -> "AlgebraElement":
-        c = _coeff(coeff)
+        c = exact_rational(coeff, "coefficient")
         return AlgebraElement(self, {mon: c} if c else {})
 
     def from_coords(self, basis: Sequence[Monomial], coords: Sequence[Fraction]) -> "AlgebraElement":
@@ -205,16 +223,15 @@ class DgaModel:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         for gname, e in items:
             i = self.generator_index(gname)
-            if not isinstance(e, int) or e < 0:
-                raise GcaError(f"exponent of {gname!r} must be a non-negative integer, got {e!r}")
-            exps[i] += e
+            exps[i] += exact_int(e, 0, "exponent of {name!r} must be a non-negative integer, got {value!r}",
+                                 name=gname)
         return tuple(exps), next((i for i in self._odd if exps[i] > 1), None)
 
     def _normalize_raw(self, raw: RawPoly) -> tuple[dict[Monomial, Fraction], bool]:
         terms: dict[Monomial, Fraction] = {}
         had_nonzero = False
         for coeff, exponents in raw:
-            c = _coeff(coeff)
+            c = exact_rational(coeff, "coefficient")
             if not c:
                 continue
             had_nonzero = True
@@ -442,7 +459,7 @@ class AlgebraElement:
         return AlgebraElement(self.model, {m: -c for m, c in self.terms.items()})
 
     def scale(self, value: CoeffLike) -> "AlgebraElement":
-        c = _coeff(value)
+        c = exact_rational(value, "coefficient")
         if not c:
             return AlgebraElement(self.model, {})
         return AlgebraElement(self.model, {m: c * v for m, v in self.terms.items()})
@@ -461,10 +478,8 @@ class AlgebraElement:
         return NotImplemented
 
     def __pow__(self, n: int) -> "AlgebraElement":
-        if not isinstance(n, int) or n < 0:
-            raise GcaError(f"exponent must be a non-negative integer, got {n!r}")
         result = self.model.one()
-        for _ in range(n):
+        for _ in range(exact_int(n, 0, "exponent must be a non-negative integer, got {value!r}")):
             result = result * self
         return result
 

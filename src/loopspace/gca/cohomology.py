@@ -68,12 +68,14 @@ from .algebra import (
     Monomial,
     UnknownGeneratorError,
     apply_differential,
+    exact_int,
     leibniz,
     multiply_terms,
 )
 
 DEFAULT_MAX_DEGREE = 24
 DEFAULT_BASIS_LIMIT = 200_000
+_MAX_DEGREE_MESSAGE = "max_degree must be >= 0 and an integer, got {value}"
 
 
 class BasisLimitError(GcaError):
@@ -97,12 +99,11 @@ class BettiTable:
     representatives: tuple[tuple[AlgebraElement, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
+        exact_int(self.max_degree, 0, _MAX_DEGREE_MESSAGE)
         if len(self.dims) != self.max_degree + 1:
             raise ValueError(f"expected {self.max_degree + 1} dimensions, got {len(self.dims)}")
-        if any(not isinstance(d, int) or d < 0 for d in self.dims):
-            raise ValueError("dimensions must be non-negative integers")
+        for d in self.dims:
+            exact_int(d, 0, "dimensions must be non-negative integers")
         if self.representatives is not None:
             if len(self.representatives) != self.max_degree + 1:
                 raise ValueError("one representative tuple per degree is required")
@@ -335,8 +336,7 @@ def _check_complex_input(model: DgaModel, max_degree: int, basis_limit: int) -> 
     """The gate shared by every cochain computation: a valid model and
     bases within the limit in degrees 0..max_degree+1, counted before any
     is enumerated (see :meth:`DgaModel.basis_sizes`)."""
-    if max_degree < 0:
-        raise GcaError(f"max_degree must be >= 0, got {max_degree}")
+    exact_int(max_degree, 0, _MAX_DEGREE_MESSAGE)
     report = check_model(model)
     if not report.ok:
         raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
@@ -526,10 +526,9 @@ class RingPresentation:
     nilpotency: int
 
     def __post_init__(self):
-        if self.deg_w < 1 or self.deg_z < 1:
-            raise ValueError("generator degrees must be >= 1")
-        if self.nilpotency < 1:
-            raise ValueError("nilpotency exponent must be >= 1")
+        exact_int(self.deg_w, 1, "generator degrees must be integers >= 1")
+        exact_int(self.deg_z, 1, "generator degrees must be integers >= 1")
+        exact_int(self.nilpotency, 1, "nilpotency exponent must be an integer >= 1")
 
 
 def _quotient_monomials(presentation: RingPresentation, max_degree: int):

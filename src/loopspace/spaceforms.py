@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gca import linalg
-from .gca.algebra import AlgebraElement, DgaModel, multiply_terms
+from .gca.algebra import AlgebraElement, DgaModel, exact_int, exact_rational, multiply_terms
 from .gca.cohomology import (
     DEFAULT_BASIS_LIMIT,
     DEFAULT_MAX_DEGREE,
@@ -37,21 +37,9 @@ from .gca.cohomology import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _entry(x, what: str) -> Fraction:
-    """An exact matrix entry: a Fraction as it is, an int (not a bool), or
-    a 'p/q' string; a float, a Decimal or any other value is refused."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{what}: entries must be exact (int, Fraction or 'p/q' string), got {x!r}")
-
-
 def _matrix(rows: Sequence[Sequence], nrows: int, ncols: int, what: str) -> Matrix:
-    out = tuple(tuple(_entry(x, what) for x in row) for row in rows)
+    label = f"{what}: entries"
+    out = tuple(tuple(exact_rational(x, label) for x in row) for row in rows)
     if len(out) != nrows or any(len(row) != ncols for row in out):
         raise ValueError(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
@@ -72,12 +60,10 @@ class SpaceFormSpec:
     element_order: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"sphere dimension must be an integer >= 2, got {self.n}")
-        if not isinstance(self.r, int) or self.r < 2:
-            raise ValueError(f"centralizer order must be an integer >= 2, got {self.r}")
-        if not isinstance(self.element_order, int) or self.element_order < 2:
-            raise ValueError(f"element order must be >= 2 (h is nontrivial), got {self.element_order}")
+        exact_int(self.n, 2, "sphere dimension must be an integer >= 2, got {value}")
+        exact_int(self.r, 2, "centralizer order must be an integer >= 2, got {value}")
+        exact_int(self.element_order, 2,
+                  "element order must be an integer >= 2 (h is nontrivial), got {value}")
         if self.n % 2 == 0 and (self.r != 2 or self.element_order != 2):
             raise ValueError(
                 f"S^{self.n} is even-dimensional: the only free isometric action is Z_2, "
@@ -111,10 +97,8 @@ class ActionEntry:
     matrix: Matrix
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError(f"action degrees start at 2, got {self.degree}")
-        if self.dim < 0:
-            raise ValueError("dimension must be non-negative")
+        exact_int(self.degree, 2, "action degrees are integers >= 2, got {value}")
+        exact_int(self.dim, 0, "dimension must be a non-negative integer")
         object.__setattr__(self, "matrix", _matrix(self.matrix, self.dim, self.dim, f"f_{self.degree}"))
 
 
@@ -157,12 +141,14 @@ class HomotopyTable:
     pi1: int = 0
 
     def __post_init__(self):
-        cleaned = tuple(sorted((d, v) for d, v in self.dims if v))
-        if any(d < 2 or v < 0 for d, v in cleaned):
-            raise ValueError("homotopy dimensions live in degrees >= 2 and are non-negative")
-        if self.pi1 < 0:
-            raise ValueError("pi_1 order must be >= 1, or 0 for 'not computed'")
-        object.__setattr__(self, "dims", cleaned)
+        message = "homotopy dimensions are non-negative integers in integer degrees >= 2"
+        kept = []
+        for d, v in self.dims:
+            if exact_int(v, 0, message):  # a zero dimension is dropped, whatever its degree
+                exact_int(d, 2, message)
+                kept.append((d, v))
+        exact_int(self.pi1, 0, "pi_1 order must be an integer >= 1, or 0 for 'not computed'")
+        object.__setattr__(self, "dims", tuple(sorted(kept)))
 
     def dim(self, degree: int) -> int:
         for d, v in self.dims:

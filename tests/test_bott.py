@@ -117,7 +117,10 @@ def test_validation_accepts_rational_subtypes():
     f = BottFunction((Turn(1, 4), Turn(3, 4)), (1, 0), (0, 0))
     assert f == quarter_turn_function() and f.numerators == (1, 3)
     assert BottFunction((0, Fraction(1, 2)), (1, 1), (1, 1)).numerators == (0, 1)
-    assert BottFunction((False,), (2,), (2,)).denominator == 1
+    # a bool is an int, but its DSL text does not parse and its JSON turn is "False"
+    with pytest.raises(ValueError) as excinfo:
+        BottFunction((False,), (2,), (2,))
+    assert str(excinfo.value) == "discontinuities must be exact rationals"
 
 
 @pytest.mark.parametrize("turn", [0.25, 1.5, True, None, Fraction(1, 4) + 0j, "quarter", "1/0"])

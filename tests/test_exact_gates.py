@@ -1,0 +1,109 @@
+"""Every entry point that takes an exact number refuses a bool, a float, a
+Decimal and None (and, where a rational is read, a string that is no
+number or has a zero denominator) with a GcaError, and still accepts an
+int subclass and, where a rational is read, a Fraction subclass."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from loopspace.bott import (
+    BottFunction,
+    IndexSequence,
+    bott_index,
+    certify_theorem4,
+    certify_theorem5,
+    is_nondegenerate,
+    parity_distinct,
+    quarter_turn_function,
+)
+from loopspace.gca import DgaModel, Generator, GcaError, RingPresentation, cochain_complex, cohomology
+from loopspace.gca.cohomology import BettiTable
+from loopspace.spaceforms import ActionEntry, GysinInput, HomotopyTable, SpaceFormSpec
+
+MODEL = DgaModel([("a", 2), ("x", 3)], {"x": [(1, {"a": 2})]})
+A = MODEL.gen("a")
+QUARTER = quarter_turn_function()
+LENS = SpaceFormSpec(3, 8, 2)
+BASE = BettiTable.from_dims([1, 0, 1, 0])
+TOTAL = BettiTable.from_dims([1, 0, 0, 1])
+
+
+# (entry point, call taking the value under test, a value it accepts)
+INT_GATES = [
+    ("Generator degree", lambda v: Generator("y", v), 2),
+    ("DgaModel generator degree", lambda v: DgaModel([("a", 2), ("y", v)]), 3),
+    ("DgaModel exponent", lambda v: DgaModel([("a", 2), ("x", 3)], {"x": [(1, {"a": v})]}), 2),
+    ("DgaModel.monomial exponent", lambda v: MODEL.monomial({"a": v}), 2),
+    ("DgaModel.element exponent", lambda v: MODEL.element([(1, {"a": v})]), 2),
+    ("AlgebraElement power", lambda v: A ** v, 2),
+    ("BettiTable max_degree", lambda v: BettiTable(v, (1, 0)), 1),
+    ("BettiTable dims", lambda v: BettiTable(1, (1, v)), 1),
+    ("cohomology max_degree", lambda v: cohomology(MODEL, v), 4),
+    ("cochain_complex max_degree", lambda v: cochain_complex(MODEL, v).betti(), 4),
+    ("RingPresentation deg_w", lambda v: RingPresentation(v, 2, 2), 2),
+    ("RingPresentation deg_z", lambda v: RingPresentation(2, v, 2), 2),
+    ("RingPresentation nilpotency", lambda v: RingPresentation(2, 2, v), 2),
+    ("SpaceFormSpec n", lambda v: SpaceFormSpec(v, 8, 2), 3),
+    ("SpaceFormSpec r", lambda v: SpaceFormSpec(3, v, 2), 8),
+    ("SpaceFormSpec element_order", lambda v: SpaceFormSpec(3, 8, v), 2),
+    ("ActionEntry degree", lambda v: ActionEntry(v, 1, ((0,),)), 3),
+    ("ActionEntry dim", lambda v: ActionEntry(3, v, ((0,),)), 1),
+    ("HomotopyTable degree", lambda v: HomotopyTable(((v, 1),)), 2),
+    ("HomotopyTable dimension", lambda v: HomotopyTable(((2, v),)), 1),
+    ("HomotopyTable pi1", lambda v: HomotopyTable(((2, 1),), v), 4),
+    ("BottFunction arc value", lambda v: BottFunction(QUARTER.discontinuities, (v, 0), (0, 0)), 1),
+    ("BottFunction point value", lambda v: BottFunction(QUARTER.discontinuities, (1, 0), (v, v)), 0),
+    ("BottFunction.build arc value", lambda v: BottFunction.build(QUARTER.discontinuities, (v, 0)), 1),
+    ("BottFunction.build point value", lambda v: BottFunction.build(QUARTER.discontinuities, (1, 0), (v, v)), 0),
+    ("BottFunction.constant", lambda v: BottFunction.constant(v), 2),
+    ("bott_index iterate", lambda v: bott_index(QUARTER, v), 3),
+    ("is_nondegenerate iterate", lambda v: is_nondegenerate(QUARTER, v), 3),
+    ("IndexSequence iterate", lambda v: IndexSequence(((v, 0),)), 1),
+    ("IndexSequence index", lambda v: IndexSequence(((1, v),)), 0),
+    ("parity_distinct first", lambda v: parity_distinct(v, 0), 1),
+    ("parity_distinct second", lambda v: parity_distinct(0, v), 1),
+    ("certify_theorem4 grid", lambda v: certify_theorem4(v, 1, 17), 8),
+    ("certify_theorem4 value bound", lambda v: certify_theorem4(8, v, 17), 1),
+    ("certify_theorem4 cutoff", lambda v: certify_theorem4(8, 1, v), 17),
+    ("certify_theorem5 k", lambda v: certify_theorem5(LENS, True, v, QUARTER, 3), 1),
+    ("certify_theorem5 iterate count", lambda v: certify_theorem5(LENS, True, 1, QUARTER, v), 3),
+]
+
+RATIONAL_GATES = [
+    ("DgaModel coefficient", lambda v: DgaModel([("a", 2), ("x", 3)], {"x": [(v, {"a": 2})]}), 2),
+    ("DgaModel.element coefficient", lambda v: MODEL.element([(v, {"a": 1})]), Fraction(1, 2)),
+    ("DgaModel.monomial_element coefficient",
+     lambda v: MODEL.monomial_element(MODEL.monomial({"a": 1}), v), Fraction(-3, 2)),
+    ("AlgebraElement.scale", lambda v: A.scale(v), Fraction(2, 3)),
+    ("ActionEntry matrix entry", lambda v: ActionEntry(2, 1, ((v,),)), Fraction(-2)),
+    ("GysinInput euler entry", lambda v: GysinInput(BASE, (((v,),),), TOTAL), Fraction(1, 2)),
+    ("BottFunction.build turn", lambda v: BottFunction.build((v, Fraction(3, 4)), (1, 0)), Fraction(5, 4)),
+    ("BottFunction.value_at turn", lambda v: QUARTER.value_at(v), Fraction(1, 2)),
+]
+
+INEXACT = [True, False, 1.0, 2.5, Decimal("1"), None]
+
+
+class Count(int):
+    """An int subclass, as an IntEnum member is."""
+
+
+class Turn(Fraction):
+    """A Fraction subclass."""
+
+
+def test_exact_number_gates():
+    cases = [(name, call, bad) for name, call, _ in INT_GATES for bad in INEXACT]
+    cases += [(name, call, bad) for name, call, _ in RATIONAL_GATES for bad in INEXACT + ["1/0", "abc"]]
+    for name, call, bad in cases:
+        with pytest.raises(GcaError):
+            call(bad)
+            pytest.fail(f"{name} accepted {bad!r}")
+    for name, call, good in INT_GATES:
+        assert call(Count(good)) == call(good), name
+    for name, call, good in RATIONAL_GATES:
+        assert call(Turn(good)) == call(good), name
+        if good.denominator == 1:
+            assert call(Count(good.numerator)) == call(good), name
