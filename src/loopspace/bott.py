@@ -74,18 +74,18 @@ class BottFunction:
     def __post_init__(self):
         disc = self.discontinuities
         if not all(map(lt, disc, disc[1:])):
-            raise ValueError("discontinuities must be strictly increasing")
+            raise GcaError("discontinuities must be strictly increasing")
         # a bool is a Rational, but its DSL text does not parse
         if any(type(t) not in _EXACT_TURN_TYPES and (type(t) is bool or not isinstance(t, Rational))
                for t in disc):
-            raise ValueError("discontinuities must be exact rationals")
+            raise GcaError("discontinuities must be exact rationals")
         if any(not 0 <= t.numerator < t.denominator for t in disc):
-            raise ValueError("discontinuities must be turns in [0, 1)")
+            raise GcaError("discontinuities must be turns in [0, 1)")
         n_arcs = len(disc) if disc else 1
         if len(self.arc_values) != n_arcs:
-            raise ValueError(f"expected {n_arcs} arc values, got {len(self.arc_values)}")
+            raise GcaError(f"expected {n_arcs} arc values, got {len(self.arc_values)}")
         if len(self.point_values) != len(disc):
-            raise ValueError(f"expected {len(disc)} point values, got {len(self.point_values)}")
+            raise GcaError(f"expected {len(disc)} point values, got {len(self.point_values)}")
         for v in self.arc_values + self.point_values:
             exact_int(v, 0, "values of the index function are non-negative integers")
         L = math.lcm(*(t.denominator for t in disc))
@@ -101,17 +101,17 @@ class BottFunction:
         k = len(disc)
         for t, n in zip(disc, nums):
             if (L - n) % L not in index:
-                raise ValueError(
+                raise GcaError(
                     f"discontinuity set is not conjugation symmetric: {t} has no partner {(1 - t) % 1}"
                 )
         for i, (t, n) in enumerate(zip(disc, nums)):
             j = index[(L - n) % L]
             if self.point_values[i] != self.point_values[j]:
-                raise ValueError(f"point values at {t} and {(1 - t) % 1} differ")
+                raise GcaError(f"point values at {t} and {(1 - t) % 1} differ")
             # the arc after disc i maps to the arc after the conjugate of disc i+1
             partner = index[(L - nums[(i + 1) % k]) % L]
             if self.arc_values[i] != self.arc_values[partner]:
-                raise ValueError(
+                raise GcaError(
                     f"arc values are not conjugation symmetric "
                     f"(arc after {t} vs arc after {disc[partner]})"
                 )
@@ -138,15 +138,15 @@ class BottFunction:
         disc = [normalize_turn(t) for t in discontinuities]
         arcs = [exact_int(v, -math.inf, _INDEX_VALUE_MESSAGE) for v in arc_values]
         if len(set(disc)) != len(disc):
-            raise ValueError("duplicate discontinuities")
+            raise GcaError("duplicate discontinuities")
         if ambient_dim is not None and len(disc) > 2 * ambient_dim - 2:
-            raise ValueError(
+            raise GcaError(
                 f"{len(disc)} discontinuities exceed the bound 2n-2 = {2 * ambient_dim - 2}"
             )
         if disc:
             order = sorted(range(len(disc)), key=lambda i: disc[i])
             if len(arcs) != len(disc):
-                raise ValueError(f"expected {len(disc)} arc values, got {len(arcs)}")
+                raise GcaError(f"expected {len(disc)} arc values, got {len(arcs)}")
             disc_sorted = [disc[i] for i in order]
             arcs_sorted = [arcs[i] for i in order]
             if point_values is None:
@@ -156,11 +156,11 @@ class BottFunction:
             else:
                 points = [exact_int(v, -math.inf, _INDEX_VALUE_MESSAGE) for v in point_values]
                 if len(points) != len(disc):
-                    raise ValueError(f"expected {len(disc)} point values, got {len(points)}")
+                    raise GcaError(f"expected {len(disc)} point values, got {len(points)}")
                 points_sorted = [points[i] for i in order]
             return cls(tuple(disc_sorted), tuple(arcs_sorted), tuple(points_sorted))
         if point_values is not None and list(point_values):
-            raise ValueError("point values require discontinuities")
+            raise GcaError("point values require discontinuities")
         return cls((), tuple(arcs), ())
 
     @classmethod
@@ -251,7 +251,7 @@ class IndexSequence:
         message = "iterates must be strictly increasing positive integers"
         ms = [exact_int(m, 1, message) for m, _ in self.entries]
         if ms != sorted(set(ms)):
-            raise ValueError(message)
+            raise GcaError(message)
         for _, i in self.entries:
             exact_int(i, 0, _INDICES_MESSAGE)
 
@@ -475,13 +475,17 @@ def certify_theorem5(
     parameters, not recomputed.
     """
     if spec.element_order % 2:
-        raise ValueError(f"h must have even order, got {spec.element_order}")
-    if not pairwise_nonconjugate:
-        raise ValueError("the certificate requires pairwise non-conjugate centralizer elements")
+        raise GcaError(f"h must have even order, got {spec.element_order}")
+    if pairwise_nonconjugate is not True:  # a bool, so the certificate's JSON field is one
+        raise GcaError(
+            "the certificate requires pairwise non-conjugate centralizer elements"
+            if pairwise_nonconjugate is False
+            else f"pairwise_nonconjugate must be True or False, got {pairwise_nonconjugate!r}"
+        )
     exact_int(k, 1, "k must be a positive integer, got {value!r}")
     exact_int(iterate_count, 0, "iterate count must be an integer >= 0, got {value!r}")
     if bott_index(f, k) != 0:
-        raise ValueError(
+        raise GcaError(
             f"the minimal geodesic must have index 0, got bott_index(f, {k}) = {bott_index(f, k)}"
         )
 

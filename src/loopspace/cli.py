@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check or an
-inconclusive certificate, 2 on usage or parse errors and on an input file
-that cannot be read or is not UTF-8, 141 (128 + SIGPIPE)
-when the reader closes stdout before the output is written.  With
+inconclusive certificate, 2 on usage or parse errors, on an input file
+that cannot be read or is not UTF-8, and on an input the library refuses
+(a ``GcaError``), 141 (128 + SIGPIPE) when the reader closes stdout
+before the output is written.  The handlers convert no error: any other
+exception is a fault of the program and propagates.  With
 ``--json`` the result is a single stable JSON document on stdout (see
 :mod:`loopspace.serialize`); otherwise a human-readable table is printed.
 The environment variable ``LOOPSPACE_MAX_DEGREE`` overrides the default
@@ -243,16 +245,10 @@ def cmd_spaceform_model(args) -> int:
 
 def cmd_gysin_check(args) -> int:
     max_degree = _resolve_max_degree(args.max_degree)
-    try:
-        check_gysin_degree(max_degree)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    check_gysin_degree(max_degree)
     base_model: DgaModel = _load(args.base_file, "dga")
     total_model: DgaModel = _load(args.total_file, "dga")
-    try:
-        euler = euler_class(base_model)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    euler = euler_class(base_model)
     data = cochain_complex(base_model, max_degree)
     inputs = GysinInput(
         base=data.betti(),
@@ -295,10 +291,7 @@ def _certificate_table(cert) -> str:
 
 
 def cmd_certify_rp2(args) -> int:
-    try:
-        cert = certify_theorem4(args.grid, args.values, args.cutoff)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cert = certify_theorem4(args.grid, args.values, args.cutoff)
     _emit(args, "certificate", lambda: None, lambda: serialize.certificate_json(cert),
           lambda: _certificate_table(cert))
     return 0 if cert.established else 1
@@ -307,10 +300,7 @@ def cmd_certify_rp2(args) -> int:
 def cmd_certify_theorem5(args) -> int:
     spec: SpaceFormSpec = _load(args.spaceform_file, "spaceform")
     f = _load(args.bott_file, "bott")
-    try:
-        cert = certify_theorem5(spec, True, args.k, f, args.iterates)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cert = certify_theorem5(spec, True, args.k, f, args.iterates)
     _emit(args, "certificate", lambda: {"spaceform": document_text(spec), "bott": document_text(f)},
           lambda: serialize.certificate_json(cert), lambda: _certificate_table(cert))
     return 0 if cert.established else 1

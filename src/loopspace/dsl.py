@@ -430,7 +430,7 @@ class _Parser:
             return None
         try:
             return SpaceFormSpec(values["n"], values["r"], values["ord"])
-        except ValueError as exc:
+        except GcaError as exc:
             self.error(0, str(exc))
             return None
 
@@ -451,7 +451,7 @@ class _Parser:
             self.warning(0, "discontinuities were not sorted; sorting them")
         try:
             return BottFunction.build(disc, arcs, points)
-        except ValueError as exc:
+        except GcaError as exc:
             self.error(0, str(exc))
             return None
 

@@ -559,14 +559,12 @@ def leibniz(
     return out
 
 
-def apply_differential(x: AlgebraElement, model: DgaModel | None = None) -> AlgebraElement:
-    """Extend the model's differential to ``x`` by the graded Leibniz rule
-    (see :func:`leibniz`), d(ab) = (da)b + (-1)^deg(a) a(db).  The
-    differential of each term has degree one above the term whenever the
-    model's generator differentials raise degree by one.
+def apply_differential(x: AlgebraElement) -> AlgebraElement:
+    """Extend the differential of ``x``'s model to ``x`` by the graded
+    Leibniz rule (see :func:`leibniz`), d(ab) = (da)b + (-1)^deg(a) a(db).
+    The differential of each term has degree one above the term whenever
+    the model's generator differentials raise degree by one.
     """
-    if model is not None and model is not x.model and model != x.model:
-        raise UnknownGeneratorError("element does not belong to the given model")
     mod = x.model
     diffs = mod.differential_terms()
     terms: dict[Monomial, Fraction] = {}

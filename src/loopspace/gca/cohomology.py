@@ -79,7 +79,7 @@ _MAX_DEGREE_MESSAGE = "max_degree must be >= 0 and an integer, got {value}"
 
 
 class BasisLimitError(GcaError):
-    """Monomial basis enumeration exceeded the configured limit."""
+    """A monomial basis of the request exceeds ``DEFAULT_BASIS_LIMIT``."""
 
     def __init__(self, degree: int, size: int, limit: int):
         super().__init__(
@@ -101,15 +101,15 @@ class BettiTable:
     def __post_init__(self):
         exact_int(self.max_degree, 0, _MAX_DEGREE_MESSAGE)
         if len(self.dims) != self.max_degree + 1:
-            raise ValueError(f"expected {self.max_degree + 1} dimensions, got {len(self.dims)}")
+            raise GcaError(f"expected {self.max_degree + 1} dimensions, got {len(self.dims)}")
         for d in self.dims:
             exact_int(d, 0, "dimensions must be non-negative integers")
         if self.representatives is not None:
             if len(self.representatives) != self.max_degree + 1:
-                raise ValueError("one representative tuple per degree is required")
+                raise GcaError("one representative tuple per degree is required")
             for d, (n, reps) in enumerate(zip(self.dims, self.representatives)):
                 if len(reps) != n:
-                    raise ValueError(f"degree {d}: {len(reps)} representatives for dimension {n}")
+                    raise GcaError(f"degree {d}: {len(reps)} representatives for dimension {n}")
 
     @classmethod
     def from_dims(cls, dims: Sequence[int]) -> "BettiTable":
@@ -332,25 +332,21 @@ def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
     return total
 
 
-def _check_complex_input(model: DgaModel, max_degree: int, basis_limit: int) -> None:
+def _check_complex_input(model: DgaModel, max_degree: int) -> None:
     """The gate shared by every cochain computation: a valid model and
-    bases within the limit in degrees 0..max_degree+1, counted before any
-    is enumerated (see :meth:`DgaModel.basis_sizes`)."""
+    bases of at most ``DEFAULT_BASIS_LIMIT`` monomials (read at each call)
+    in degrees 0..max_degree+1, counted before any is enumerated (see
+    :meth:`DgaModel.basis_sizes`)."""
     exact_int(max_degree, 0, _MAX_DEGREE_MESSAGE)
     report = check_model(model)
     if not report.ok:
         raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
     for d, size in enumerate(model.basis_sizes(max_degree + 1)):
-        if size > basis_limit:
-            raise BasisLimitError(d, size, basis_limit)
+        if size > DEFAULT_BASIS_LIMIT:
+            raise BasisLimitError(d, size, DEFAULT_BASIS_LIMIT)
 
 
-def cochain_complex(
-    model: DgaModel,
-    max_degree: int,
-    *,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
-) -> ComplexData:
+def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
 
     Each degree builds the sparse integer columns of L*d_d once (see
@@ -369,7 +365,7 @@ def cochain_complex(
     kernel vector is built only at each free column the image does not
     fill, in ascending order: these are the representatives, the first
     kernel vectors that extend the image span."""
-    _check_complex_input(model, max_degree, basis_limit)
+    _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     diffs = model.integer_differentials()
     following = _sparse_columns(model, 0, diffs)
@@ -420,7 +416,6 @@ def cohomology(
     max_degree: int = DEFAULT_MAX_DEGREE,
     *,
     with_representatives: bool = False,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
 ) -> BettiTable:
     """Betti table of the model up to ``max_degree``.
 
@@ -433,8 +428,8 @@ def cohomology(
     representatives the table is read off :func:`cochain_complex`.
     """
     if with_representatives:
-        return cochain_complex(model, max_degree, basis_limit=basis_limit).betti(with_representatives=True)
-    _check_complex_input(model, max_degree, basis_limit)
+        return cochain_complex(model, max_degree).betti(with_representatives=True)
+    _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the ranks read, in one table extension
     diffs = model.integer_differentials()
     ranks = [block_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
@@ -550,6 +545,7 @@ def _quotient_monomials(presentation: RingPresentation, max_degree: int):
 def quotient_ring_dims(presentation: RingPresentation, max_degree: int) -> list[int]:
     """Monomial counts of Q[w,z]/(w^a) per degree, honouring skew rules
     (an odd-degree generator has exponent at most 1)."""
+    exact_int(max_degree, 0, _MAX_DEGREE_MESSAGE)
     dims = [0] * (max_degree + 1)
     for d, _, _ in _quotient_monomials(presentation, max_degree):
         dims[d] += 1
@@ -594,13 +590,7 @@ def _candidate_coefficients(dim: int):
     return vectors
 
 
-def verify_ring_presentation(
-    model: DgaModel,
-    presentation: RingPresentation,
-    max_degree: int,
-    *,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
-) -> RingReport:
+def verify_ring_presentation(model: DgaModel, presentation: RingPresentation, max_degree: int) -> RingReport:
     """Confirm that the model's cohomology ring is Q[w,z]/(w^a) up to the
     truncation degree.
 
@@ -614,11 +604,10 @@ def verify_ring_presentation(
     integer {monomial: int} maps (see :func:`multiply_terms`), whose classes
     are read in integers; only the reported w and z become elements.
     """
+    expected = tuple(quotient_ring_dims(presentation, max_degree))  # gates max_degree first
     a = presentation.nilpotency
-    needed = max(max_degree, a * presentation.deg_w)
-    data = cochain_complex(model, needed, basis_limit=basis_limit)
+    data = cochain_complex(model, max(max_degree, a * presentation.deg_w))
     actual = tuple(len(d.reps) for d in data.degrees[: max_degree + 1])
-    expected = tuple(quotient_ring_dims(presentation, max_degree))
 
     messages: list[str] = []
     first_mismatch = None

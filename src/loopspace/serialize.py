@@ -89,16 +89,7 @@ def _list_json(value) -> list:
 
 
 def _dict_json(value) -> dict:
-    out = {}
-    for k, v in value.items():
-        t = type(v)
-        if t in _PLAIN:
-            out[str(k)] = v
-        elif t is Fraction:
-            out[str(k)] = str(v)
-        else:
-            out[str(k)] = jsonable(v)
-    return out
+    return dict(zip(map(str, value), _list_json(value.values())))
 
 
 # the converter of each type jsonable accepts; a subclass takes the converter

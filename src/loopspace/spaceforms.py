@@ -24,9 +24,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gca import linalg
-from .gca.algebra import AlgebraElement, DgaModel, exact_int, exact_rational, multiply_terms
+from .gca.algebra import AlgebraElement, DgaModel, GcaError, exact_int, exact_rational, multiply_terms
 from .gca.cohomology import (
-    DEFAULT_BASIS_LIMIT,
+    _MAX_DEGREE_MESSAGE,
     DEFAULT_MAX_DEGREE,
     BettiTable,
     ComplexData,
@@ -41,7 +41,7 @@ def _matrix(rows: Sequence[Sequence], nrows: int, ncols: int, what: str) -> Matr
     label = f"{what}: entries"
     out = tuple(tuple(exact_rational(x, label) for x in row) for row in rows)
     if len(out) != nrows or any(len(row) != ncols for row in out):
-        raise ValueError(f"{what}: expected a {nrows}x{ncols} matrix")
+        raise GcaError(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
 
 
@@ -65,12 +65,12 @@ class SpaceFormSpec:
         exact_int(self.element_order, 2,
                   "element order must be an integer >= 2 (h is nontrivial), got {value}")
         if self.n % 2 == 0 and (self.r != 2 or self.element_order != 2):
-            raise ValueError(
+            raise GcaError(
                 f"S^{self.n} is even-dimensional: the only free isometric action is Z_2, "
                 f"so r = element_order = 2 is required"
             )
         if self.r % self.element_order:
-            raise ValueError(f"element order {self.element_order} must divide r = {self.r}")
+            raise GcaError(f"element order {self.element_order} must divide r = {self.r}")
 
     @property
     def parity(self) -> str:
@@ -80,8 +80,9 @@ class SpaceFormSpec:
 def sphere_rational_homotopy(n: int, i: int) -> int:
     """dim pi_i(S^n) tensor Q: one-dimensional exactly at i = n and, for even
     n, also at i = 2n - 1; zero otherwise."""
-    if n < 2 or i < 2:
-        raise ValueError("sphere_rational_homotopy requires n >= 2 and i >= 2")
+    message = "sphere_rational_homotopy requires n >= 2 and i >= 2"
+    exact_int(n, 2, message)
+    exact_int(i, 2, message)
     if n % 2 == 0:
         return 1 if i in (n, 2 * n - 1) else 0
     return 1 if i == n else 0
@@ -112,7 +113,7 @@ class ActionData:
         )
         degrees = [e.degree for e in entries]
         if degrees != sorted(set(degrees)):
-            raise ValueError("action degrees must be strictly increasing")
+            raise GcaError("action degrees must be strictly increasing")
         object.__setattr__(self, "entries", entries)
 
     def entry(self, degree: int) -> ActionEntry | None:
@@ -170,6 +171,7 @@ def loop_space_dims(action: ActionData, max_degree: int) -> HomotopyTable:
     Degrees absent from the action data carry zero groups, hence contribute
     nothing; pi_1 is left as "not computed".
     """
+    exact_int(max_degree, 0, _MAX_DEGREE_MESSAGE)
     dims = []
     for i in range(2, max_degree + 1):
         v = action.kernel_dim(i) + action.cokernel_dim(i + 1)
@@ -343,7 +345,7 @@ def euler_class(model: DgaModel) -> AlgebraElement:
     for g in model.generators:
         if g.degree == 2 and model.differential_of(g.name).is_zero:
             return model.gen(g.name)
-    raise ValueError(f"model {model.name!r} has no closed degree-2 generator")
+    raise GcaError(f"model {model.name!r} has no closed degree-2 generator")
 
 
 def euler_action_matrices(
@@ -397,7 +399,7 @@ class GysinInput:
 
     def __post_init__(self):
         if self.base.max_degree != self.total.max_degree:
-            raise ValueError("base and total tables must share max_degree")
+            raise GcaError("base and total tables must share max_degree")
         euler = []
         for p, m in enumerate(self.euler):
             if m is None:
@@ -456,11 +458,11 @@ class GysinReport:
 
 
 def check_gysin_degree(max_degree: int) -> None:
-    """Raise ValueError unless a Gysin check truncated at max_degree checks
+    """Raise GcaError unless a Gysin check truncated at max_degree checks
     some degree: it checks degrees 0..max_degree-2 (see :func:`gysin_check`),
     so it needs max_degree >= 2."""
     if max_degree < 2:
-        raise ValueError(
+        raise GcaError(
             f"gysin-check checks degrees 0..max_degree-2, so it needs max_degree >= 2, got {max_degree}"
         )
 
@@ -469,7 +471,7 @@ def gysin_check(inputs: GysinInput) -> GysinReport:
     """Verify the circle-bundle rank identity
     total[p] = dim coker(euler at p-2) + dim ker(euler at p-1)
     for every p up to max_degree - 2 (higher degrees would consult maps
-    beyond the truncation).  Raises ValueError when that leaves no degree
+    beyond the truncation).  Raises GcaError when that leaves no degree
     (see :func:`check_gysin_degree`)."""
     check_gysin_degree(inputs.base.max_degree)
     top = inputs.base.max_degree - 2
@@ -494,17 +496,12 @@ def rank_identity_totals(base: BettiTable, euler: Sequence[Matrix | None]) -> Be
     )
 
 
-def circle_quotient_gysin_input(
-    spec: SpaceFormSpec,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    *,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
-) -> GysinInput:
+def circle_quotient_gysin_input(spec: SpaceFormSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> GysinInput:
     """Self-consistency fixture: base = cohomology of the quotient's minimal
     model, Euler action = cup product by u2, totals derived from the rank
     identity."""
     model = theorem3_model(spec)
-    data = cochain_complex(model, max_degree, basis_limit=basis_limit)
+    data = cochain_complex(model, max_degree)
     base = data.betti()
     euler = tuple(euler_action_matrices(data))
     total = rank_identity_totals(base, euler)

@@ -24,6 +24,7 @@ from loopspace.bott import (
     schwarz_even,
 )
 from loopspace import bott, serialize
+from loopspace.gca import GcaError
 from loopspace.gca.cohomology import BettiTable
 from loopspace.spaceforms import SpaceFormSpec
 
@@ -42,19 +43,19 @@ def test_build_sorts_and_defaults_point_values():
 
 
 def test_constructor_rejects_bad_data():
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction((Fraction(1, 4),), (1,), (0,))  # not conjugation symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction((Fraction(3, 4), Fraction(1, 4)), (1, 0), (0, 0))  # unsorted
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction((Fraction(1, 4), Fraction(3, 4)), (1,), (0, 0))  # arc count
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction((Fraction(1, 4), Fraction(3, 4)), (1, 0), (0, 1))  # point asymmetry
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction((Fraction(1, 4), Fraction(3, 4)), (1, -1), (0, 0))  # negative value
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BottFunction.build((Fraction(1, 4), Fraction(1, 4), Fraction(3, 4)), (1, 1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         # four discontinuities exceed the eigenvalue bound 2n-2 = 2
         BottFunction.build(
             (Fraction(1, 8), Fraction(7, 8), Fraction(3, 8), Fraction(5, 8)),
@@ -105,7 +106,7 @@ def test_constructor_rejects_bad_data():
     ],
 )
 def test_constructor_error_messages(disc, arcs, points, message):
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(GcaError) as excinfo:
         BottFunction(disc, arcs, points)
     assert str(excinfo.value) == message
 
@@ -118,7 +119,7 @@ def test_validation_accepts_rational_subtypes():
     assert f == quarter_turn_function() and f.numerators == (1, 3)
     assert BottFunction((0, Fraction(1, 2)), (1, 1), (1, 1)).numerators == (0, 1)
     # a bool is an int, but its DSL text does not parse and its JSON turn is "False"
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(GcaError) as excinfo:
         BottFunction((False,), (2,), (2,))
     assert str(excinfo.value) == "discontinuities must be exact rationals"
 
@@ -126,10 +127,10 @@ def test_validation_accepts_rational_subtypes():
 @pytest.mark.parametrize("turn", [0.25, 1.5, True, None, Fraction(1, 4) + 0j, "quarter", "1/0"])
 def test_build_and_value_at_refuse_inexact_turns(turn):
     message = f"turns must be exact (int, Fraction or 'p/q' string), got {turn!r}"
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(GcaError) as excinfo:
         BottFunction.build((turn, Fraction(3, 4)), (1, 0))
     assert str(excinfo.value) == message
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(GcaError) as excinfo:
         quarter_turn_function().value_at(turn)
     assert str(excinfo.value) == message
 
@@ -139,10 +140,10 @@ def test_build_refuses_non_int_values(value):
     message = f"values of the index function must be ints, got {value!r}"
     quarter = (Fraction(1, 4), Fraction(3, 4))
     for arcs, points in [((value, 0), None), ((1, 0), (value, value))]:
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(GcaError) as excinfo:
             BottFunction.build(quarter, arcs, points)
         assert str(excinfo.value) == message
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(GcaError) as excinfo:
         BottFunction.constant(value)
     assert str(excinfo.value) == message
 
@@ -283,7 +284,7 @@ def test_mixed_denominators_against_scan_oracle():
 def test_iterate_must_be_a_positive_int(m):
     f = quarter_turn_function()
     for function in (bott_index, is_nondegenerate):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(GcaError) as excinfo:
             function(f, m)
         assert str(excinfo.value) == f"iterate must be a positive integer, got {m!r}"
 
@@ -361,7 +362,7 @@ def test_parity_distinct():
     assert parity_distinct(0, 1)
     assert not parity_distinct(2, 4)
     assert not parity_distinct(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         parity_distinct(-1, 0)
     assert parity_remark_certificate(0, 1).established
     assert not parity_remark_certificate(2, 4).established
@@ -386,9 +387,9 @@ def test_morse_matching_ignores_indices_above_cutoff():
 
 
 def test_index_sequence_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         IndexSequence(((3, 0), (1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         IndexSequence(((1, -1),))
     f = quarter_turn_function()
     seq = IndexSequence.from_function(f, range(1, 10, 2))
@@ -495,13 +496,13 @@ def test_certify_theorem4_survivors_stable_under_grid_refinement():
 
 
 def test_certify_theorem4_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem4(5, 1, 11)  # odd grid
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem4(4, 1, 8)  # even cutoff
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem4(4, 1, 7)  # cutoff below 2N+1
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem4(4, -1, 9)
 
 
@@ -513,6 +514,7 @@ def test_certify_theorem5_established():
     cert = certify_theorem5(SpaceFormSpec(3, 8, 2), True, 1, quarter_turn_function(), 10)
     assert cert.verdict == CONTRADICTION_ESTABLISHED
     assert cert.parameters["pi1_order"] == 4
+    assert serialize.certificate_json(cert)["parameters"]["pairwise_nonconjugate"] is True
     iterates = [e for e in cert.transcript if "iterate" in e]
     assert [e["iterate"] for e in iterates] == [1 + 2 * l for l in range(11)]
     assert all(e["parity"] == "even" for e in iterates)
@@ -525,11 +527,14 @@ def test_certify_theorem5_trivial_pi1_inconclusive():
 
 def test_certify_theorem5_preconditions():
     spec = SpaceFormSpec(3, 8, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem5(spec, True, 1, BottFunction.constant(1), 10)  # ind c != 0
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError, match="^the certificate requires pairwise non-conjugate centralizer elements$"):
         certify_theorem5(spec, False, 1, quarter_turn_function(), 10)
-    with pytest.raises(ValueError):
+    for flag in (1, "yes", 0, None, 1.0):  # only a bool, which the certificate's JSON keeps as one
+        with pytest.raises(GcaError, match="^pairwise_nonconjugate must be True or False, got "):
+            certify_theorem5(spec, flag, 1, quarter_turn_function(), 10)
+    with pytest.raises(GcaError):
         certify_theorem5(SpaceFormSpec(3, 9, 3), True, 1, quarter_turn_function(), 10)  # odd order
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         certify_theorem5(spec, True, 0, quarter_turn_function(), 10)

@@ -194,6 +194,35 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "index 0" in err  # ind(c) = bott_index(f, 2) = 1 != 0
 
 
+def test_library_refusals_exit_2_and_faults_propagate(capsys, monkeypatch):
+    """A GcaError, the library's one way to refuse an input, exits 2 with
+    its text; any other ValueError is a fault of the program and leaves
+    main as it was raised."""
+    from loopspace import cli
+    from loopspace.gca import GcaError
+
+    code, out, err = run(capsys, "gysin-check", SPHERE5, SPHERE5)
+    assert (code, out) == (2, "")
+    assert err == "loopspace: error: model 'sphere5' has no closed degree-2 generator\n"
+
+    def fault(*args):
+        raise ValueError("a fault of the program")
+
+    def refusal(*args):
+        raise GcaError("an input refused")
+
+    commands = {
+        "certify_theorem4": ("certify", "rp2", "--grid", "8", "--values", "1", "--cutoff", "17"),
+        "euler_class": ("gysin-check", "--max-degree", "9", CP2, SPHERE5),
+    }
+    for name, argv in commands.items():
+        monkeypatch.setattr(cli, name, fault)
+        with pytest.raises(ValueError, match="^a fault of the program$"):
+            main(list(argv))
+        monkeypatch.setattr(cli, name, refusal)
+        assert run(capsys, *argv) == (2, "", "loopspace: error: an input refused\n"), name
+
+
 def test_calls_in_one_process_do_not_depend_on_each_other(capsys, monkeypatch):
     monkeypatch.delenv("LOOPSPACE_MAX_DEGREE", raising=False)
     calls = [

@@ -405,9 +405,9 @@ def _outcome(compute):
         return type(exc), str(exc), getattr(exc, "degree", None), getattr(exc, "size", None)
 
 
-def _rank_and_full_outcomes(model, max_degree, **kwargs):
-    rank_only = _outcome(lambda: cohomology(model, max_degree, **kwargs).dims)
-    full = _outcome(lambda: cochain_complex(model, max_degree, **kwargs).betti().dims)
+def _rank_and_full_outcomes(model, max_degree):
+    rank_only = _outcome(lambda: cohomology(model, max_degree).dims)
+    full = _outcome(lambda: cochain_complex(model, max_degree).betti().dims)
     return rank_only, full
 
 
@@ -431,7 +431,7 @@ def test_rank_only_dims_match_the_full_complex():
         assert rank_only == full, model
 
 
-def test_rank_only_path_raises_what_the_full_complex_raises():
+def test_rank_only_path_raises_what_the_full_complex_raises(monkeypatch):
     degenerate = DgaModel(
         [("u2", 2), ("u3", 3), ("u5", 5)],
         {"u3": [(1, {"u2": 2})], "u5": [(1, {"u3": 2})]},
@@ -441,15 +441,17 @@ def test_rank_only_path_raises_what_the_full_complex_raises():
         {"c": [(1, [("a", 1), ("b", 1)])], "y": [(1, [("c", 1), ("x", 1)])]},
     )
     lowering = DgaModel([("u2", 2), ("u5", 5)], {"u5": [(1, {"u2": 1})]})
-    cases = [
-        (degenerate, 6, {}, "odd-square-exclusion"),
-        (broken_square, 6, {}, "d-squared"),
-        (lowering, 6, {}, "degree-raising"),
-        (two_gen_model(), -1, {}, "max_degree must be >= 0"),
-        (DgaModel([("a", 1), ("b", 1), ("c", 1)]), 3, {"basis_limit": 2}, "exceeding the limit 2"),
+    cases = [  # the basis limit, when given, is set for that case and those after it
+        (degenerate, 6, None, "odd-square-exclusion"),
+        (broken_square, 6, None, "d-squared"),
+        (lowering, 6, None, "degree-raising"),
+        (two_gen_model(), -1, None, "max_degree must be >= 0"),
+        (DgaModel([("a", 1), ("b", 1), ("c", 1)]), 3, 2, "exceeding the limit 2"),
     ]
-    for model, max_degree, kwargs, text in cases:
-        rank_only, full = _rank_and_full_outcomes(model, max_degree, **kwargs)
+    for model, max_degree, limit, text in cases:
+        if limit is not None:
+            monkeypatch.setattr(cohomology_module, "DEFAULT_BASIS_LIMIT", limit)
+        rank_only, full = _rank_and_full_outcomes(model, max_degree)
         assert rank_only == full
         assert issubclass(rank_only[0], GcaError) and text in rank_only[1]
     # the basis limit names the same degree and size on both paths
@@ -569,10 +571,11 @@ def test_determinism_of_tables_and_representatives():
     assert a == b
 
 
-def test_basis_limit_error_names_degree():
+def test_basis_limit_error_names_degree(monkeypatch):
     m = DgaModel([("a", 1), ("b", 1), ("c", 1)])
+    monkeypatch.setattr(cohomology_module, "DEFAULT_BASIS_LIMIT", 2)  # read by the gate at each call
     with pytest.raises(BasisLimitError) as err:
-        cohomology(m, 3, basis_limit=2)
+        cohomology(m, 3)
     assert err.value.degree == 1  # three degree-1 monomials already exceed the limit
     assert err.value.limit == 2
 
@@ -743,9 +746,9 @@ def test_verify_ring_presentation_rejects_wrong_degree():
 
 
 def test_betti_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BettiTable(2, (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         BettiTable(1, (1, -1))
     table = BettiTable.from_dims([0])  # plain data tables may have dims[0] = 0
     assert table.dim(0) == 0 and table.dim(5) == 0

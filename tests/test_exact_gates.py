@@ -18,9 +18,27 @@ from loopspace.bott import (
     parity_distinct,
     quarter_turn_function,
 )
-from loopspace.gca import DgaModel, Generator, GcaError, RingPresentation, cochain_complex, cohomology
+from loopspace.gca import (
+    DgaModel,
+    Generator,
+    GcaError,
+    RingPresentation,
+    cochain_complex,
+    cohomology,
+    quotient_ring_dims,
+)
 from loopspace.gca.cohomology import BettiTable
-from loopspace.spaceforms import ActionEntry, GysinInput, HomotopyTable, SpaceFormSpec
+from loopspace.spaceforms import (
+    ActionEntry,
+    GysinInput,
+    HomotopyTable,
+    SpaceFormSpec,
+    loop_space_dims,
+    sphere_rational_homotopy,
+    standard_action_data,
+    theorem1_table,
+    theorem2_table,
+)
 
 MODEL = DgaModel([("a", 2), ("x", 3)], {"x": [(1, {"a": 2})]})
 A = MODEL.gen("a")
@@ -28,6 +46,8 @@ QUARTER = quarter_turn_function()
 LENS = SpaceFormSpec(3, 8, 2)
 BASE = BettiTable.from_dims([1, 0, 1, 0])
 TOTAL = BettiTable.from_dims([1, 0, 0, 1])
+LENS_ACTION = standard_action_data(LENS)
+RING = RingPresentation(2, 2, 2)
 
 
 # (entry point, call taking the value under test, a value it accepts)
@@ -45,6 +65,7 @@ INT_GATES = [
     ("RingPresentation deg_w", lambda v: RingPresentation(v, 2, 2), 2),
     ("RingPresentation deg_z", lambda v: RingPresentation(2, v, 2), 2),
     ("RingPresentation nilpotency", lambda v: RingPresentation(2, 2, v), 2),
+    ("quotient_ring_dims max_degree", lambda v: quotient_ring_dims(RING, v), 6),
     ("SpaceFormSpec n", lambda v: SpaceFormSpec(v, 8, 2), 3),
     ("SpaceFormSpec r", lambda v: SpaceFormSpec(3, v, 2), 8),
     ("SpaceFormSpec element_order", lambda v: SpaceFormSpec(3, 8, v), 2),
@@ -53,6 +74,11 @@ INT_GATES = [
     ("HomotopyTable degree", lambda v: HomotopyTable(((v, 1),)), 2),
     ("HomotopyTable dimension", lambda v: HomotopyTable(((2, v),)), 1),
     ("HomotopyTable pi1", lambda v: HomotopyTable(((2, 1),), v), 4),
+    ("sphere_rational_homotopy n", lambda v: sphere_rational_homotopy(v, 3), 3),
+    ("sphere_rational_homotopy i", lambda v: sphere_rational_homotopy(4, v), 7),
+    ("loop_space_dims max_degree", lambda v: loop_space_dims(LENS_ACTION, v), 6),
+    ("theorem1_table max_degree", lambda v: theorem1_table(LENS, v), 6),
+    ("theorem2_table max_degree", lambda v: theorem2_table(LENS, v), 6),
     ("BottFunction arc value", lambda v: BottFunction(QUARTER.discontinuities, (v, 0), (0, 0)), 1),
     ("BottFunction point value", lambda v: BottFunction(QUARTER.discontinuities, (1, 0), (v, v)), 0),
     ("BottFunction.build arc value", lambda v: BottFunction.build(QUARTER.discontinuities, (v, 0)), 1),
@@ -107,3 +133,17 @@ def test_exact_number_gates():
         assert call(Turn(good)) == call(good), name
         if good.denominator == 1:
             assert call(Count(good.numerator)) == call(good), name
+
+
+def test_truncation_degrees_below_zero_are_refused():
+    calls = [
+        lambda: loop_space_dims(LENS_ACTION, -1),
+        lambda: theorem1_table(LENS, -1),
+        lambda: theorem2_table(LENS, -1),
+        lambda: quotient_ring_dims(RING, -1),
+    ]
+    for call in calls:
+        with pytest.raises(GcaError, match="^max_degree must be >= 0 and an integer, got -1$"):
+            call()
+    # zero is a truncation: degree 0 carries no homotopy and one monomial
+    assert theorem2_table(LENS, 0).dims == () and quotient_ring_dims(RING, 0) == [1]

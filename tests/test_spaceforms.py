@@ -51,13 +51,13 @@ RATIONAL_PENCIL = Path(__file__).resolve().parent.parent / "fixtures" / "rationa
 def test_spec_validation():
     SpaceFormSpec(3, 8, 2)
     SpaceFormSpec(2, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         SpaceFormSpec(1, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         SpaceFormSpec(4, 4, 2)  # even sphere admits only Z_2
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         SpaceFormSpec(3, 8, 3)  # 3 does not divide 8
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         SpaceFormSpec(3, 8, 1)  # h nontrivial
     assert SpaceFormSpec(5, 4).parity == "odd"
 
@@ -134,9 +134,9 @@ def test_loop_space_dims_invertible_action_contributes_nothing():
 
 
 def test_action_data_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         ActionEntry(2, 2, ((Fraction(1),),))  # wrong shape
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         ActionData(((3, 1, ((Fraction(0),),)), (2, 1, ((Fraction(0),),))))  # not increasing
 
 
@@ -270,16 +270,16 @@ def test_gysin_forced_failure_at_degree_one():
 
 def test_gysin_check_needs_max_degree_two():
     base = BettiTable.from_dims([1, 0])
-    with pytest.raises(ValueError, match="max_degree >= 2"):
+    with pytest.raises(GcaError, match="max_degree >= 2"):
         gysin_check(GysinInput(base, (), base))
 
 
 def test_gysin_shape_mismatch_rejected():
     base = BettiTable.from_dims([1, 0, 1, 0])
     total = BettiTable.from_dims([1, 0, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         GysinInput(base, (((Fraction(1), Fraction(0)),),), total)
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         GysinInput(BettiTable.from_dims([1, 0]), (), total)
 
 
@@ -363,10 +363,10 @@ def test_matrix_entries_must_be_exact():
     base = BettiTable.from_dims([1, 0, 1, 0])
     total = BettiTable.from_dims([1, 0, 0, 1])
     for bad in (0.1, True, Decimal("0.1"), "one", "1/0", None):
-        with pytest.raises(ValueError, match=r"^euler action at degree 0: entries must be exact") as err:
+        with pytest.raises(GcaError, match=r"^euler action at degree 0: entries must be exact") as err:
             GysinInput(base, (((bad,),),), total)
         assert repr(bad) in str(err.value)
-        with pytest.raises(ValueError, match=r"^f_2: entries must be exact"):
+        with pytest.raises(GcaError, match=r"^f_2: entries must be exact"):
             ActionEntry(2, 1, ((bad,),))
     half = Fraction(1, 2)
     inputs = GysinInput(base, (((half,),),), total)
@@ -380,7 +380,7 @@ def test_matrix_entries_must_be_exact():
 def test_euler_class_requires_closed_degree_two_generator():
     from loopspace.gca import DgaModel
 
-    with pytest.raises(ValueError):
+    with pytest.raises(GcaError):
         euler_class(DgaModel([("x", 3)]))
 
 
