@@ -25,7 +25,7 @@ def main():
         model = theorem3_model(spec)
         print(model_text(model))
 
-        table = cohomology(model, 20, with_representatives=True)
+        table = cohomology(model, 20)
         print("degree:", " ".join(f"{d:>2}" for d in range(len(table.dims))))
         print("dim:   ", " ".join(f"{v:>2}" for v in table.dims))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -271,10 +270,7 @@ def morse_matches_betti(seq: IndexSequence, betti: BettiTable) -> bool:
     most betti.max_degree equals the multiset of degrees counted with
     multiplicity betti.dims[d]; entries above the cutoff are ignored.
     """
-    cutoff = betti.max_degree
-    counted = Counter(i for _, i in seq.entries if i <= cutoff)
-    target = Counter({d: n for d, n in enumerate(betti.dims) if n})
-    return counted == target
+    return _match_against_targets(seq.entries, betti)[0]
 
 
 @dataclass(frozen=True)
@@ -307,22 +303,31 @@ def _candidate_payload(f: BottFunction) -> dict:
 
 
 def _match_against_targets(
-    indices: Iterable[tuple[int, int]], target: Counter, degree_cutoff: int
+    indices: Iterable[tuple[int, int]], betti: BettiTable
 ) -> tuple[bool, str]:
     """Match (iterate, index) pairs, in increasing iterate order, against
-    the Betti targets; the reason names the first iterate that fails."""
-    left = dict(target)
+    the Betti table: each index at most betti.max_degree fills one of the
+    betti.dims[index] dimensions of its degree, and every degree must be
+    filled exactly.  The reason names the first iterate that fails, or else
+    the lowest degree left short.
+
+    Indices must be non-negative, as they are in every IndexSequence and in
+    a * grid_pair_root_counts(...), so an index never wraps round the list.
+    """
+    dims = betti.dims
+    cutoff = betti.max_degree
+    left = list(dims)
     for m, ind in indices:
-        if ind > degree_cutoff:
+        if ind > cutoff:
             continue
-        if target.get(ind, 0) == 0:
-            return False, f"iterate {m} has index {ind}, not covered by the Betti targets"
         if not left[ind]:
-            return False, f"iterate {m} overfills index {ind} (multiplicity {target[ind]})"
+            if not dims[ind]:
+                return False, f"iterate {m} has index {ind}, not covered by the Betti targets"
+            return False, f"iterate {m} overfills index {ind} (multiplicity {dims[ind]})"
         left[ind] -= 1
-    for d in sorted(target):
-        if left[d]:
-            return False, f"index {d} covered {target[d] - left[d]} times, target {target[d]}"
+    for d, n in enumerate(left):
+        if n:
+            return False, f"index {d} covered {dims[d] - n} times, target {dims[d]}"
     return True, ""
 
 
@@ -371,7 +376,6 @@ def certify_theorem4(
 
     degree_cutoff = 2 * (((M - 1) // 2) // 2)
     betti = BettiTable.from_dims(quotient_ring_dims(RingPresentation(2, 2, 2), degree_cutoff))
-    target = Counter({d: n for d, n in enumerate(betti.dims) if n})
 
     # each candidate as its sorted jump pair (none for the zero function), its
     # value a on the arc through angle 1/2 and that arc's root counts at the
@@ -381,7 +385,8 @@ def certify_theorem4(
     # construction (j/N < 1/2 < 1 - j/N, non-negative int values, points the
     # minima of the adjacent arcs, as BottFunction.build would normalise
     # them), so its transcript payload is built directly and only a survivor
-    # becomes a BottFunction.
+    # becomes a BottFunction.  The zero function comes first, then j and a
+    # ascending, so the survivors come out in (jumps, arcs) order.
     iterates = range(1, M + 1, 2)
     candidates: list[tuple[tuple[Fraction, ...], int, list[int]]] = [((), 0, [0] * len(iterates))]
     for j in range(1, (N - 1) // 2 + 1):
@@ -390,10 +395,9 @@ def certify_theorem4(
         candidates.extend((disc, a, roots) for a in range(0, V + 1))
 
     transcript: list[dict] = []
-    survivors: list[BottFunction] = []
+    checks: list[dict] = []
     for disc, a, roots in candidates:
-        indices = zip(iterates, map(a.__mul__, roots))
-        matched, reason = _match_against_targets(indices, target, degree_cutoff)
+        matched, reason = _match_against_targets(zip(iterates, map(a.__mul__, roots)), betti)
         if disc:
             candidate = {"disc": list(disc), "arcs": [a, 0], "points": [0, 0]}
         else:
@@ -406,29 +410,25 @@ def certify_theorem4(
             f = BottFunction(disc, (a, 0), (0, 0)) if disc else BottFunction.constant(0)
             seq = IndexSequence.from_function(f, iterates)
             assert morse_matches_betti(seq, betti)
-            survivors.append(f)
+            quarter = f.discontinuities == QUARTER_TURNS
+            degenerate = not is_nondegenerate(f, 2)
+            checks.append(
+                {
+                    "survivor": _candidate_payload(f),
+                    "quarter_turns": quarter,
+                    "degenerate_at_iterate_2": degenerate,
+                    "fails_nondegeneracy": quarter and degenerate,
+                }
+            )
+    transcript.extend(checks)
 
-    survivors.sort(key=lambda f: (f.discontinuities, f.arc_values))
-    all_fail_required = bool(survivors)
-    for f in survivors:
-        quarter = f.discontinuities == QUARTER_TURNS
-        degenerate = not is_nondegenerate(f, 2)
-        transcript.append(
-            {
-                "survivor": _candidate_payload(f),
-                "quarter_turns": quarter,
-                "degenerate_at_iterate_2": degenerate,
-                "fails_nondegeneracy": quarter and degenerate,
-            }
-        )
-        if not (quarter and degenerate):
-            all_fail_required = False
-
-    if not survivors:
+    if not checks:
         verdict = INCONCLUSIVE
         transcript.append({"note": "no candidate matched the Betti targets; the Morse premise failed"})
+    elif all(c["fails_nondegeneracy"] for c in checks):
+        verdict = CONTRADICTION_ESTABLISHED
     else:
-        verdict = CONTRADICTION_ESTABLISHED if all_fail_required else INCONCLUSIVE
+        verdict = INCONCLUSIVE
 
     parameters = {
         "grid_denominator": N,
@@ -444,7 +444,7 @@ def certify_theorem4(
     return Certificate(
         kind="theorem4",
         parameters=parameters,
-        survivors=tuple(_candidate_payload(f) for f in survivors),
+        survivors=tuple(c["survivor"] for c in checks),
         verdict=verdict,
         transcript=tuple(transcript),
     )
@@ -484,10 +484,9 @@ def certify_theorem5(
         )
     exact_int(k, 1, "k must be a positive integer, got {value!r}")
     exact_int(iterate_count, 0, "iterate count must be an integer >= 0, got {value!r}")
-    if bott_index(f, k) != 0:
-        raise GcaError(
-            f"the minimal geodesic must have index 0, got bott_index(f, {k}) = {bott_index(f, k)}"
-        )
+    index = bott_index(f, k)
+    if index != 0:
+        raise GcaError(f"the minimal geodesic must have index 0, got bott_index(f, {k}) = {index}")
 
     p2 = spec.element_order
     pi1 = theorem2_table(spec, 3).pi1
@@ -502,43 +501,33 @@ def certify_theorem5(
         "assumption": "a handle decomposition with only even-dimensional cells "
         "forces a trivial fundamental group",
     }
-    survivor = {"bott_function": _candidate_payload(f), "k": k}
-
-    if pi1 <= 1:
-        return Certificate(
-            kind="theorem5",
-            parameters=parameters,
-            survivors=(survivor,),
-            verdict=INCONCLUSIVE,
-            transcript=(
-                {"note": "pi_1 of the equivariant loop space is trivial; no contradiction available"},
-            ),
-        )
-
     transcript = []
     offending = None
-    for l in range(iterate_count + 1):
-        m = k * (1 + p2 * l)
-        ind = bott_index(f, m)
-        parity = ind % 2
-        transcript.append({"l": l, "iterate": m, "index": ind, "parity": "odd" if parity else "even"})
-        if parity and offending is None:
-            offending = m
-    if offending is None:
+    if pi1 > 1:
+        for l in range(iterate_count + 1):
+            m = k * (1 + p2 * l)
+            ind = bott_index(f, m)
+            parity = ind % 2
+            transcript.append({"l": l, "iterate": m, "index": ind, "parity": "odd" if parity else "even"})
+            if parity and offending is None:
+                offending = m
+    if pi1 <= 1:
+        verdict = INCONCLUSIVE
+        note = "pi_1 of the equivariant loop space is trivial; no contradiction available"
+    elif offending is None:
         verdict = CONTRADICTION_ESTABLISHED
-        transcript.append(
-            {
-                "note": f"all listed indices are even while pi_1 has order {pi1}; "
-                "the single-geodesic hypothesis fails"
-            }
+        note = (
+            f"all listed indices are even while pi_1 has order {pi1}; "
+            "the single-geodesic hypothesis fails"
         )
     else:
         verdict = INCONCLUSIVE
-        transcript.append({"note": f"iterate {offending} has odd index; no parity obstruction"})
+        note = f"iterate {offending} has odd index; no parity obstruction"
+    transcript.append({"note": note})
     return Certificate(
         kind="theorem5",
         parameters=parameters,
-        survivors=(survivor,),
+        survivors=({"bott_function": _candidate_payload(f), "k": k},),
         verdict=verdict,
         transcript=tuple(transcript),
     )

@@ -89,7 +89,18 @@ def _list_json(value) -> list:
 
 
 def _dict_json(value) -> dict:
-    return dict(zip(map(str, value), _list_json(value.values())))
+    # one pass with _list_json's rules, not _list_json and a zip: most dicts
+    # are small transcript entries, where a second pass costs more than it saves
+    out = {}
+    for k, v in value.items():
+        t = type(v)
+        if t in _PLAIN:
+            out[str(k)] = v
+        elif t is Fraction:
+            out[str(k)] = str(v)
+        else:
+            out[str(k)] = jsonable(v)
+    return out
 
 
 # the converter of each type jsonable accepts; a subclass takes the converter

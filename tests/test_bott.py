@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,54 @@ def test_morse_matching_ignores_indices_above_cutoff():
     betti = BettiTable.from_dims([1, 0, 2])
     seq = IndexSequence(((1, 0), (3, 2), (5, 2), (7, 4), (9, 4)))
     assert morse_matches_betti(seq, betti)
+
+
+def test_morse_matching_agrees_with_multiset_oracle():
+    # the oracle: the indices at most the cutoff, as a multiset, against the
+    # degrees counted with their Betti numbers
+    rng = random.Random(4242)
+    kinds = Counter()
+    for _ in range(3000):
+        dims = [rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(1, 7))]
+        betti = BettiTable.from_dims(dims)
+        exact = [d for d, n in enumerate(dims) for _ in range(n)]
+        kind = rng.choice(("exact", "overfill", "underfill", "zero", "random"))
+        indices = list(exact)
+        if kind == "overfill" and exact:
+            indices.append(rng.choice(exact))
+        elif kind == "underfill" and exact:
+            indices.remove(rng.choice(exact))
+        elif kind == "zero" and 0 in dims:
+            indices.append(rng.choice([d for d, n in enumerate(dims) if n == 0]))
+        elif kind == "random":
+            indices = [rng.randrange(len(dims) + 2) for _ in range(rng.randint(0, 8))]
+        indices += [rng.randint(len(dims), len(dims) + 4) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(indices)
+        seq = IndexSequence(tuple(enumerate(indices, start=1)))
+        cutoff = betti.max_degree
+        expected = Counter(i for i in indices if i <= cutoff) == Counter(
+            {d: n for d, n in enumerate(dims) if n}
+        )
+        assert morse_matches_betti(seq, betti) == expected, (dims, indices)
+        kinds[kind, expected, not indices] += 1
+    # every kind of sequence, matched and unmatched, the empty one included
+    assert kinds["exact", True, False] and kinds["exact", False, False] == 0
+    assert kinds["overfill", False, False] and kinds["underfill", False, False]
+    assert kinds["zero", False, False] and kinds["random", False, False]
+    assert kinds["exact", True, True] and kinds["random", False, True]
+
+
+def test_certify_theorem4_survivors_come_out_sorted():
+    # candidates are generated zero function first, then j and a ascending,
+    # so the survivors, the matched candidates in that order, need no sort
+    for N in range(8, 73, 8):
+        for V in range(4):
+            cert = certify_theorem4(N, V, 2 * N + 1)
+            entries = [e for e in cert.transcript if "candidate" in e]
+            keys = [(e["candidate"]["disc"], e["candidate"]["arcs"]) for e in entries]
+            assert keys == sorted(keys), (N, V)
+            matched = [e["candidate"] for e in entries if e["matched"]]
+            assert list(cert.survivors) == matched, (N, V)
 
 
 def test_index_sequence_validation():

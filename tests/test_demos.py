@@ -1,10 +1,12 @@
 """Every script in ``demos/`` runs as documented and prints what it printed
 when its digest was recorded.
 
-Each demo runs in its own interpreter with ``PYTHONPATH=src``; a new demo
-needs its digest added here.  To print the current digests:
+Each demo runs in its own interpreter with ``PYTHONPATH=src`` and, since a
+subprocess does not inherit them, the flags ``-X dev -W error``, so a
+warning a demo raises fails its test; a new demo needs its digest added
+here.  To print the current digests:
 
-    for f in demos/*.py; do PYTHONPATH=src python "$f" | sha256sum; done
+    for f in demos/*.py; do PYTHONPATH=src python -X dev -W error "$f" | sha256sum; done
 """
 
 import hashlib
@@ -30,7 +32,7 @@ STDOUT_SHA256 = {
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_and_prints_recorded_output(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=ROOT,
+                          env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
