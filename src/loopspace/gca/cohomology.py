@@ -9,15 +9,14 @@ ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  Each d_d is built as
 sparse integer columns of L*d, where L is the lcm of every coefficient
 denominator of the generator differentials, which leaves every rank
 unchanged; L*d is held by the model, computed on first use by either path
-(see :meth:`DgaModel.integer_differentials`).  The columns split into the
-connected blocks of their row/column nonzero graph, and each block is
-reduced on its own, so no kernel, image or dense matrix of the whole
-differential is ever formed.
+(see :meth:`DgaModel.integer_differentials`).  The columns are ranked by
+column reduction (:func:`linalg.sparse_rank`), which reads their nonzero
+entries only, so no kernel, image or dense matrix is ever formed.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) keeps each d_d as the same sparse integer
-columns of L*d_d and factors it, by the exact elimination of :mod:`.linalg`,
-only for its kernel.  The kernel has one primitive integer vector per free
+columns of L*d_d and factors it, by :func:`linalg.echelon`, only for its
+kernel.  The kernel has one primitive integer vector per free
 column, nonzero there and zero at every other free column, and the pivot
 columns are the basis of the image in degree d+1 (L times the image of d,
 which spans the same space).  So the image of d_{d-1} at the free columns
@@ -288,50 +287,6 @@ def integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, in
     return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, scale
 
 
-def block_rank(columns: Sequence[Mapping[int, int]]) -> int:
-    """Rank of a sparse matrix given by columns ({row: nonzero value}).
-
-    The connected components of the bipartite row/column nonzero graph
-    (Dulmage-Mendelsohn 1958) split the matrix, after permuting rows and
-    columns, into a block diagonal, so its rank is the sum of the block
-    ranks.  A union-find joins every column to the first column seen in each
-    of its rows.  Every column of a block is nonzero, so a block with one
-    column, or with one row, has rank 1 and is counted without elimination;
-    each other block is reduced on its own by :func:`linalg.echelon`.
-    """
-    parent = list(range(len(columns)))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    first: dict[int, int] = {}
-    for j, column in enumerate(columns):
-        for i in column:
-            k = first.setdefault(i, j)
-            if k != j:
-                parent[find(k)] = find(j)
-    blocks: dict[int, list[int]] = {}
-    for j, column in enumerate(columns):
-        if column:
-            blocks.setdefault(find(j), []).append(j)
-    total = 0
-    for cols in blocks.values():
-        rows = sorted({i for j in cols for i in columns[j]})
-        if len(cols) == 1 or len(rows) == 1:
-            total += 1
-            continue
-        position = {i: r for r, i in enumerate(rows)}
-        dense = [[0] * len(cols) for _ in rows]
-        for c, j in enumerate(cols):
-            for i, v in columns[j].items():
-                dense[position[i]][c] = v
-        total += linalg.rank(dense)
-    return total
-
-
 def _check_complex_input(model: DgaModel, max_degree: int) -> None:
     """The gate shared by every cochain computation: a valid model and
     bases of at most ``DEFAULT_BASIS_LIMIT`` monomials (read at each call)
@@ -423,8 +378,8 @@ def cohomology(
     over the monomial basis of each degree.  Requires a model that passes
     :func:`check_model`.  Without representatives the dimensions come from
     ranks alone: each d_d is built as sparse integer columns of L*d (see
-    :meth:`DgaModel.integer_differentials`) and ranked block by block (see
-    :func:`block_rank`); no kernel or image is formed.  With
+    :meth:`DgaModel.integer_differentials`) and ranked by column reduction
+    (see :func:`linalg.sparse_rank`); no kernel or image is formed.  With
     representatives the table is read off :func:`cochain_complex`.
     """
     if with_representatives:
@@ -432,7 +387,7 @@ def cohomology(
     _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the ranks read, in one table extension
     diffs = model.integer_differentials()
-    ranks = [block_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
+    ranks = [linalg.sparse_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
     dims = [len(model.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
     return BettiTable(max_degree, tuple(dims))
 

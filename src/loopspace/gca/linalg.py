@@ -1,15 +1,22 @@
-"""Exact rational linear algebra over one fraction-free elimination.
+"""Exact rational linear algebra over two integer kernels.
 
-Matrices are lists of rows; entries are ints or Fractions.  ``echelon`` is
-the only elimination: a fraction-free Gauss-Jordan reduction of the
-integerised matrix (Bareiss 1968, applied above the pivot as well as
-below), in which every division is exact, so no rounding can occur
-anywhere.  Zero rows are dropped before anything else; each other row is
-copied, and a row that holds a Fraction is scaled to integers.  Pivots are
-chosen by first nonzero column, then smallest absolute entry, then lowest
-row index; the fixed rule makes every result deterministic.  Rank, null
-space (primitive integer vectors), column space and solutions are read off
-the reduced form without further elimination.
+Matrices are lists of rows; entries are ints or Fractions.  A row that
+holds a Fraction is scaled to integers first, which changes no rank or null
+space, so no rounding can occur anywhere.
+
+``sparse_rank`` computes every rank asked for on its own: column
+reduction of integer vectors held as {position: value} maps, which touches
+only nonzero entries.  ``rank`` hands it the nonzero rows of a matrix,
+since the rank of a matrix is the rank of its rows.
+
+``echelon`` factors a matrix when more than its rank is needed: a
+fraction-free Gauss-Jordan reduction of the integerised matrix (Bareiss
+1968, applied above the pivot as well as below), in which every division
+is exact.  Zero rows are dropped before anything else; each other row is
+copied.  Pivots are chosen by first nonzero column, then smallest absolute
+entry, then lowest row index; the fixed rule makes every result
+deterministic.  Null space (primitive integer vectors), column space and
+solutions are read off the reduced form without further elimination.
 
 A pivot step only rescales a row whose entry in the pivot column is 0, by
 the new pivot over the previous one.  Those factors telescope, so such rows
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Row = Sequence[Fraction | int]
 
@@ -100,8 +107,49 @@ def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
+def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
+    """Rank of integer vectors given as {position: nonzero int} maps.
+
+    Column reduction (Zomorodian-Carlsson 2005): each vector is reduced
+    against the kept vectors by its lowest position, to a*v - b*kept where
+    a and b are the two entries there divided by their gcd, and the result
+    is divided by its content.  A vector is kept when its lowest position is
+    new and dropped when it vanishes.  The kept vectors have distinct lowest
+    positions, so they are independent, and each dropped vector is in their
+    span.  The maps passed in are never mutated: a vector is kept as given,
+    and each reduction makes a new map.
+
+    Every step multiplies a vector by an entry of another; dividing by the
+    content removes the common factor those products leave, which keeps the
+    entries about as large as the minors a fraction-free elimination holds.
+    """
+    kept: dict[int, Mapping[int, int]] = {}
+    for v in vectors:
+        while v:
+            low = min(v)
+            other = kept.get(low)
+            if other is None:
+                kept[low] = v
+                break
+            a, b = other[low], v[low]
+            g = gcd(a, b)
+            if g != 1:
+                a, b = a // g, b // g
+            w = dict(v) if a == 1 else {i: a * x for i, x in v.items()}
+            for i, y in other.items():
+                z = w.pop(i, 0) - b * y
+                if z:
+                    w[i] = z
+            g = gcd(*w.values())
+            v = w if g < 2 else {i: x // g for i, x in w.items()}
+    return len(kept)
+
+
 def rank(rows: Sequence[Row]) -> int:
-    return len(echelon(rows)[1])
+    """Rank of the matrix: the rank of its nonzero rows, integerised (see
+    :func:`integerize_rows`), as :func:`sparse_rank` vectors."""
+    m = integerize_rows([row for row in rows if any(row)])
+    return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:

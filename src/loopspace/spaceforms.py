@@ -157,9 +157,6 @@ class HomotopyTable:
                 return v
         return 0
 
-    def nonzero_degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.dims)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.dims)
 
@@ -273,9 +270,6 @@ class AbelianGroup:
             acc = self.add(acc, a)
             n += 1
         return n
-
-    def has_element_of_order(self, n: int) -> bool:
-        return any(self.element_order(e) == n for e in self.elements())
 
 
 CYCLIC4 = AbelianGroup((4,))

@@ -364,7 +364,7 @@ TEXT_EXPECTED = {
 
 
 def test_text_output_is_byte_identical():
-    from test_golden import COMMANDS, command_digest
+    from golden import COMMANDS, command_digest
 
     assert set(TEXT_EXPECTED) == set(COMMANDS)
     for label, argv in COMMANDS.items():
@@ -379,7 +379,7 @@ def test_text_output_builds_no_json(monkeypatch):
     builders are replaced; the private converters behind them are not,
     since a text table may use them without building a document."""
     from loopspace import cli, serialize
-    from test_golden import COMMANDS, command_digest
+    from golden import COMMANDS, command_digest
 
     def forbidden(*args):
         raise AssertionError("JSON was built for text output")

@@ -25,7 +25,7 @@ from loopspace.gca import (
     quotient_ring_dims,
     verify_ring_presentation,
 )
-from loopspace.gca.cohomology import ComplexData, DegreeData, block_rank, differential_matrix
+from loopspace.gca.cohomology import ComplexData, DegreeData, differential_matrix
 from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
 from loopspace.spaceforms import SpaceFormSpec, euler_action_matrices, theorem3_model
@@ -467,7 +467,7 @@ def _sparse_integer_matrix(rng, kind):
         return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(ncols)] for _ in range(nrows)], ncols
     if kind in ("block diagonal", "one-row and one-column blocks"):
         sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        if kind == "one-row and one-column blocks":  # ranked without elimination
+        if kind == "one-row and one-column blocks":
             sizes = [rng.choice(((1, 1), (1, c), (c, 1))) for _, c in sizes]
         nrows, ncols = sum(r for r, _ in sizes), sum(c for _, c in sizes)
         rows = [[0] * ncols for _ in range(nrows)]
@@ -494,14 +494,29 @@ def _sparse_integer_matrix(rng, kind):
     return rows, ncols
 
 
-def test_block_rank_sums_to_the_whole_rank():
+def _rank_deficient_product(rng):
+    """A*B for random n x k and k x n integer factors, k < n <= 40, entries up
+    to 10^6 in absolute value: rank at most k."""
+    n = rng.randint(2, 40)
+    k = rng.randint(1, n - 1)
+    a = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a], n
+
+
+def test_sparse_rank_matches_the_reference_echelon():
     rng = random.Random(1958)
     kinds = ("no rows", "zero columns", "one dense block", "block diagonal", "duplicate rows", "sparse",
              "one-row and one-column blocks")
+    cases = []
     for n in range(34 * len(kinds)):  # 34 of each kind, as many as each had among six
-        rows, ncols = _sparse_integer_matrix(rng, kinds[n % len(kinds)])
+        cases.append((kinds[n % len(kinds)], *_sparse_integer_matrix(rng, kinds[n % len(kinds)])))
+    cases += [("rank-deficient product", *_rank_deficient_product(rng)) for _ in range(12)]
+    for kind, rows, ncols in cases:
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
-        assert block_rank(columns) == linalg.rank(rows), (kinds[n % len(kinds)], rows)
+        copies = [dict(column) for column in columns]
+        assert linalg.sparse_rank(columns) == len(reference_echelon(rows)[1]), (kind, rows)
+        assert columns == copies
 
 
 def test_basis_sizes_count_the_enumerated_bases():
@@ -533,7 +548,7 @@ def test_six_generator_cohomology_json_is_byte_identical():
     """sha256 of the exit code and `cohomology --max-degree 16 --json` on
     fixtures/six_gen.dga, a large sparse elimination, recorded before the
     kernels skipped zeros."""
-    from test_golden import command_digest
+    from golden import command_digest
 
     digest = command_digest(("cohomology", "--max-degree", "16", "--json", "six_gen.dga"))
     assert digest == "56f8717483a660b6f19624e9b2518f5355a11b938c31dc7f60b750db1b11a61b"
