@@ -33,21 +33,14 @@ only for the answer.  The ring search multiplies integer combinations of
 the representatives as integer {monomial: int} maps and reads their classes
 the same way, with no Fraction at all.
 
-Three cases need no elimination of d_d, and all are common: in the pencil
-models with dx = (p*u2 + q*v2)^a, CP^(a-1) and the Theorem 3 models, every
-even degree has d_d = 0, every odd degree has no incoming image, and every
-nonzero d_d is injective.  A zero d_d has a reduced form with no rows, so
-every column is free and its kernel vectors are unit vectors; an empty
-image fills no free column, so every free column is a representative's.
-When d_{d+1} = 0, every column of degree d+1 is free, and the image of d_d
-reduced there has the rank of d_d, because restriction to the free columns
-is injective on the kernel of d_{d+1}.  So that image is reduced one degree
-early, from every column of d_d: if its rank is dim C^d, d_d is injective,
-with no free column and no representative, every column is a pivot column
-and the reduction is the one degree d+1 reads.  Only otherwise is d_d
-factored.  Each case gives exactly what the reductions return on such
-input, so the data, and every output byte, are the same as when every
-degree is reduced.
+Each d_d is factored only when its rank, read by
+:func:`linalg.sparse_rank`, lies strictly between 0 and dim C^d.  A zero
+d_d has every column free, with unit kernel vectors; an injective d_d has
+every column a pivot column and no free column.  Both are exactly what the
+reduction returns on such input, so the data, and every output byte, are
+the same as when every degree is factored.  In the pencil models with
+dx = (p*u2 + q*v2)^a, CP^(a-1) and the Theorem 3 models every nonzero d_d
+is injective, so no d_d is factored at all.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -75,6 +68,7 @@ from .algebra import (
 DEFAULT_MAX_DEGREE = 24
 DEFAULT_BASIS_LIMIT = 200_000
 _MAX_DEGREE_MESSAGE = "max_degree must be >= 0 and an integer, got {value}"
+_DEGREE_MESSAGE = "degree must be an integer, got {value!r}"
 
 
 class BasisLimitError(GcaError):
@@ -115,7 +109,7 @@ class BettiTable:
         return cls(len(dims) - 1, tuple(dims))
 
     def dim(self, degree: int) -> int:
-        if 0 <= degree <= self.max_degree:
+        if 0 <= exact_int(degree, -inf, _DEGREE_MESSAGE) <= self.max_degree:
             return self.dims[degree]
         return 0
 
@@ -173,7 +167,7 @@ class ComplexData:
         return self.degrees[degree]
 
     def representative_elements(self, degree: int) -> list[AlgebraElement]:
-        d = self._degree_data(degree)
+        d = self._degree_data(exact_int(degree, -inf, _DEGREE_MESSAGE))
         return [self.model.from_coords(d.basis, vec) for vec in d.reps]
 
     def is_exact(self, element: AlgebraElement, degree: int) -> bool:
@@ -187,6 +181,7 @@ class ComplexData:
         The element is scaled to integers once, by the lcm of its
         denominators, and its class is read by :meth:`_class_numerators`;
         a Fraction is formed only for each returned coordinate."""
+        degree = exact_int(degree, -inf, _DEGREE_MESSAGE)
         self._degree_data(degree)
         self._check_element(element, degree)
         terms, scale = integer_terms(element.terms)
@@ -305,49 +300,33 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
 
     Each degree builds the sparse integer columns of L*d_d once (see
-    :func:`_sparse_columns`), one degree ahead, and keeps them.  When
-    d_{d+1} = 0 and d_d may be injective (every column nonzero, and no more
-    columns than rows), the image of d_d is reduced at every column of
-    degree d+1, last first, which are all free there: rank dim C^d means
-    d_d is injective, so it has no free column and no representative, its
-    columns are all pivot columns, and that reduction is the incoming image
-    of degree d+1.  Otherwise a nonzero d_d is made dense by
-    :func:`differential_matrix` from its columns and reduced once; a zero
-    d_d has no reduced row and no pivot, and its free columns are every
-    column, last first, which is what the reduction of a zero matrix gives.
-    The incoming image, the pivot columns of L*d_{d-1}, is reduced at the
-    free columns unless it is empty: then it fills no free column.  A
-    kernel vector is built only at each free column the image does not
-    fill, in ascending order: these are the representatives, the first
-    kernel vectors that extend the image span."""
+    :func:`_sparse_columns`) and decides from them alone.  A zero d_d has
+    every column free, last first; an injective d_d (rank dim C^d, by
+    :func:`linalg.sparse_rank`) has every column a pivot column and none
+    free.  Neither is factored: each is what the reduction of such a
+    matrix gives.  Only a d_d of any other rank is made dense by
+    :func:`differential_matrix` and reduced once.  The incoming image, the
+    pivot columns of L*d_{d-1}, is reduced at the free columns unless it is
+    empty: then it fills no free column.  A kernel vector is built only at
+    each free column the image does not fill, in ascending order: these are
+    the representatives, the first kernel vectors that extend the image
+    span."""
     _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     diffs = model.integer_differentials()
-    following = _sparse_columns(model, 0, diffs)
     degrees = []
     image: list[Mapping[int, int]] = []  # pivot columns of L*d_{d-1}, kept for one degree
-    early = None  # or, when d_d = 0, that image already reduced at every column
     for d in range(max_degree + 1):
-        basis, columns = model.basis(d), following
+        basis, columns = model.basis(d), _sparse_columns(model, d, diffs)
         n = len(basis)
-        following = _sparse_columns(model, d + 1, diffs) if d < max_degree else None
-        reduced = None
-        if following is not None and not any(following) and 0 < n <= len(following) and all(columns):
-            # d_{d+1} = 0: the image of d_d at the free columns of degree d+1
-            # is read now, from every column, and its rank is the rank of d_d
-            ahead = range(len(following) - 1, -1, -1)
-            reduced = linalg.echelon([[column.get(f, 0) for f in ahead] for column in columns])
-        if reduced is not None and len(reduced[1]) == n:  # d_d is injective
-            ech, pivots, free = [], [], ()
-        elif any(columns):
-            reduced = None  # d_d has a kernel: degree d+1 reduces the pivot columns
+        if not any(columns):  # d_d = 0: every column is free
+            ech, pivots, free = [], [], tuple(reversed(range(n)))
+        elif linalg.sparse_rank(columns) == n:  # d_d is injective: no column is free
+            ech, pivots, free = [], list(range(n)), ()
+        else:
             ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
             free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
-        else:  # d_d = 0: every column is free
-            ech, pivots, free = [], [], tuple(reversed(range(n)))
-        if early is not None:
-            at_free, image_pivots = early
-        elif image:
+        if image:
             # reduced from the last free column, the image has its pivots at
             # the free columns it fills, and the greedy representatives at the others
             at_free, image_pivots = linalg.echelon([[column.get(f, 0) for f in free] for column in image])
@@ -362,7 +341,7 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
             free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
         ))
         # the pivot columns of L*d_d are a basis of its image in degree d+1
-        early, image = reduced, [columns[p] for p in pivots]
+        image = [columns[p] for p in pivots]
     return ComplexData(model, max_degree, tuple(degrees))
 
 

@@ -158,11 +158,11 @@ def _coprime_models(count=6):
 
 
 def test_skipped_eliminations_match_the_dense_reference():
-    """Degrees where d_d is zero, or injective with d_{d+1} = 0, or where
-    no image comes in are not eliminated, and kernel vectors are built at
-    the representatives' columns only; every DegreeData field, and its
-    repr, equals the complex that reduces every d_d and every image and
-    filters the whole kernel."""
+    """A d_d of rank 0 or dim C^d is not factored, no image is reduced
+    where none comes in, and kernel vectors are built at the
+    representatives' columns only; every DegreeData field, and its repr,
+    equals the complex that reduces every d_d and every image and filters
+    the whole kernel."""
     rng = random.Random(31415)
     cases = [(random_model(rng), 8) for _ in range(40)]
     cases += [(m, 12) for m in _coprime_models()]
@@ -276,9 +276,10 @@ def test_cochain_complex_stays_in_integers(monkeypatch):
 
 def _fallback_models():
     """Models with d_{d+1} = 0 whose d_d has a kernel although every column
-    is nonzero, so d_d is factored: in Lambda(a2, x3, y3) with dx = dy = a^2
-    it has more columns than rows, and with a closed b2 beside it the image
-    of d_3 is reduced first and found to have rank 1 < 2."""
+    is nonzero, so d_d has rank strictly between 0 and dim C^d and is
+    factored: in Lambda(a2, x3, y3) with dx = dy = a^2, d_3 has rank 1 < 2
+    with more columns than rows, and, with a closed b2 beside it, with
+    fewer."""
     diffs = {"x": [(1, {"a": 2})], "y": [(1, {"a": 2})]}
     return [DgaModel([("a", 2), ("x", 3), ("y", 3)], diffs),
             DgaModel([("a", 2), ("b", 2), ("x", 3), ("y", 3)], diffs)]
@@ -297,10 +298,10 @@ def _pure_models():
 
 
 def test_each_injective_differential_is_eliminated_once(monkeypatch):
-    """On the pure models every nonzero d_d is injective and d_{d+1} = 0
-    below the top degree, so one elimination per nonzero differential, its
-    image at the next degree, is all the complex makes; at an odd top
-    degree d_d itself is reduced, once."""
+    """On the pure models every nonzero d_d is injective, so it is never
+    factored: one elimination per nonzero differential below the top
+    degree, its image at the next degree, is all the complex makes, and a
+    nonzero d_d at the top degree makes none."""
     calls = []
     echelon = linalg.echelon
     monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
@@ -308,9 +309,33 @@ def test_each_injective_differential_is_eliminated_once(monkeypatch):
         calls.clear()
         data = cochain_complex(model, max_degree)
         nonzero = [d for d in range(max_degree + 1) if any(map(any, differential_matrix(model, d)))]
-        assert len(calls) == len(nonzero) > 0, (model, max_degree)
-        # an injective differential below the top has no free column
-        assert all(not data.degrees[d].free for d in nonzero if d < max_degree)
+        assert nonzero and len(calls) == sum(d < max_degree for d in nonzero), (model, max_degree)
+        # an injective differential has no free column
+        assert all(not data.degrees[d].free for d in nonzero)
+
+
+def test_only_differentials_of_intermediate_rank_are_made_dense(monkeypatch):
+    """cochain_complex makes d_d dense only when its rank lies strictly
+    between 0 and dim C^d: never on the pure models, not at degree 5 of
+    six_gen, where d_5 is injective and d_6 != 0, and once at degree 3 of
+    each fallback model, where d_3 has rank 1 < 2."""
+    degrees = []
+    dense = cohomology_module.differential_matrix
+    monkeypatch.setattr(cohomology_module, "differential_matrix",
+                        lambda model, degree, columns=None: degrees.append(degree) or dense(model, degree, columns))
+    for model, max_degree in _pure_models():
+        degrees.clear()
+        cochain_complex(model, max_degree)
+        assert degrees == [], (model, max_degree)
+    six_gen = parse_path(SIX_GEN, kind="dga").value
+    degrees.clear()
+    data = cochain_complex(six_gen, 9)
+    assert not data.degrees[5].free and any(data.degrees[6].out_columns)
+    assert degrees == [6, 7, 8, 9]
+    for model in _fallback_models():
+        degrees.clear()
+        cochain_complex(model, 9)
+        assert degrees.count(3) == 1, model
 
 
 def test_fallback_models_match_the_dense_reference():
@@ -646,6 +671,8 @@ def test_class_coordinates_error_paths():
         (data, u2, 4, GcaError, "element is not homogeneous of the requested degree"),
         (data, u2, -1, GcaError, "degree must be >= 0, got -1"),
         (data, u2, 11, GcaError, "degree 11 exceeds the truncation 10"),
+        (data, u2, True, GcaError, "degree must be an integer, got True"),
+        (data, u2, 2.0, GcaError, "degree must be an integer, got 2.0"),
         (data, u3, 3, GcaError, "nonzero element in a degree with trivial cocycle space"),
         (odd_data, odd.gen("u3"), 3, GcaError, "element of degree 3 is not a cocycle class"),
         (odd_data, odd.gen("u3") + odd.gen("x"), 3, GcaError, "element of degree 3 is not a cocycle class"),
@@ -657,6 +684,10 @@ def test_class_coordinates_error_paths():
             with pytest.raises(GcaError) as err:
                 query(element, degree)
             assert (type(err.value), str(err.value)) == (kind, text)
+    for degree, text in ((False, "degree must be an integer, got False"), (2.0, "degree must be an integer, got 2.0"),
+                         (-1, "degree must be >= 0, got -1"), (11, "degree 11 exceeds the truncation 10")):
+        with pytest.raises(GcaError, match=f"^{text}$"):
+            data.representative_elements(degree)
     assert data.class_coordinates(model.zero(), 3) == []
     assert odd_data.class_coordinates(odd.gen("x"), 3) == [Fraction(1)]
 
@@ -767,3 +798,8 @@ def test_betti_table_validation():
         BettiTable(1, (1, -1))
     table = BettiTable.from_dims([0])  # plain data tables may have dims[0] = 0
     assert table.dim(0) == 0 and table.dim(5) == 0
+    table = BettiTable.from_dims([1, 2, 3])
+    assert table.dim(1) == 2 and table.dim(-1) == 0
+    for degree in (True, 1.5):
+        with pytest.raises(GcaError, match=f"^degree must be an integer, got {degree!r}$"):
+            table.dim(degree)

@@ -47,6 +47,7 @@ LENS = SpaceFormSpec(3, 8, 2)
 BASE = BettiTable.from_dims([1, 0, 1, 0])
 TOTAL = BettiTable.from_dims([1, 0, 0, 1])
 LENS_ACTION = standard_action_data(LENS)
+COMPLEX = cochain_complex(MODEL, 4)
 RING = RingPresentation(2, 2, 2)
 
 
@@ -60,8 +61,12 @@ INT_GATES = [
     ("AlgebraElement power", lambda v: A ** v, 2),
     ("BettiTable max_degree", lambda v: BettiTable(v, (1, 0)), 1),
     ("BettiTable dims", lambda v: BettiTable(1, (1, v)), 1),
+    ("BettiTable.dim degree", lambda v: BASE.dim(v), 2),
     ("cohomology max_degree", lambda v: cohomology(MODEL, v), 4),
     ("cochain_complex max_degree", lambda v: cochain_complex(MODEL, v).betti(), 4),
+    ("ComplexData.class_coordinates degree", lambda v: COMPLEX.class_coordinates(A, v), 2),
+    ("ComplexData.is_exact degree", lambda v: COMPLEX.is_exact(A, v), 2),
+    ("ComplexData.representative_elements degree", lambda v: COMPLEX.representative_elements(v), 2),
     ("RingPresentation deg_w", lambda v: RingPresentation(v, 2, 2), 2),
     ("RingPresentation deg_z", lambda v: RingPresentation(2, v, 2), 2),
     ("RingPresentation nilpotency", lambda v: RingPresentation(2, 2, v), 2),
