@@ -16,6 +16,15 @@ prefixed by an exponent of generator i.  The table is built bottom-up, from
 the last generator to the first, and extended to the highest degree asked
 for; each extension is published in one assignment, so a concurrent reader
 sees either the old table or the new one, never a half-built level.
+
+The differential acts on monomials through a derivation table (see
+:func:`derivation_table`), made once from the generator differentials: one
+entry per generator with a nonzero differential, holding for each monomial
+of that differential the exponent step it adds and two bit masks over the
+odd generators, one for the sign and one for the odd squares that kill the
+term.  :func:`leibniz` reads the table for the model's bases and
+:func:`apply_differential` for the terms of an element; it is the one
+implementation of the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -118,7 +127,7 @@ class DgaModel:
     """
 
     __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails",
-                 "_integer_diffs")
+                 "_integer_diffs", "_table")
 
     def __init__(
         self,
@@ -142,6 +151,7 @@ class DgaModel:
         # empty tail, in degree 0, and the others start empty
         self._tails = ((),) * self.ngens + ((((),),),)
         self._integer_diffs = None  # see integer_differentials
+        self._table = None  # see derivation
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
         collapsed = []
@@ -268,6 +278,15 @@ class DgaModel:
             diffs = self._integer_diffs = self._scale_differentials()
         return diffs
 
+    def derivation(self) -> "DerivationTable":
+        """The :func:`derivation_table` of the model's own differentials,
+        which :func:`apply_differential` reads; computed on first use and
+        published in one assignment, like :meth:`integer_differentials`."""
+        table = self._table
+        if table is None:
+            table = self._table = derivation_table(self, self.differential_terms())
+        return table
+
     def _scale_differentials(self) -> tuple[dict[Monomial, int], ...]:
         scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
         return tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
@@ -326,18 +345,9 @@ class DgaModel:
         return tails
 
     def basis_sizes(self, top: int) -> tuple[int, ...]:
-        """len(basis(d)) for d = 0..top, counted without enumerating: the
-        coefficients of prod over odd generators of (1 + t^deg) times prod
-        over even generators of 1 / (1 - t^deg), truncated at t^top."""
-        sizes = [1] + [0] * top
-        for step in self._degrees:
-            if step % 2:
-                for d in range(top, step - 1, -1):
-                    sizes[d] += sizes[d - step]
-            else:
-                for d in range(step, top + 1):
-                    sizes[d] += sizes[d - step]
-        return tuple(sizes)
+        """len(basis(d)) for d = 0..top, counted without enumerating (see
+        :func:`times_free_series`)."""
+        return tuple(times_free_series([1] + [0] * top, self._degrees))
 
     # -- value semantics ---------------------------------------------------
 
@@ -386,6 +396,23 @@ class DgaModel:
             else:
                 parts.append(f"{c}*{self.format_monomial(mon)}")
         return " + ".join(parts)
+
+
+def times_free_series(series: list[int], degrees: Iterable[int]) -> list[int]:
+    """A power series (coefficients of t^0..t^top) times the Poincare series
+    of the free algebra on generators of the given degrees, prod over odd
+    degrees of (1 + t^deg) times prod over even degrees of 1 / (1 - t^deg),
+    truncated at t^top: the series is multiplied in place, one factor at a
+    time, and returned.  From 1 it counts the monomials of each degree."""
+    top = len(series) - 1
+    for step in degrees:
+        if step % 2:
+            for d in range(top, step - 1, -1):
+                series[d] += series[d - step]
+        else:
+            for d in range(step, top + 1):
+                series[d] += series[d - step]
+    return series
 
 
 class AlgebraElement:
@@ -522,53 +549,97 @@ def multiply_terms(
     return {m: c for m, c in out.items() if c}
 
 
-def leibniz(
-    model: DgaModel, mon: Monomial, diffs: Sequence[Mapping[Monomial, Coeff]]
-) -> dict[Monomial, Coeff]:
-    """d of one monomial by the graded Leibniz rule, generic over the
-    coefficient type.
+#: The Leibniz rule of one differential (see :func:`derivation_table`): the
+#: (position, bit) of each odd generator, and one (i, terms) entry per
+#: generator i with a nonzero differential, each term a tuple
+#: (delta, coefficient, sign mask, clash mask).
+DerivationTable = tuple[
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, tuple[tuple[Monomial, Coeff, int, int], ...]], ...],
+]
+
+
+def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]]) -> DerivationTable:
+    """The graded Leibniz rule of a differential on the model's monomials,
+    made once for :func:`leibniz`, generic over the coefficient type.
 
     ``diffs`` holds one {monomial: coefficient} map per generator, in
     canonical order: the model's own :class:`Fraction` differentials, or a
-    scaled integer copy of them.  The factor g^e of the monomial contributes
+    scaled integer copy of them.  The factor g^e of a monomial m contributes
     e * (factors before) * dg * (factors after), signed by the degree of the
-    factors before it.  That term is one product, (the monomial with one
-    factor g removed) * dg, times (-1)^(degree of the factors after) when g
-    is even, since dg is then odd and moves past them; no intermediate
-    elements are built.  Terms that cancel stay in the result with
-    coefficient zero.
+    factors before.  A monomial n of dg makes it the monomial m + delta,
+    delta = n - (the unit vector at g), with one sign.  Only odd factors
+    move a sign, so with M the odd generators of m, the sign is (-1)^|M & S|
+    for a mask S of odd positions fixed by g and n, the sum mod 2 of:
+
+    - the positions before g (the sign of the rule);
+    - when g is even, so that dg is odd, the positions after g, whose
+      factors dg moves past;
+    - for each odd generator k of n, the positions after k other than g:
+      the Koszul sign of the product of the other factors with n.
+
+    The term vanishes when an odd generator of n other than g is in M (the
+    clash mask), since it would square.  A generator with dg = 0 has no
+    entry.
     """
-    out: dict[Monomial, Coeff] = {}
-    degrees = model._degrees
-    prefix_deg = 0
-    suffix_deg = model.monomial_degree(mon)
-    for i, e in enumerate(mon):
-        if not e:
+    odd_bits = tuple((j, 1 << j) for j in model._odd)
+    odd = sum(bit for _, bit in odd_bits)
+    entries = []
+    for i, dg in enumerate(diffs):
+        if not dg:
             continue
-        step = e * degrees[i]
-        suffix_deg -= step
-        if diffs[i]:
-            rest = mon[:i] + (e - 1,) + mon[i + 1 :]
-            odd = prefix_deg + (0 if degrees[i] % 2 else suffix_deg)
-            factor = -e if odd % 2 else e
-            for dmon, dc in diffs[i].items():
-                prod = model.multiply_monomials(rest, dmon)
-                if prod:
-                    out[prod[1]] = out.get(prod[1], 0) + prod[0] * factor * dc
-        prefix_deg += step
-    return out
+        own = 1 << i
+        rule = (own - 1) ^ (0 if model._degrees[i] % 2 else -(own << 1))  # before g, and after an even g
+        terms = []
+        for n, c in dg.items():
+            sign, clash = rule, 0
+            for k, bit in odd_bits:
+                if n[k]:
+                    sign ^= -(bit << 1) & ~own  # after k, other than g
+                    clash |= bit
+            terms.append((n[:i] + (n[i] - 1,) + n[i + 1:], c, sign & odd, clash & ~own))
+        entries.append((i, tuple(terms)))
+    return odd_bits, tuple(entries)
+
+
+def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> list[dict[Monomial, Coeff]]:
+    """d of each monomial, by the graded Leibniz rule of a
+    :func:`derivation_table`: one {monomial: coefficient} map per monomial,
+    in order.  The odd generators of a monomial are read once, and only when
+    it holds a generator with a nonzero differential; a monomial with none
+    gets an empty map.  Terms that cancel stay in the result with
+    coefficient zero."""
+    odd_bits, entries = table
+    images = []
+    for mon in monomials:
+        image: dict[Monomial, Coeff] = {}
+        odd = -1  # the bits of the monomial's odd generators, once read
+        for i, terms in entries:
+            e = mon[i]
+            if e:
+                if odd < 0:
+                    odd = 0
+                    for j, bit in odd_bits:
+                        if mon[j]:
+                            odd |= bit
+                for delta, c, sign, clash in terms:
+                    if not odd & clash:
+                        m = tuple(map(add, mon, delta))
+                        image[m] = image.get(m, 0) + (-e * c if (odd & sign).bit_count() & 1 else e * c)
+        images.append(image)
+    return images
 
 
 def apply_differential(x: AlgebraElement) -> AlgebraElement:
     """Extend the differential of ``x``'s model to ``x`` by the graded
-    Leibniz rule (see :func:`leibniz`), d(ab) = (da)b + (-1)^deg(a) a(db).
+    Leibniz rule (see :func:`derivation_table`), d(ab) = (da)b + (-1)^deg(a) a(db).
     The differential of each term has degree one above the term whenever
     the model's generator differentials raise degree by one.
     """
     mod = x.model
-    diffs = mod.differential_terms()
     terms: dict[Monomial, Fraction] = {}
-    for mon, coeff in x.terms.items():
-        for m, c in leibniz(mod, mon, diffs).items():
+    images = leibniz(mod.derivation(), x.terms)
+    for coeff, image in zip(x.terms.values(), images):
+        for m, c in image.items():
             terms[m] = terms.get(m, 0) + coeff * c
     return AlgebraElement(mod, {m: c for m, c in terms.items() if c})

@@ -4,22 +4,34 @@ The free algebra is infinite-dimensional, so every computation here is
 truncated at an explicit maximal degree (default 24).  There are two paths,
 and both pass the same validation gate and basis limit.
 
+Both paths build each d_d as sparse integer columns of L*d, where L is the
+lcm of every coefficient denominator of the generator differentials, which
+leaves every rank unchanged; L*d is held by the model, computed on first
+use by either path (see :meth:`DgaModel.integer_differentials`).  The
+columns come from a :func:`derivation_table`, made once per computation:
+one entry per generator with a nonzero differential, so a monomial of the
+others gets an empty column, and a term's sign is read off the odd
+generators of the monomial (see :func:`leibniz`).
+
 Betti numbers alone (:func:`cohomology` without representatives) come from
-ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  Each d_d is built as
-sparse integer columns of L*d, where L is the lcm of every coefficient
-denominator of the generator differentials, which leaves every rank
-unchanged; L*d is held by the model, computed on first use by either path
-(see :meth:`DgaModel.integer_differentials`).  The columns are ranked by
-column reduction (:func:`linalg.sparse_rank`), which reads their nonzero
-entries only, so no kernel, image or dense matrix is ever formed.
+ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The columns are ranked
+by column reduction (:func:`linalg.sparse_rank`), which reads their nonzero
+entries only, so no kernel, image or dense matrix is ever formed.  The
+inert generators, closed and in no generator differential, are split off
+first: with A the others and I the inert ones, the model is the tensor
+product of the dgas Lambda(A) and Lambda(I), the second with d = 0, so by
+the Kunneth theorem over Q its cohomology is H(Lambda(A)) (x) Lambda(I).
+Only Lambda(A) is ranked; its dimensions are multiplied by the counted
+Poincare series of Lambda(I), whose monomials are never enumerated.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
-coordinates, ring verification) keeps each d_d as the same sparse integer
-columns of L*d_d and factors it, by :func:`linalg.echelon`, only for its
-kernel.  The kernel has one primitive integer vector per free
-column, nonzero there and zero at every other free column, and the pivot
-columns are the basis of the image in degree d+1 (L times the image of d,
-which spans the same space).  So the image of d_{d-1} at the free columns
+coordinates, ring verification) splits off no generator, since its
+representatives are vectors over the bases of the whole model.  It keeps
+each d_d as the same sparse integer columns of L*d_d and factors it, by
+:func:`linalg.echelon`, only for its kernel.  The kernel has one primitive
+integer vector per free column, nonzero there and zero at every other free
+column, and the pivot columns are the basis of the image in degree d+1 (L
+times the image of d, which spans the same space).  So the image of d_{d-1} at the free columns
 of d_d is the image in kernel coordinates, up to scaling; reduced once from
 the last free column, its pivots are the free columns it fills.  The kernel
 vectors at the others are the first ones, left to right, that extend the
@@ -55,14 +67,17 @@ from . import linalg
 from .algebra import (
     AlgebraElement,
     Coeff,
+    DerivationTable,
     DgaModel,
     GcaError,
     Monomial,
     UnknownGeneratorError,
     apply_differential,
+    derivation_table,
     exact_int,
     leibniz,
     multiply_terms,
+    times_free_series,
 )
 
 DEFAULT_MAX_DEGREE = 24
@@ -109,9 +124,12 @@ class BettiTable:
         return cls(len(dims) - 1, tuple(dims))
 
     def dim(self, degree: int) -> int:
-        if 0 <= exact_int(degree, -inf, _DEGREE_MESSAGE) <= self.max_degree:
-            return self.dims[degree]
-        return 0
+        return self._dim(exact_int(degree, -inf, _DEGREE_MESSAGE))
+
+    def _dim(self, degree: int) -> int:
+        """dims[degree], or 0 outside 0..max_degree, for a degree the caller
+        vouches is an int (the Gysin loops read every degree through it)."""
+        return self.dims[degree] if 0 <= degree <= self.max_degree else 0
 
 
 @dataclass(frozen=True)
@@ -237,25 +255,22 @@ class ComplexData:
         return [left[i] * (common // e) for i, e in zip(own, entries)], pivot_value * common
 
 
-def _sparse_columns(
-    model: DgaModel, degree: int, diffs: Sequence[Mapping[Monomial, Coeff]]
-) -> list[dict[int, Coeff]]:
+def _sparse_columns(model: DgaModel, degree: int, table: DerivationTable) -> list[dict[int, Coeff]]:
     """The matrix of d from degree to degree+1 as sparse columns, one
-    {target basis index: nonzero coefficient} map per source monomial, from
-    the generator differentials ``diffs`` (see :func:`leibniz`)."""
+    {target basis index: nonzero coefficient} map per source monomial, by
+    the Leibniz rule of the :func:`derivation_table` ``table`` (see
+    :func:`leibniz`): a monomial with no generator of nonzero differential
+    gets an empty column."""
     index = {m: i for i, m in enumerate(model.basis(degree + 1))}
+    basis = model.basis(degree)
     columns = []
-    for mon in model.basis(degree):
-        column = {}
-        for m, c in leibniz(model, mon, diffs).items():
-            if c:
-                try:
-                    column[index[m]] = c
-                except KeyError:
-                    raise GcaError(
-                        f"differential does not raise degree by one on {model.format_monomial(mon)}"
-                    ) from None
-        columns.append(column)
+    try:
+        for mon, image in zip(basis, leibniz(table, basis)):
+            columns.append({index[m]: c for m, c in image.items() if c})
+    except KeyError:
+        raise GcaError(
+            f"differential does not raise degree by one on {model.format_monomial(mon)}"
+        ) from None
     return columns
 
 
@@ -268,7 +283,7 @@ def differential_matrix(
     :meth:`DgaModel.integer_differentials`), or from the sparse ``columns``
     of :func:`_sparse_columns` when the caller has built them."""
     if columns is None:
-        columns = _sparse_columns(model, degree, model.integer_differentials())
+        columns = _sparse_columns(model, degree, derivation_table(model, model.integer_differentials()))
     rows = [[0] * len(columns) for _ in model.basis(degree + 1)]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -313,11 +328,11 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     span."""
     _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
-    diffs = model.integer_differentials()
+    table = derivation_table(model, model.integer_differentials())
     degrees = []
     image: list[Mapping[int, int]] = []  # pivot columns of L*d_{d-1}, kept for one degree
     for d in range(max_degree + 1):
-        basis, columns = model.basis(d), _sparse_columns(model, d, diffs)
+        basis, columns = model.basis(d), _sparse_columns(model, d, table)
         n = len(basis)
         if not any(columns):  # d_d = 0: every column is free
             ech, pivots, free = [], [], tuple(reversed(range(n)))
@@ -355,19 +370,39 @@ def cohomology(
 
     dims[d] = dim C^d - rank d_d - rank d_{d-1}, by exact rational rank
     over the monomial basis of each degree.  Requires a model that passes
-    :func:`check_model`.  Without representatives the dimensions come from
-    ranks alone: each d_d is built as sparse integer columns of L*d (see
-    :meth:`DgaModel.integer_differentials`) and ranked by column reduction
-    (see :func:`linalg.sparse_rank`); no kernel or image is formed.  With
-    representatives the table is read off :func:`cochain_complex`.
+    :func:`check_model`, and counts its bases against the limit, as
+    :func:`cochain_complex` does.  Without representatives the dimensions
+    come from ranks alone: the inert generators (d = 0, and in no generator
+    differential) are split off, and the model on the others is ranked, each
+    d_d built as sparse integer columns of L*d (see
+    :meth:`DgaModel.integer_differentials`; the inert exponents are 0 in
+    every differential monomial and are dropped) and ranked by column
+    reduction (see :func:`linalg.sparse_rank`); no kernel or image is
+    formed.  By the Kunneth theorem those dimensions h, convolved with the
+    monomial counts s of the inert generators, give
+    dims[d] = sum_k h[k] * s[d - k] (see :func:`times_free_series`).  With
+    representatives the table is read off :func:`cochain_complex`, which
+    splits nothing.
     """
     if with_representatives:
         return cochain_complex(model, max_degree).betti(with_representatives=True)
     _check_complex_input(model, max_degree)
-    model.basis(max_degree + 1)  # every basis the ranks read, in one table extension
     diffs = model.integer_differentials()
-    ranks = [linalg.sparse_rank(_sparse_columns(model, d, diffs)) for d in range(max_degree + 1)]
-    dims = [len(model.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
+    touched = {k for dg in diffs for n in dg for k, e in enumerate(n) if e}
+    inert = [i for i, dg in enumerate(diffs) if not dg and i not in touched]
+    if inert:
+        active = [i for i in range(model.ngens) if i not in inert]
+        ranked = DgaModel([model.generators[i] for i in active], name=model.name)
+        # the inert exponents are 0 in every differential monomial
+        diffs = tuple({tuple(n[k] for k in active): c for n, c in diffs[i].items()} for i in active)
+    else:
+        ranked = model
+    ranked.basis(max_degree + 1)  # every basis the ranks read, in one table extension
+    table = derivation_table(ranked, diffs)
+    ranks = [linalg.sparse_rank(_sparse_columns(ranked, d, table)) for d in range(max_degree + 1)]
+    dims = [len(ranked.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
+    if inert:
+        dims = times_free_series(dims, (model.generators[i].degree for i in inert))
     return BettiTable(max_degree, tuple(dims))
 
 

@@ -399,8 +399,8 @@ class GysinInput:
             if m is None:
                 euler.append(None)
                 continue
-            nrows = self.base.dim(p + 2)
-            ncols = self.base.dim(p)
+            nrows = self.base._dim(p + 2)
+            ncols = self.base._dim(p)
             euler.append(_matrix(m, nrows, ncols, f"euler action at degree {p}"))
         object.__setattr__(self, "euler", tuple(euler))
 
@@ -422,7 +422,7 @@ def _rank_identity(
     from p-2 to p and the kernel of the Euler map from p-1 to p+1.  Each
     matrix is ranked once."""
     ranks = [_euler_rank(euler, q) for q in range(-2, top)]  # ranks[p]: the map from p-2
-    return [(base.dim(p) - ranks[p], base.dim(p - 1) - ranks[p + 1]) for p in range(top + 1)]
+    return [(base._dim(p) - ranks[p], base._dim(p - 1) - ranks[p + 1]) for p in range(top + 1)]
 
 
 GYSIN_CONVENTIONS = (
@@ -471,7 +471,7 @@ def gysin_check(inputs: GysinInput) -> GysinReport:
     top = inputs.base.max_degree - 2
     for p, (coker, ker) in enumerate(_rank_identity(inputs.base, inputs.euler, top)):
         expected = coker + ker
-        got = inputs.total.dim(p)
+        got = inputs.total._dim(p)
         if expected != got:
             detail = (
                 f"total dimension is {got} but coker({p - 2}->{p}) + ker({p - 1}->{p + 1}) "

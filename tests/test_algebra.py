@@ -17,9 +17,11 @@ from loopspace.gca import (
     multiply,
 )
 
-from loopspace.gca.algebra import multiply_terms
+from loopspace.gca.algebra import derivation_table, multiply_terms
+from loopspace.gca.cohomology import _sparse_columns, differential_matrix
 
 from helpers import (
+    coprime_denominator_model,
     odd_differential_models,
     random_homogeneous,
     random_model,
@@ -262,20 +264,63 @@ def leibniz_expansion(model, names):
     return model.differential_of(g) * rest_element + g_d_rest
 
 
-def test_differential_of_every_monomial_against_product_rule():
-    rng = random.Random(31415)
+def even_before_odd_model():
     # g is even with odd dg, and the odd h after it: moving dg past the
     # factors after g changes the sign of d(g*h)
-    even_before_odd = DgaModel(
+    return DgaModel(
         [("a", 1), ("b", 2), ("g", 4), ("h", 5)],
         {"g": [(1, {"a": 1, "b": 2})], "h": [(1, {"b": 3})]},
     )
-    models = [random_model(rng) for _ in range(40)] + [*odd_differential_models(), even_model(), even_before_odd]
+
+
+def own_factor_model():
+    # dg = a*g holds g itself: the term of g in d(g) = a*g must not be read
+    # as an odd square; d(dg) = -a*a*g = 0, but minimality fails
+    return DgaModel([("a", 1), ("g", 1), ("u", 2)], {"g": [(1, {"a": 1, "g": 1})]})
+
+
+def monomial_names(model, mon):
+    return [g.name for g, e in zip(model.generators, mon) for _ in range(e)]
+
+
+def test_differential_of_every_monomial_against_product_rule():
+    rng = random.Random(31415)
+    models = [random_model(rng) for _ in range(40)]
+    models += [*odd_differential_models(), even_model(), even_before_odd_model(), own_factor_model()]
     for model in models:
         for degree in range(1, 11):
             for mon in model.basis(degree):
-                names = [g.name for g, e in zip(model.generators, mon) for _ in range(e)]
-                assert apply_differential(model.monomial_element(mon)) == leibniz_expansion(model, names)
+                expected = leibniz_expansion(model, monomial_names(model, mon))
+                assert apply_differential(model.monomial_element(mon)) == expected
+
+
+def test_sparse_columns_against_product_rule():
+    """Every column of L*d_d built from the derivation table is L times the
+    coefficients of d on its monomial expanded from element products, with
+    L the lcm of the denominators of the generator differentials."""
+    rng = random.Random(27182)
+    models = [random_model(rng) for _ in range(40)]
+    models += [*odd_differential_models(), even_before_odd_model(), own_factor_model()]
+    models.append(coprime_denominator_model(random.Random(2718)))
+    for model in models:
+        scale = lcm(*(c.denominator for dg in model.differential_terms() for c in dg.values()))
+        table = derivation_table(model, model.integer_differentials())
+        for degree in range(11):
+            index = {m: i for i, m in enumerate(model.basis(degree + 1))}
+            columns = _sparse_columns(model, degree, table)
+            assert len(columns) == len(model.basis(degree))
+            for mon, column in zip(model.basis(degree), columns):
+                names = monomial_names(model, mon)
+                expected = leibniz_expansion(model, names).terms if names else {}
+                assert column == {index[m]: c * scale for m, c in expected.items()}, (model, mon)
+                assert all(type(v) is int for v in column.values())
+
+
+def test_differential_matrix_refuses_a_differential_that_does_not_raise_degree_by_one():
+    lowering = DgaModel([("u2", 2), ("u5", 5)], {"u5": [(1, {"u2": 1})]})  # not gated: no check_model
+    with pytest.raises(GcaError, match="^differential does not raise degree by one on u5$"):
+        differential_matrix(lowering, 5)
+    assert differential_matrix(lowering, 4) == [[0]]  # u2^2 is closed
 
 
 def test_d_squared_zero_randomized():

@@ -456,24 +456,33 @@ def test_rank_only_dims_match_the_full_complex():
         assert rank_only == full, model
 
 
-def test_rank_only_path_raises_what_the_full_complex_raises(monkeypatch):
+def _refused_cases(extra=()):
+    """(model, max_degree, basis limit, text) of inputs that both paths
+    refuse, every model with the generators ``extra`` added, closed and in
+    no differential; the basis limit, when given, is set for that case and
+    those after it."""
+    extra = list(extra)
     degenerate = DgaModel(
-        [("u2", 2), ("u3", 3), ("u5", 5)],
+        [("u2", 2), ("u3", 3), ("u5", 5)] + extra,
         {"u3": [(1, {"u2": 2})], "u5": [(1, {"u3": 2})]},
     )
     broken_square = DgaModel(
-        [("a", 1), ("b", 1), ("c", 1), ("x", 2), ("y", 3)],
+        [("a", 1), ("b", 1), ("c", 1), ("x", 2), ("y", 3)] + extra,
         {"c": [(1, [("a", 1), ("b", 1)])], "y": [(1, [("c", 1), ("x", 1)])]},
     )
-    lowering = DgaModel([("u2", 2), ("u5", 5)], {"u5": [(1, {"u2": 1})]})
-    cases = [  # the basis limit, when given, is set for that case and those after it
+    lowering = DgaModel([("u2", 2), ("u5", 5)] + extra, {"u5": [(1, {"u2": 1})]})
+    return [
         (degenerate, 6, None, "odd-square-exclusion"),
         (broken_square, 6, None, "d-squared"),
         (lowering, 6, None, "degree-raising"),
-        (two_gen_model(), -1, None, "max_degree must be >= 0"),
-        (DgaModel([("a", 1), ("b", 1), ("c", 1)]), 3, 2, "exceeding the limit 2"),
+        (DgaModel([("u2", 2), ("u3", 3)] + extra, {"u3": [(1, {"u2": 2})]}), -1, None,
+         "max_degree must be >= 0"),
+        (DgaModel([("a", 1), ("b", 1), ("c", 1)] + extra), 3, 2, "exceeding the limit 2"),
     ]
-    for model, max_degree, limit, text in cases:
+
+
+def test_rank_only_path_raises_what_the_full_complex_raises(monkeypatch):
+    for model, max_degree, limit, text in _refused_cases():
         if limit is not None:
             monkeypatch.setattr(cohomology_module, "DEFAULT_BASIS_LIMIT", limit)
         rank_only, full = _rank_and_full_outcomes(model, max_degree)
@@ -481,6 +490,97 @@ def test_rank_only_path_raises_what_the_full_complex_raises(monkeypatch):
         assert issubclass(rank_only[0], GcaError) and text in rank_only[1]
     # the basis limit names the same degree and size on both paths
     assert rank_only[0] is BasisLimitError and rank_only[2:] == (1, 3)
+
+
+def test_inert_generators_leave_every_refusal_unchanged(monkeypatch):
+    """With a closed degree-1 generator in no differential added, both
+    paths still refuse each input alike: the gate reads the whole model,
+    and the basis limit counts its bases, the inert generator included."""
+    for model, max_degree, limit, text in _refused_cases([("t", 1)]):
+        if limit is not None:
+            monkeypatch.setattr(cohomology_module, "DEFAULT_BASIS_LIMIT", limit)
+        rank_only, full = _rank_and_full_outcomes(model, max_degree)
+        assert rank_only == full
+        assert issubclass(rank_only[0], GcaError) and text in rank_only[1]
+    # Lambda(a1, b1, c1, t1) has 4 monomials in degree 1
+    assert rank_only[0] is BasisLimitError and rank_only[2:] == (1, 4)
+
+
+def _series_product(a, b):
+    """The product of two power series, truncated at the length of a."""
+    return [sum(a[k] * b[d - k] for k in range(d + 1)) for d in range(len(a))]
+
+
+def _free_series(degrees, top):
+    """Coefficients of t^0..t^top of the product over the degrees of
+    (1 + t^deg) for an odd degree and 1 + t^deg + t^(2 deg) + ... for an
+    even one, multiplied out factor by factor."""
+    series = [1] + [0] * top
+    for deg in degrees:
+        if deg % 2:
+            factor = [1 if d in (0, deg) else 0 for d in range(top + 1)]
+        else:
+            factor = [0 if d % deg else 1 for d in range(top + 1)]
+        series = _series_product(series, factor)
+    return series
+
+
+def _with_inert(model, degrees):
+    """The model tensored with closed generators t0, t1, ... of the given
+    degrees, which occur in no differential."""
+    diffs = {g.name: [(c, model.exponent_map(m)) for m, c in model.differential_of(g.name).terms.items()]
+             for g in model.generators}
+    gens = [(g.name, g.degree) for g in model.generators] + [(f"t{i}", d) for i, d in enumerate(degrees)]
+    return DgaModel(gens, diffs)
+
+
+def _ranked_without_enumerating(model, max_degree, monkeypatch):
+    """cohomology(model, max_degree).dims, asserting that no basis of the
+    model itself is enumerated."""
+    original = DgaModel.basis
+    enumerated = []
+    with monkeypatch.context() as patch:
+        patch.setattr(DgaModel, "basis", lambda m, d: enumerated.append(m) or original(m, d))
+        dims = cohomology(model, max_degree).dims
+    assert not any(m is model for m in enumerated)
+    return dims
+
+
+def test_inert_generators_split_off_by_kunneth(monkeypatch):
+    """Seeded models tensored with one to three inert generators of random
+    degree and parity: the rank path, which ranks the model on the other
+    generators only, gives the dimensions of the unsplit complex, and they
+    are those of the model times the free series of the inert generators."""
+    rng = random.Random(1729)
+    for _ in range(40):
+        base = random_model(rng)
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        model = _with_inert(base, degrees)
+        dims = _ranked_without_enumerating(model, 10, monkeypatch)
+        assert dims == cochain_complex(model, 10).betti().dims, model
+        expected = _series_product(list(cochain_complex(base, 10).betti().dims), _free_series(degrees, 10))
+        assert list(dims) == expected, model
+
+
+def test_all_inert_and_empty_models():
+    for degrees in ([1], [2], [1, 2, 3], [1, 1, 1, 1], [2, 4, 4], []):
+        model = DgaModel([(f"t{i}", d) for i, d in enumerate(degrees)])
+        assert cohomology(model, 12).dims == cochain_complex(model, 12).betti().dims
+        assert list(cohomology(model, 12).dims) == _free_series(degrees, 12)
+    assert cohomology(DgaModel([]), 5).dims == (1, 0, 0, 0, 0, 0)
+
+
+def test_theorem3_models_split_off_the_middle_generator(monkeypatch):
+    """Lambda(u2, mid, top) with d top = u2^a and mid inert has cohomology
+    Q[u2]/(u2^a) (x) Q[mid] in every degree."""
+    for n in range(2, 8):
+        model = theorem3_model(SpaceFormSpec(n, 2, 2))
+        u2, mid, top = model.generators
+        (power,) = (mon[0] for mon in model.differential_of(top.name).terms)
+        truncated = [1 if d % 2 == 0 and d < 2 * power else 0 for d in range(33)]
+        expected = tuple(_series_product(truncated, _free_series([mid.degree], 32)))
+        assert _ranked_without_enumerating(model, 32, monkeypatch) == expected
+        assert cochain_complex(model, 32).betti().dims == expected
 
 
 def _sparse_integer_matrix(rng, kind):
