@@ -550,12 +550,14 @@ def multiply_terms(
 
 
 #: The Leibniz rule of one differential (see :func:`derivation_table`): the
-#: (position, bit) of each odd generator, and one (i, terms) entry per
-#: generator i with a nonzero differential, each term a tuple
-#: (delta, coefficient, sign mask, clash mask).
+#: (position, bit) of each odd generator, one (i, terms) entry per
+#: generator i with a nonzero differential that changes parity, each term
+#: a tuple (delta, coefficient, sign mask, clash mask), and one
+#: (i, message) refusal per generator whose differential does not.
 DerivationTable = tuple[
     tuple[tuple[int, int], ...],
     tuple[tuple[int, tuple[tuple[Monomial, Coeff, int, int], ...]], ...],
+    tuple[tuple[int, str], ...],
 ]
 
 
@@ -581,15 +583,20 @@ def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]])
     The term vanishes when an odd generator of n other than g is in M (the
     clash mask), since it would square.  A generator with dg = 0 has no
     entry.
+
+    These signs are those of a differential that changes parity, as one
+    raising degree by one does.  A monomial n of dg of the parity of g would
+    get the wrong sign, so such a g gets no entry but a refusal that names
+    it: :func:`leibniz` raises it for any monomial that holds g.
     """
     odd_bits = tuple((j, 1 << j) for j in model._odd)
     odd = sum(bit for _, bit in odd_bits)
-    entries = []
+    entries, refused = [], []
     for i, dg in enumerate(diffs):
         if not dg:
             continue
-        own = 1 << i
-        rule = (own - 1) ^ (0 if model._degrees[i] % 2 else -(own << 1))  # before g, and after an even g
+        own, parity = 1 << i, model._degrees[i] & 1
+        rule = (own - 1) ^ (0 if parity else -(own << 1))  # before g, and after an even g
         terms = []
         for n, c in dg.items():
             sign, clash = rule, 0
@@ -597,9 +604,15 @@ def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]])
                 if n[k]:
                     sign ^= -(bit << 1) & ~own  # after k, other than g
                     clash |= bit
+            if clash.bit_count() & 1 == parity:  # n has the parity of g
+                name = model.generators[i].name
+                refused.append((i, f"d{name} has a term of the parity of {name}: "
+                                   "the graded Leibniz rule needs a differential that changes parity"))
+                break
             terms.append((n[:i] + (n[i] - 1,) + n[i + 1:], c, sign & odd, clash & ~own))
-        entries.append((i, tuple(terms)))
-    return odd_bits, tuple(entries)
+        else:
+            entries.append((i, tuple(terms)))
+    return odd_bits, tuple(entries), tuple(refused)
 
 
 def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> list[dict[Monomial, Coeff]]:
@@ -608,8 +621,14 @@ def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> list[dict[
     in order.  The odd generators of a monomial are read once, and only when
     it holds a generator with a nonzero differential; a monomial with none
     gets an empty map.  Terms that cancel stay in the result with
-    coefficient zero."""
-    odd_bits, entries = table
+    coefficient zero.  A monomial that holds a generator the table refuses
+    raises its :class:`GcaError` before any image is made."""
+    odd_bits, entries, refused = table
+    if refused:
+        monomials = tuple(monomials)
+        for i, message in refused:
+            if any(mon[i] for mon in monomials):
+                raise GcaError(message)
     images = []
     for mon in monomials:
         image: dict[Monomial, Coeff] = {}
@@ -634,7 +653,10 @@ def apply_differential(x: AlgebraElement) -> AlgebraElement:
     """Extend the differential of ``x``'s model to ``x`` by the graded
     Leibniz rule (see :func:`derivation_table`), d(ab) = (da)b + (-1)^deg(a) a(db).
     The differential of each term has degree one above the term whenever
-    the model's generator differentials raise degree by one.
+    the model's generator differentials raise degree by one.  An element
+    with a term that holds a generator whose differential keeps its parity
+    is refused with a :class:`GcaError` naming the generator (see
+    :func:`derivation_table`), since the rule's signs would be wrong there.
     """
     mod = x.model
     terms: dict[Monomial, Fraction] = {}

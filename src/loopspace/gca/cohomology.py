@@ -14,9 +14,10 @@ others gets an empty column, and a term's sign is read off the odd
 generators of the monomial (see :func:`leibniz`).
 
 Betti numbers alone (:func:`cohomology` without representatives) come from
-ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The columns are ranked
-by column reduction (:func:`linalg.sparse_rank`), which reads their nonzero
-entries only, so no kernel, image or dense matrix is ever formed.  The
+ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The rank is the
+number of columns a column reduction keeps (:func:`linalg.column_reduce`),
+which reads their nonzero entries only, so no kernel, image or dense
+matrix is ever formed.  The
 inert generators, closed and in no generator differential, are split off
 first: with A the others and I the inert ones, the model is the tensor
 product of the dgas Lambda(A) and Lambda(I), the second with d = 0, so by
@@ -27,32 +28,40 @@ Poincare series of Lambda(I), whose monomials are never enumerated.
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) splits off no generator, since its
 representatives are vectors over the bases of the whole model.  It keeps
-each d_d as the same sparse integer columns of L*d_d and factors it, by
-:func:`linalg.echelon`, only for its kernel.  The kernel has one primitive
-integer vector per free column, nonzero there and zero at every other free
-column, and the pivot columns are the basis of the image in degree d+1 (L
-times the image of d, which spans the same space).  So the image of d_{d-1} at the free columns
-of d_d is the image in kernel coordinates, up to scaling; reduced once from
-the last free column, its pivots are the free columns it fills.  The kernel
-vectors at the others are the first ones, left to right, that extend the
+each d_d as the same sparse integer columns of L*d_d and reduces each
+nonzero one once, by :func:`linalg.column_reduce`, with the rows of degree
+d+1 taken in reverse order.  That one reduction serves twice: d_d is
+injective exactly when every column is kept, and the kept columns are a
+reduced basis of the image in degree d+1 (L times the image of d, which
+spans the same space).  The kernel has one primitive integer vector per
+free column, nonzero there and zero at every other free column.  So the
+image of d_{d-1} at the free columns of d_d is the image in kernel
+coordinates, up to scaling; its lowest positions, counted from the last
+free column, are the free columns it fills.  When d_d = 0 every column is
+free, last first, which is the reversed row order, so the image basis is
+already reduced there; otherwise it is restricted to the free columns and
+reduced again.  It is stored as sparse rows.  The kernel vectors at the
+other free columns are the first ones, left to right, that extend the
 image span: the representatives, the same for identical inputs.  A kernel
 vector depends on its own free column only, so it is built only at a
 representative's column; the rest of the kernel, the image and the rank are
 never stored.  A class query scales the element to integers, tests it by
 applying the columns of L*d_d to its own terms (so it reads no elimination
-product of d_d) and subtracts the reduced image rows; a Fraction is formed
-only for the answer.  The ring search multiplies integer combinations of
-the representatives as integer {monomial: int} maps and reads their classes
-the same way, with no Fraction at all.
+product of d_d) and reduces its free entries against the sparse image
+rows; a Fraction is formed only for the answer.  The ring search
+multiplies integer combinations of the representatives as integer
+{monomial: int} maps and reads their classes the same way, with no
+Fraction at all.
 
-Each d_d is factored only when its rank, read by
-:func:`linalg.sparse_rank`, lies strictly between 0 and dim C^d.  A zero
+Each d_d is factored, by :func:`linalg.echelon`, only when its rank lies
+strictly between 0 and dim C^d, and then only for its kernel.  A zero
 d_d has every column free, with unit kernel vectors; an injective d_d has
 every column a pivot column and no free column.  Both are exactly what the
-reduction returns on such input, so the data, and every output byte, are
-the same as when every degree is factored.  In the pencil models with
+factorisation returns on such input, so the data, and every output byte,
+are the same as when every degree is factored.  In the pencil models with
 dx = (p*u2 + q*v2)^a, CP^(a-1) and the Theorem 3 models every nonzero d_d
-is injective, so no d_d is factored at all.
+is injective and followed by d_{d+1} = 0, so nothing is factored and each
+d_d is reduced once.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -139,18 +148,20 @@ class DegreeData:
     exactly one free column, its own), the outgoing differential L*d_d as
     sparse columns (one {target basis index: nonzero value} map per basis
     monomial), its free columns (last first), and the incoming image at
-    those columns, reduced, with its pivots (positions in ``free``): the
-    image in kernel coordinates up to scaling.  ``index`` maps each basis
-    monomial to its position.  This is all a class query reads: no
-    elimination product of d_d, the kernel outside the representatives and
-    the incoming image itself are not kept."""
+    those columns, reduced: sparse {position in ``free``: int} rows sorted
+    by pivot, each row's lowest position its pivot, with the pivots.  The
+    pivots are the free columns the image fills; they are fixed by the
+    span, so they are those of any reduction of the image.  ``index`` maps
+    each basis monomial to its position.  This is all a class query reads:
+    no elimination product of d_d, the kernel outside the representatives
+    and the incoming image itself are not kept."""
 
     degree: int
     basis: tuple[Monomial, ...]
     reps: tuple[tuple[int, ...], ...]
     out_columns: tuple[Mapping[int, int], ...]
     free: tuple[int, ...]
-    image_at_free: tuple[tuple[int, ...], ...]
+    image_at_free: tuple[Mapping[int, int], ...]
     image_pivots: tuple[int, ...]
     index: Mapping[Monomial, int] = field(compare=False)  # follows from the basis
 
@@ -222,12 +233,16 @@ class ComplexData:
         the model and the degree of the terms.
 
         The terms are a cocycle exactly when the columns of L*d_d at their
-        own positions sum to zero.  Their entries at the free columns, less
-        the reduced image rows (each carrying the pivot value D, alone in
-        its pivot column), leave D times the class at the representatives'
-        own free columns, each scaled by that representative's entry there.
-        The element is exact exactly when every numerator is 0, and the
-        rank of numerator vectors is the rank of their classes."""
+        own positions sum to zero.  Their entries at the free columns are
+        reduced against the sparse image rows, ascending by pivot: where the
+        entry t at a row's pivot is nonzero, the entries become a*x - b*row,
+        with a and b the row's pivot value and t divided by their gcd, and
+        the scale s accumulates the factors a.  A row holds nothing below its
+        pivot, so what is left is zero at every pivot: s times the class, at
+        the representatives' own free columns, each scaled by that
+        representative's entry there.  The element is exact exactly when
+        every numerator is 0, and the rank of numerator vectors is the rank
+        of their classes."""
         data = self._degree_data(degree)
         if not data.free:
             if not terms:
@@ -240,28 +255,39 @@ class ComplexData:
                 boundary[i] = boundary.get(i, 0) + c * v
         if any(boundary.values()):
             raise GcaError(f"element of degree {degree} is not a cocycle class")
-        at_free = [x.get(f, 0) for f in data.free]
-        pivot_value = data.image_at_free[0][data.image_pivots[0]] if data.image_pivots else 1
-        left = [pivot_value * a for a in at_free]
+        left = {p: c for p, f in enumerate(data.free) if (c := x.get(f))}
+        scale = 1
         for row, p in zip(data.image_at_free, data.image_pivots):
-            if t := at_free[p]:
-                left = [a - t * v for a, v in zip(left, row)]
+            if b := left.get(p):
+                a = row[p]
+                g = gcd(a, b)
+                if g != 1:
+                    a, b = a // g, b // g
+                if a != 1:
+                    left = {i: a * v for i, v in left.items()}
+                    scale *= a
+                for i, y in row.items():
+                    z = left.pop(i, 0) - b * y
+                    if z:
+                        left[i] = z
         # each representative is nonzero at exactly one free column, its own:
         # the free columns the image does not fill, in ascending order
         filled = set(data.image_pivots)
-        own = [i for i in reversed(range(len(left))) if i not in filled]
+        own = [i for i in reversed(range(len(data.free))) if i not in filled]
         entries = [rep[data.free[i]] for rep, i in zip(data.reps, own)]
         common = lcm(*entries)
-        return [left[i] * (common // e) for i, e in zip(own, entries)], pivot_value * common
+        return [left.get(i, 0) * (common // e) for i, e in zip(own, entries)], scale * common
 
 
-def _sparse_columns(model: DgaModel, degree: int, table: DerivationTable) -> list[dict[int, Coeff]]:
+def _sparse_columns(
+    model: DgaModel, degree: int, table: DerivationTable, index: Mapping[Monomial, int]
+) -> list[dict[int, Coeff]]:
     """The matrix of d from degree to degree+1 as sparse columns, one
     {target basis index: nonzero coefficient} map per source monomial, by
     the Leibniz rule of the :func:`derivation_table` ``table`` (see
     :func:`leibniz`): a monomial with no generator of nonzero differential
-    gets an empty column."""
-    index = {m: i for i, m in enumerate(model.basis(degree + 1))}
+    gets an empty column.  ``index`` maps each monomial of the basis of
+    degree+1 to its position."""
     basis = model.basis(degree)
     columns = []
     try:
@@ -282,9 +308,11 @@ def differential_matrix(
     from the integer differentials the model holds (see
     :meth:`DgaModel.integer_differentials`), or from the sparse ``columns``
     of :func:`_sparse_columns` when the caller has built them."""
+    target = model.basis(degree + 1)
     if columns is None:
-        columns = _sparse_columns(model, degree, derivation_table(model, model.integer_differentials()))
-    rows = [[0] * len(columns) for _ in model.basis(degree + 1)]
+        table = derivation_table(model, model.integer_differentials())
+        columns = _sparse_columns(model, degree, table, {m: i for i, m in enumerate(target)})
+    rows = [[0] * len(columns) for _ in target]
     for j, column in enumerate(columns):
         for i, c in column.items():
             rows[i][j] = c
@@ -316,47 +344,60 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
 
     Each degree builds the sparse integer columns of L*d_d once (see
     :func:`_sparse_columns`) and decides from them alone.  A zero d_d has
-    every column free, last first; an injective d_d (rank dim C^d, by
-    :func:`linalg.sparse_rank`) has every column a pivot column and none
-    free.  Neither is factored: each is what the reduction of such a
+    every column free, last first.  A nonzero d_d is reduced once by
+    :func:`linalg.column_reduce`, each column keyed by reversed row index
+    (the highest row of degree d+1 is position 0), and that one reduction
+    serves twice: it is injective (every column a pivot column, none free)
+    exactly when every column is kept, and the kept columns are a reduced
+    basis of its image, the incoming image of degree d+1.  Neither a zero
+    nor an injective d_d is factored: each is what the reduction of such a
     matrix gives.  Only a d_d of any other rank is made dense by
-    :func:`differential_matrix` and reduced once.  The incoming image, the
-    pivot columns of L*d_{d-1}, is reduced at the free columns unless it is
-    empty: then it fills no free column.  A kernel vector is built only at
-    each free column the image does not fill, in ascending order: these are
-    the representatives, the first kernel vectors that extend the image
-    span."""
+    :func:`differential_matrix` and factored by :func:`linalg.echelon`, for
+    its kernel.
+
+    The incoming image at the free columns is the image basis itself when
+    d_d = 0, since every column is free and the free order is the reversed
+    row order; otherwise it is the basis restricted to the free columns
+    and reduced again.  Its lowest positions are the free columns it fills.
+    A kernel vector is built only at each free column the image does not
+    fill, in ascending order: these are the representatives, the first
+    kernel vectors that extend the image span."""
     _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
     table = derivation_table(model, model.integer_differentials())
     degrees = []
-    image: list[Mapping[int, int]] = []  # pivot columns of L*d_{d-1}, kept for one degree
+    index = {m: i for i, m in enumerate(model.basis(0))}
+    image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
     for d in range(max_degree + 1):
-        basis, columns = model.basis(d), _sparse_columns(model, d, table)
-        n = len(basis)
+        basis, target = model.basis(d), {m: i for i, m in enumerate(model.basis(d + 1))}
+        columns = _sparse_columns(model, d, table, target)
+        n, top = len(basis), len(target) - 1
         if not any(columns):  # d_d = 0: every column is free
-            ech, pivots, free = [], [], tuple(reversed(range(n)))
-        elif linalg.sparse_rank(columns) == n:  # d_d is injective: no column is free
-            ech, pivots, free = [], list(range(n)), ()
+            ech, pivots, free, kept = [], [], tuple(reversed(range(n))), {}
         else:
-            ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
-            free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
-        if image:
-            # reduced from the last free column, the image has its pivots at
-            # the free columns it fills, and the greedy representatives at the others
-            at_free, image_pivots = linalg.echelon([[column.get(f, 0) for f in free] for column in image])
-        else:  # no image: no free column is filled
-            at_free, image_pivots = [], []
+            kept = linalg.column_reduce([{top - i: v for i, v in column.items()} for column in columns])
+            if len(kept) == n:  # d_d is injective: no column is free
+                ech, pivots, free = [], list(range(n)), ()
+            else:
+                ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
+                free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
+        if not image or not free:  # nothing to fill, or nowhere
+            at_free = {}
+        elif len(free) == n:  # position p of free is row n-1-p: the image's own keys
+            at_free = image
+        else:
+            at_free = linalg.column_reduce(
+                [{p: v[n - 1 - f] for p, f in enumerate(free) if n - 1 - f in v} for v in image.values()])
+        image_pivots = tuple(sorted(at_free))
         # a kernel vector depends on its own free column only, so it is
         # built only at the representatives' columns, ascending
         filled = {free[p] for p in image_pivots}
         own = [f for f in reversed(free) if f not in filled]
         degrees.append(DegreeData(
             d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
-            free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
+            free, tuple(at_free[p] for p in image_pivots), image_pivots, index,
         ))
-        # the pivot columns of L*d_d are a basis of its image in degree d+1
-        image = [columns[p] for p in pivots]
+        index, image = target, kept
     return ComplexData(model, max_degree, tuple(degrees))
 
 
@@ -377,7 +418,7 @@ def cohomology(
     d_d built as sparse integer columns of L*d (see
     :meth:`DgaModel.integer_differentials`; the inert exponents are 0 in
     every differential monomial and are dropped) and ranked by column
-    reduction (see :func:`linalg.sparse_rank`); no kernel or image is
+    reduction (see :func:`linalg.column_reduce`); no kernel or image is
     formed.  By the Kunneth theorem those dimensions h, convolved with the
     monomial counts s of the inert generators, give
     dims[d] = sum_k h[k] * s[d - k] (see :func:`times_free_series`).  With
@@ -399,7 +440,11 @@ def cohomology(
         ranked = model
     ranked.basis(max_degree + 1)  # every basis the ranks read, in one table extension
     table = derivation_table(ranked, diffs)
-    ranks = [linalg.sparse_rank(_sparse_columns(ranked, d, table)) for d in range(max_degree + 1)]
+    ranks = []
+    for d in range(max_degree + 1):
+        target = {m: i for i, m in enumerate(ranked.basis(d + 1))}
+        # rank d_d: the number of columns the reduction keeps
+        ranks.append(len(linalg.column_reduce(_sparse_columns(ranked, d, table, target))))
     dims = [len(ranked.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
     if inert:
         dims = times_free_series(dims, (model.generators[i].degree for i in inert))
@@ -439,7 +484,11 @@ class ModelReport:
 
 def check_model(model: DgaModel) -> ModelReport:
     """Validate the differential: degree-raising, d^2 = 0, minimality, and
-    absence of silently vanishing (degenerate) differential declarations."""
+    absence of silently vanishing (degenerate) differential declarations.
+
+    d(dg) is computed by :func:`apply_differential`, which refuses an
+    element holding a generator whose differential keeps its parity; such
+    a d(dg) fails the d-squared check as not checked, and says why."""
     raising_bad = []
     square_bad = []
     minimality_bad = []
@@ -459,8 +508,11 @@ def check_model(model: DgaModel) -> ModelReport:
                         f"d{g.name} uses {', '.join(sorted(high))} of degree >= {g.degree}"
                     )
                     break
-        if not apply_differential(dg).is_zero:
-            square_bad.append(f"d(d{g.name}) != 0")
+        try:
+            if not apply_differential(dg).is_zero:
+                square_bad.append(f"d(d{g.name}) != 0")
+        except GcaError as err:
+            square_bad.append(f"d(d{g.name}) not checked: {err}")
     collapsed = sorted(model.collapsed)
     degenerate = ""
     if collapsed:

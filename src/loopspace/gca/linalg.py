@@ -4,10 +4,12 @@ Matrices are lists of rows; entries are ints or Fractions.  A row that
 holds a Fraction is scaled to integers first, which changes no rank or null
 space, so no rounding can occur anywhere.
 
-``sparse_rank`` computes every rank asked for on its own: column
-reduction of integer vectors held as {position: value} maps, which touches
-only nonzero entries.  ``rank`` hands it the nonzero rows of a matrix,
-since the rank of a matrix is the rank of its rows.
+``column_reduce`` reduces integer vectors held as {position: value} maps,
+touching only nonzero entries, to a basis of their span keyed by lowest
+position.  That one reduction gives a rank (``sparse_rank`` is the number
+of vectors it keeps; ``rank`` hands it the nonzero rows of a matrix, since
+the rank of a matrix is the rank of its rows) and, in the cochain complex,
+both the rank test of a differential and the basis of its image.
 
 ``echelon`` factors a matrix when more than its rank is needed: a
 fraction-free Gauss-Jordan reduction of the integerised matrix (Bareiss
@@ -107,8 +109,9 @@ def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
-    """Rank of integer vectors given as {position: nonzero int} maps.
+def column_reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, Mapping[int, int]]:
+    """A basis of the span of integer vectors given as {position: nonzero
+    int} maps, keyed by lowest position: {lowest position: vector}.
 
     Column reduction (Zomorodian-Carlsson 2005): each vector is reduced
     against the kept vectors by its lowest position, to a*v - b*kept where
@@ -116,8 +119,10 @@ def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
     is divided by its content.  A vector is kept when its lowest position is
     new and dropped when it vanishes.  The kept vectors have distinct lowest
     positions, so they are independent, and each dropped vector is in their
-    span.  The maps passed in are never mutated: a vector is kept as given,
-    and each reduction makes a new map.
+    span.  The set of lowest positions is that of every such basis of the
+    span: the pivot columns of its reduced echelon form.  The maps passed in
+    are never mutated: a vector is kept as given, and each reduction makes a
+    new map.
 
     Every step multiplies a vector by an entry of another; dividing by the
     content removes the common factor those products leave, which keeps the
@@ -142,7 +147,13 @@ def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
                     w[i] = z
             g = gcd(*w.values())
             v = w if g < 2 else {i: x // g for i, x in w.items()}
-    return len(kept)
+    return kept
+
+
+def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
+    """Rank of integer vectors given as {position: nonzero int} maps: the
+    number of vectors :func:`column_reduce` keeps."""
+    return len(column_reduce(vectors))
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -169,8 +180,9 @@ def kernel_from_echelon(
     at f, zero at every other free column, first nonzero entry positive.
     Each vector depends on its own free column only, so a subset of the free
     columns gives the matching subset of the null space; a form with no rows
-    gives unit vectors.  A pivot column among ``columns`` raises
-    ``ValueError``: the vector built there would not be in the null space.
+    gives unit vectors, which are primitive as they are.  A pivot column
+    among ``columns`` raises ``ValueError``: the vector built there would not
+    be in the null space.
 
     Every row of the form carries the same pivot value d, so d times the
     kernel vector is d at f and -row[f] at the pivot of each row."""
@@ -184,7 +196,7 @@ def kernel_from_echelon(
         x[f] = d
         for row, p in zip(ech, pivots):
             x[p] = -row[f]
-        basis.append(_primitive(x))
+        basis.append(_primitive(x) if ech else tuple(x))
     return basis
 
 

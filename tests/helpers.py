@@ -197,6 +197,14 @@ def reference_echelon(rows):
     return m[: len(pivots)], pivots
 
 
+def reference_rref(rows):
+    """The reduced row echelon form of the rows over Q, each row divided by
+    its pivot: fixed by the row space alone, unlike the rows of
+    reference_echelon, which carry a common pivot value."""
+    ech, pivots = reference_echelon(rows)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(ech, pivots)]
+
+
 def reference_multiply_monomials(model: DgaModel, a, b):
     """Koszul-signed product of two exponent tuples, or None when an odd
     generator would square; the sign counts the inversions between the

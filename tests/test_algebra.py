@@ -307,7 +307,7 @@ def test_sparse_columns_against_product_rule():
         table = derivation_table(model, model.integer_differentials())
         for degree in range(11):
             index = {m: i for i, m in enumerate(model.basis(degree + 1))}
-            columns = _sparse_columns(model, degree, table)
+            columns = _sparse_columns(model, degree, table, index)
             assert len(columns) == len(model.basis(degree))
             for mon, column in zip(model.basis(degree), columns):
                 names = monomial_names(model, mon)

@@ -40,6 +40,7 @@ from helpers import (
     reference_dense_cochain_complex,
     reference_echelon,
     reference_integer_images,
+    reference_rref,
     reference_verify_ring_presentation,
 )
 
@@ -130,6 +131,28 @@ def test_check_model_rejects_broken_d_squared():
     assert "d-squared" in {c.name for c in report.checks if not c.passed}
 
 
+def test_a_differential_that_keeps_parity_is_refused_not_mis_signed():
+    """In Lambda(a1, b1, g1) with db = a the product rule gives
+    d(b*g) = (db)g - b(dg) = a*g, where the signs of a differential that
+    changes parity give -a*g: apply_differential refuses every element that
+    holds b, naming it, and check_model reports d(dy) for dy = b*g as not
+    checked rather than computed with that sign."""
+    m = DgaModel([("a", 1), ("b", 1), ("g", 1), ("y", 1)], {"b": [(1, {"a": 1})], "y": [(1, {"b": 1, "g": 1})]})
+    a, b, g = m.gen("a"), m.gen("b"), m.gen("g")
+    text = "db has a term of the parity of b: the graded Leibniz rule needs a differential that changes parity"
+    for x in (b * g, b, a * b + g):
+        with pytest.raises(GcaError, match=f"^{text}$"):
+            apply_differential(x)
+    # elements without b are differentiated as before
+    assert apply_differential(m.gen("y")) == b * g and apply_differential(a * g).is_zero
+    report = check_model(m)
+    square = next(c for c in report.checks if c.name == "d-squared")
+    assert not square.passed and square.detail == f"d(dy) not checked: {text}"
+    assert {c.name for c in report.checks if not c.passed} == {"degree-raising", "d-squared", "minimality"}
+    with pytest.raises(GcaError, match="^model fails validation: degree-raising: db has degree 1"):
+        cohomology(m, 3)
+
+
 def test_rank_nullity_bookkeeping_randomized():
     # kernel, image and rank are read from the plain Fraction reference,
     # since the complex keeps only the representatives of the kernel
@@ -160,9 +183,11 @@ def _coprime_models(count=6):
 def test_skipped_eliminations_match_the_dense_reference():
     """A d_d of rank 0 or dim C^d is not factored, no image is reduced
     where none comes in, and kernel vectors are built at the
-    representatives' columns only; every DegreeData field, and its repr,
-    equals the complex that reduces every d_d and every image and filters
-    the whole kernel."""
+    representatives' columns only; every DegreeData field but the image
+    rows, and its repr, equals the complex that reduces every d_d and every
+    image and filters the whole kernel.  The image rows are sparse and
+    reduced by another kernel: they span the same rows as the reference's,
+    and each row's lowest position is its pivot."""
     rng = random.Random(31415)
     cases = [(random_model(rng), 8) for _ in range(40)]
     cases += [(m, 12) for m in _coprime_models()]
@@ -183,14 +208,21 @@ def test_skipped_eliminations_match_the_dense_reference():
         assert len(got) == len(want)
         for a, b in zip(got, want):
             for f in dataclasses.fields(DegreeData):
-                assert getattr(a, f.name) == getattr(b, f.name), (model, a.degree, f.name)
+                if f.name != "image_at_free":
+                    assert getattr(a, f.name) == getattr(b, f.name), (model, a.degree, f.name)
+            dense = [[row.get(p, 0) for p in range(len(a.free))] for row in a.image_at_free]
+            assert reference_rref(dense) == reference_rref(b.image_at_free), (model, a.degree)
+            assert [min(row) for row in a.image_at_free] == list(a.image_pivots), (model, a.degree)
+            assert all(type(p) is int and type(v) is int and v and 0 <= p < len(a.free)
+                       for row in a.image_at_free for p, v in row.items())
             # an image vector is a nonzero kernel vector, so it is nonzero
             # at some free column: the image is empty exactly when image_at_free is
             kinds.add((any(a.out_columns), bool(a.free), bool(a.image_at_free), len(a.basis) > 1))
-        # the repr pins the types; a column's key order is not part of its value
-        ordered = [dataclasses.replace(a, out_columns=tuple(dict(sorted(c.items())) for c in a.out_columns))
-                   for a in got]
-        assert repr(tuple(ordered)) == repr(want), model
+        # the repr pins the types of the other fields; a column's key order
+        # is not part of its value
+        ordered = [dataclasses.replace(a, out_columns=tuple(dict(sorted(c.items())) for c in a.out_columns),
+                                       image_at_free=()) for a in got]
+        assert repr(tuple(ordered)) == repr(tuple(dataclasses.replace(b, image_at_free=()) for b in want)), model
     # zero and non-injective nonzero d_d, with and without an image, and
     # injective d_d, which no image reaches, on bases of 2 or more
     assert kinds >= {(r, True, i, True) for r in (False, True) for i in (False, True)} | {(True, False, False, True)}
@@ -270,7 +302,8 @@ def test_cochain_complex_stays_in_integers(monkeypatch):
     assert calls == [model]
     assert all(type(v) is int for rows in matrices for row in rows for v in row)
     assert any(v for rows in matrices for row in rows for v in row)
-    assert all(type(v) is int for dd in data.degrees for vec in dd.image_at_free for v in vec)
+    assert any(dd.image_at_free for dd in data.degrees)
+    assert all(type(v) is int for dd in data.degrees for row in dd.image_at_free for v in row.values())
     assert all(type(v) is int for dd in data.degrees for column in dd.out_columns for v in column.values())
 
 
@@ -299,19 +332,24 @@ def _pure_models():
 
 def test_each_injective_differential_is_eliminated_once(monkeypatch):
     """On the pure models every nonzero d_d is injective, so it is never
-    factored: one elimination per nonzero differential below the top
-    degree, its image at the next degree, is all the complex makes, and a
-    nonzero d_d at the top degree makes none."""
+    made dense or factored, and nothing is reduced by echelon: one column
+    reduction of its own columns per nonzero differential, the top degree
+    included, is all the complex makes; it serves both the rank test and
+    the image at the next degree, where d_{d+1} = 0."""
     calls = []
-    echelon = linalg.echelon
-    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
+    echelon, column_reduce, dense = linalg.echelon, linalg.column_reduce, cohomology_module.differential_matrix
+    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append("echelon") or echelon(rows))
+    monkeypatch.setattr(cohomology_module, "differential_matrix",
+                        lambda *args: calls.append("differential_matrix") or dense(*args))
+    monkeypatch.setattr(linalg, "column_reduce",
+                        lambda vectors: calls.append(len(vectors)) or column_reduce(vectors))
     for model, max_degree in _pure_models():
         calls.clear()
         data = cochain_complex(model, max_degree)
-        nonzero = [d for d in range(max_degree + 1) if any(map(any, differential_matrix(model, d)))]
-        assert nonzero and len(calls) == sum(d < max_degree for d in nonzero), (model, max_degree)
+        nonzero = [dd for dd in data.degrees if any(dd.out_columns)]
+        assert nonzero and calls == [len(dd.basis) for dd in nonzero], (model, max_degree)
         # an injective differential has no free column
-        assert all(not data.degrees[d].free for d in nonzero)
+        assert all(not dd.free for dd in nonzero)
 
 
 def test_only_differentials_of_intermediate_rank_are_made_dense(monkeypatch):
@@ -340,10 +378,15 @@ def test_only_differentials_of_intermediate_rank_are_made_dense(monkeypatch):
 
 def test_fallback_models_match_the_dense_reference():
     """d_4 = 0 while d_3 has the kernel x - y: the representatives and the
-    class coordinates are those of the complex that reduces every degree."""
+    class coordinates are those of the complex that reduces every degree.
+    The reference's image rows are passed as sparse rows; as reduced echelon
+    rows, each has its lowest position at its pivot."""
     for model in _fallback_models():
         data = cochain_complex(model, 9)
-        reference = ComplexData(model, 9, reference_dense_cochain_complex(model, 9))
+        reference = ComplexData(model, 9, tuple(
+            dataclasses.replace(dd, image_at_free=tuple({p: v for p, v in enumerate(row) if v}
+                                                        for row in dd.image_at_free))
+            for dd in reference_dense_cochain_complex(model, 9)))
         assert not any(data.degrees[4].out_columns) and len(data.degrees[3].free) == 1
         x, y, a = model.gen("x"), model.gen("y"), model.gen("a")
         assert data.degrees[3].reps == reference.degrees[3].reps == ((1, -1),)
@@ -641,6 +684,14 @@ def test_sparse_rank_matches_the_reference_echelon():
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
         copies = [dict(column) for column in columns]
         assert linalg.sparse_rank(columns) == len(reference_echelon(rows)[1]), (kind, rows)
+        # the kept columns: keyed by their lowest row, which are the pivot
+        # columns of the transpose, and spanning the columns' own space
+        transposed = [[row[j] for row in rows] for j in range(ncols)]
+        kept = linalg.column_reduce(columns)
+        assert all(min(v) == low for low, v in kept.items()), (kind, rows)
+        assert sorted(kept) == reference_echelon(transposed)[1], (kind, rows)
+        dense = [[v.get(i, 0) for i in range(len(rows))] for v in kept.values()]
+        assert reference_rref(dense) == reference_rref(transposed), (kind, rows)
         assert columns == copies
 
 
