@@ -14,17 +14,22 @@ one level per generator and one entry per degree: the tails of generators i
 onward of a given degree are the tails of generators i+1 onward, each
 prefixed by an exponent of generator i.  The table is built bottom-up, from
 the last generator to the first, and extended to the highest degree asked
-for; each extension is published in one assignment, so a concurrent reader
-sees either the old table or the new one, never a half-built level.
+for, each level in one sweep over its generator's exponent; each extension
+is published in one assignment, so a concurrent reader sees either the old
+table or the new one, never a half-built level.
 
 The differential acts on monomials through a derivation table (see
 :func:`derivation_table`), made once from the generator differentials: one
 entry per generator with a nonzero differential, holding for each monomial
 of that differential the exponent step it adds and two bit masks over the
 odd generators, one for the sign and one for the odd squares that kill the
-term.  :func:`leibniz` reads the table for the model's bases and
-:func:`apply_differential` for the terms of an element; it is the one
-implementation of the Leibniz rule.
+term.  :func:`leibniz` reads the table for a run of monomials, making each
+image as it is consumed, and :func:`apply_derivation` for the terms of a
+{monomial: coefficient} map; it is the one implementation of the Leibniz
+rule.  A model keeps two tables: :meth:`DgaModel.derivation` of its own
+differentials, for :func:`apply_differential`, and
+:meth:`DgaModel.integer_derivation` of the scaled integer copy, which the
+validation gate and the cochain computations read.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class GcaError(ValueError):
@@ -127,7 +132,7 @@ class DgaModel:
     """
 
     __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails",
-                 "_integer_diffs", "_table")
+                 "_integer_diffs", "_table", "_integer_table")
 
     def __init__(
         self,
@@ -152,6 +157,7 @@ class DgaModel:
         self._tails = ((),) * self.ngens + ((((),),),)
         self._integer_diffs = None  # see integer_differentials
         self._table = None  # see derivation
+        self._integer_table = None  # see integer_derivation
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
         collapsed = []
@@ -287,6 +293,15 @@ class DgaModel:
             table = self._table = derivation_table(self, self.differential_terms())
         return table
 
+    def integer_derivation(self) -> "DerivationTable":
+        """The :func:`derivation_table` of :meth:`integer_differentials`,
+        which the validation gate and both cochain paths read; computed on
+        first use and published in one assignment, like :meth:`derivation`."""
+        table = self._integer_table
+        if table is None:
+            table = self._integer_table = derivation_table(self, self.integer_differentials())
+        return table
+
     def _scale_differentials(self) -> tuple[dict[Monomial, int], ...]:
         scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
         return tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
@@ -324,22 +339,39 @@ class DgaModel:
             tails = self._extend_tails(degree)
         return tails[0][degree]
 
+    def bases(self, top: int) -> tuple[tuple[Monomial, ...], ...]:
+        """``basis(d)`` for d = 0..top, read from one table extension."""
+        if top < 0:
+            return ()
+        tails = self._tails
+        if top >= len(tails[0]):
+            tails = self._extend_tails(top)
+        return tails[0][:top + 1]
+
     def _extend_tails(self, degree: int) -> tuple:
         """The tail table extended to ``degree``, built bottom-up from the
-        last generator and published in one assignment."""
+        last generator and published in one assignment.  Each level gets
+        its new degrees in one sweep over the exponent of its generator,
+        descending: exponent e appends (e,) + tail to new degree k + e*step
+        for every nonempty degree k of the level below, so the empty
+        degrees cost nothing."""
         old = self._tails
         start = len(old[0])
         below = old[-1] + ((),) * (degree + 1 - len(old[-1]))
         levels = [below]
         for i in reversed(range(self.ngens)):
             step = self._degrees[i]
-            cap = 1 if step % 2 else degree
-            below = old[i] + tuple(
-                tuple([(e,) + tail
-                       for e in range(min(d // step, cap), -1, -1)
-                       for tail in below[d - e * step]])
-                for d in range(start, degree + 1)
-            )
+            new = [[] for _ in range(start, degree + 1)]
+            filled = [(k - start, tails) for k, tails in enumerate(below) if tails]
+            for e in range(min(degree // step, 1 if step % 2 else degree), -1, -1):
+                prefix, shift = (e,), e * step
+                for k, tails in filled:
+                    k += shift  # the position in new of degree k + e*step
+                    if k >= 0:
+                        if k > degree - start:
+                            break
+                        new[k].extend(map(prefix.__add__, tails))
+            below = old[i] + tuple(map(tuple, new))
             levels.append(below)
         tails = self._tails = tuple(reversed(levels))
         return tails
@@ -615,21 +647,21 @@ def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]])
     return odd_bits, tuple(entries), tuple(refused)
 
 
-def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> list[dict[Monomial, Coeff]]:
+def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> Iterator[dict[Monomial, Coeff]]:
     """d of each monomial, by the graded Leibniz rule of a
     :func:`derivation_table`: one {monomial: coefficient} map per monomial,
-    in order.  The odd generators of a monomial are read once, and only when
-    it holds a generator with a nonzero differential; a monomial with none
-    gets an empty map.  Terms that cancel stay in the result with
-    coefficient zero.  A monomial that holds a generator the table refuses
-    raises its :class:`GcaError` before any image is made."""
+    in order, made as it is consumed.  The odd generators of a monomial are
+    read once, and only when it holds a generator with a nonzero
+    differential; a monomial with none gets an empty map.  Terms that cancel
+    stay in the result with coefficient zero.  A monomial that holds a
+    generator the table refuses raises its :class:`GcaError` before any
+    image is made."""
     odd_bits, entries, refused = table
     if refused:
         monomials = tuple(monomials)
         for i, message in refused:
             if any(mon[i] for mon in monomials):
                 raise GcaError(message)
-    images = []
     for mon in monomials:
         image: dict[Monomial, Coeff] = {}
         odd = -1  # the bits of the monomial's odd generators, once read
@@ -645,8 +677,18 @@ def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> list[dict[
                     if not odd & clash:
                         m = tuple(map(add, mon, delta))
                         image[m] = image.get(m, 0) + (-e * c if (odd & sign).bit_count() & 1 else e * c)
-        images.append(image)
-    return images
+        yield image
+
+
+def apply_derivation(table: DerivationTable, terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """d of a {monomial: coefficient} map by the Leibniz rule of a
+    :func:`derivation_table` (see :func:`leibniz`), with the coefficient
+    type of both; terms that cancel are dropped."""
+    out: dict[Monomial, Coeff] = {}
+    for coeff, image in zip(terms.values(), leibniz(table, terms)):
+        for m, c in image.items():
+            out[m] = out.get(m, 0) + coeff * c
+    return {m: c for m, c in out.items() if c}
 
 
 def apply_differential(x: AlgebraElement) -> AlgebraElement:
@@ -658,10 +700,4 @@ def apply_differential(x: AlgebraElement) -> AlgebraElement:
     is refused with a :class:`GcaError` naming the generator (see
     :func:`derivation_table`), since the rule's signs would be wrong there.
     """
-    mod = x.model
-    terms: dict[Monomial, Fraction] = {}
-    images = leibniz(mod.derivation(), x.terms)
-    for coeff, image in zip(x.terms.values(), images):
-        for m, c in image.items():
-            terms[m] = terms.get(m, 0) + coeff * c
-    return AlgebraElement(mod, {m: c for m, c in terms.items() if c})
+    return AlgebraElement(x.model, apply_derivation(x.model.derivation(), x.terms))

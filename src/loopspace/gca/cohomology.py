@@ -7,23 +7,29 @@ and both pass the same validation gate and basis limit.
 Both paths build each d_d as sparse integer columns of L*d, where L is the
 lcm of every coefficient denominator of the generator differentials, which
 leaves every rank unchanged; L*d is held by the model, computed on first
-use by either path (see :meth:`DgaModel.integer_differentials`).  The
-columns come from a :func:`derivation_table`, made once per computation:
-one entry per generator with a nonzero differential, so a monomial of the
-others gets an empty column, and a term's sign is read off the odd
-generators of the monomial (see :func:`leibniz`).
+use (see :meth:`DgaModel.integer_differentials`).  The columns come from
+the model's integer :func:`derivation_table` (see
+:meth:`DgaModel.integer_derivation`), made once per model and read first by
+the validation gate (:func:`check_model`): one entry per generator with a
+nonzero differential, so a monomial of the others gets an empty column, and
+a term's sign is read off the odd generators of the monomial (see
+:func:`leibniz`).
 
 Betti numbers alone (:func:`cohomology` without representatives) come from
 ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The rank is the
 number of columns a column reduction keeps (:func:`linalg.column_reduce`),
 which reads their nonzero entries only, so no kernel, image or dense
-matrix is ever formed.  The
-inert generators, closed and in no generator differential, are split off
-first: with A the others and I the inert ones, the model is the tensor
-product of the dgas Lambda(A) and Lambda(I), the second with d = 0, so by
-the Kunneth theorem over Q its cohomology is H(Lambda(A)) (x) Lambda(I).
-Only Lambda(A) is ranked; its dimensions are multiplied by the counted
-Poincare series of Lambda(I), whose monomials are never enumerated.
+matrix is ever formed.  The monomials of degrees 0..max_degree+1 are read
+from the basis table at once and indexed in one {monomial: position} map;
+one Leibniz pass runs over the sources, and each degree's columns are
+handed to the reduction as the pass makes them, so only the columns of
+one degree are held at a time.  The inert generators, closed and in no
+generator differential, are split off first: with A the others and I the
+inert ones, the model is the tensor product of the dgas Lambda(A) and
+Lambda(I), the second with d = 0, so by the Kunneth theorem over Q its
+cohomology is H(Lambda(A)) (x) Lambda(I).  Only Lambda(A) is ranked; its
+dimensions are multiplied by the counted Poincare series of Lambda(I),
+whose monomials are never enumerated.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) splits off no generator, since its
@@ -81,7 +87,7 @@ from .algebra import (
     GcaError,
     Monomial,
     UnknownGeneratorError,
-    apply_differential,
+    apply_derivation,
     derivation_table,
     exact_int,
     leibniz,
@@ -310,8 +316,8 @@ def differential_matrix(
     of :func:`_sparse_columns` when the caller has built them."""
     target = model.basis(degree + 1)
     if columns is None:
-        table = derivation_table(model, model.integer_differentials())
-        columns = _sparse_columns(model, degree, table, {m: i for i, m in enumerate(target)})
+        index = {m: i for i, m in enumerate(target)}
+        columns = _sparse_columns(model, degree, model.integer_derivation(), index)
     rows = [[0] * len(columns) for _ in target]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -364,7 +370,7 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     kernel vectors that extend the image span."""
     _check_complex_input(model, max_degree)
     model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
-    table = derivation_table(model, model.integer_differentials())
+    table = model.integer_derivation()
     degrees = []
     index = {m: i for i, m in enumerate(model.basis(0))}
     image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
@@ -414,16 +420,20 @@ def cohomology(
     :func:`check_model`, and counts its bases against the limit, as
     :func:`cochain_complex` does.  Without representatives the dimensions
     come from ranks alone: the inert generators (d = 0, and in no generator
-    differential) are split off, and the model on the others is ranked, each
-    d_d built as sparse integer columns of L*d (see
-    :meth:`DgaModel.integer_differentials`; the inert exponents are 0 in
-    every differential monomial and are dropped) and ranked by column
-    reduction (see :func:`linalg.column_reduce`); no kernel or image is
-    formed.  By the Kunneth theorem those dimensions h, convolved with the
-    monomial counts s of the inert generators, give
-    dims[d] = sum_k h[k] * s[d - k] (see :func:`times_free_series`).  With
-    representatives the table is read off :func:`cochain_complex`, which
-    splits nothing.
+    differential) are split off, and the model on the others is ranked.
+    Its monomials of degrees 0..max_degree+1 come from one basis table
+    extension (:meth:`DgaModel.bases`) and are indexed in one map, and one
+    :func:`leibniz` pass over the sources, by the integer derivation table
+    (the model's own when nothing is split off; the inert exponents are 0
+    in every differential monomial and are dropped otherwise), gives the
+    sparse integer columns of L*d (see
+    :meth:`DgaModel.integer_differentials`).  Each d_d is ranked by column
+    reduction (see :func:`linalg.column_reduce`) as its columns come out of
+    the pass, one degree at a time; no kernel or image is formed.  By the
+    Kunneth theorem those dimensions h, convolved with the monomial counts
+    s of the inert generators, give dims[d] = sum_k h[k] * s[d - k] (see
+    :func:`times_free_series`).  With representatives the table is read
+    off :func:`cochain_complex`, which splits nothing.
     """
     if with_representatives:
         return cochain_complex(model, max_degree).betti(with_representatives=True)
@@ -435,17 +445,21 @@ def cohomology(
         active = [i for i in range(model.ngens) if i not in inert]
         ranked = DgaModel([model.generators[i] for i in active], name=model.name)
         # the inert exponents are 0 in every differential monomial
-        diffs = tuple({tuple(n[k] for k in active): c for n, c in diffs[i].items()} for i in active)
+        table = derivation_table(
+            ranked, tuple({tuple(n[k] for k in active): c for n, c in diffs[i].items()} for i in active))
     else:
-        ranked = model
-    ranked.basis(max_degree + 1)  # every basis the ranks read, in one table extension
-    table = derivation_table(ranked, diffs)
-    ranks = []
-    for d in range(max_degree + 1):
-        target = {m: i for i, m in enumerate(ranked.basis(d + 1))}
-        # rank d_d: the number of columns the reduction keeps
-        ranks.append(len(linalg.column_reduce(_sparse_columns(ranked, d, table, target))))
-    dims = [len(ranked.basis(d)) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(max_degree + 1)]
+        ranked, table = model, model.integer_derivation()
+    bases = ranked.bases(max_degree + 1)
+    index = {m: i for i, m in enumerate(itertools.chain.from_iterable(bases))}
+    images = leibniz(table, itertools.chain.from_iterable(bases[:-1]))
+    dims, previous = [], 0
+    for source in bases[:-1]:
+        # rank d_d: the number of its columns the reduction keeps, fed one
+        # at a time from the Leibniz pass
+        rank = len(linalg.column_reduce(
+            {index[m]: c for m, c in image.items() if c} for image in itertools.islice(images, len(source))))
+        dims.append(len(source) - rank - previous)
+        previous = rank
     if inert:
         dims = times_free_series(dims, (model.generators[i].degree for i in inert))
     return BettiTable(max_degree, tuple(dims))
@@ -486,30 +500,32 @@ def check_model(model: DgaModel) -> ModelReport:
     """Validate the differential: degree-raising, d^2 = 0, minimality, and
     absence of silently vanishing (degenerate) differential declarations.
 
-    d(dg) is computed by :func:`apply_differential`, which refuses an
-    element holding a generator whose differential keeps its parity; such
-    a d(dg) fails the d-squared check as not checked, and says why."""
+    Every check reads the integer differentials L*dg (see
+    :meth:`DgaModel.integer_differentials`), which have the monomials of
+    the dg, and no :class:`Fraction`.  d(L*dg) = L^2 * d(dg) is computed by
+    :func:`apply_derivation` from the model's integer derivation table
+    (:meth:`DgaModel.integer_derivation`), which both cochain paths read
+    after the gate.  The table refuses a generator whose differential keeps
+    its parity; a d(dg) that holds one fails the d-squared check as not
+    checked, and says why."""
     raising_bad = []
     square_bad = []
     minimality_bad = []
-    for g in model.generators:
-        dg = model.differential_of(g.name)
-        if not dg.is_zero:
-            try:
-                if dg.homogeneous_degree() != g.degree + 1:
-                    raising_bad.append(f"d{g.name} has degree {dg.homogeneous_degree()}, expected {g.degree + 1}")
-            except GcaError:
+    table = model.integer_derivation()
+    for g, dg in zip(model.generators, model.integer_differentials()):
+        if dg:
+            degrees = {model.monomial_degree(mon) for mon in dg}
+            if len(degrees) > 1:
                 raising_bad.append(f"d{g.name} is not homogeneous")
-            for mon in dg.terms:
-                used = model.exponent_map(mon)
-                high = [n for n in used if model.generator(n).degree >= g.degree]
+            elif (degree := degrees.pop()) != g.degree + 1:
+                raising_bad.append(f"d{g.name} has degree {degree}, expected {g.degree + 1}")
+            for mon in dg:
+                high = sorted(h.name for h, e in zip(model.generators, mon) if e and h.degree >= g.degree)
                 if high:
-                    minimality_bad.append(
-                        f"d{g.name} uses {', '.join(sorted(high))} of degree >= {g.degree}"
-                    )
+                    minimality_bad.append(f"d{g.name} uses {', '.join(high)} of degree >= {g.degree}")
                     break
         try:
-            if not apply_differential(dg).is_zero:
+            if apply_derivation(table, dg):
                 square_bad.append(f"d(d{g.name}) != 0")
         except GcaError as err:
             square_bad.append(f"d(d{g.name}) not checked: {err}")
@@ -627,7 +643,9 @@ def verify_ring_presentation(model: DgaModel, presentation: RingPresentation, ma
     """
     expected = tuple(quotient_ring_dims(presentation, max_degree))  # gates max_degree first
     a = presentation.nilpotency
-    data = cochain_complex(model, max(max_degree, a * presentation.deg_w))
+    # w^a is read in degree a*deg_w and the candidates z in deg_z, either of
+    # which may lie above the truncation
+    data = cochain_complex(model, max(max_degree, a * presentation.deg_w, presentation.deg_z))
     actual = tuple(len(d.reps) for d in data.degrees[: max_degree + 1])
 
     messages: list[str] = []

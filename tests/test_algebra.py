@@ -188,6 +188,44 @@ def test_basis_against_brute_force():
             assert list(model.basis(d)) == expected, (model, d)
 
 
+def brute_force_bases(model, top):
+    """Every exponent vector in the box of degree ``top``, bucketed by
+    degree 0..top, each bucket sorted descending."""
+    degrees = [g.degree for g in model.generators]
+    buckets = [[] for _ in range(top + 1)]
+    for exps in itertools.product(*(range(2 if g % 2 else top // g + 1) for g in degrees)):
+        d = sum(e * g for e, g in zip(exps, degrees))
+        if d <= top:
+            buckets[d].append(exps)
+    return [sorted(bucket, reverse=True) for bucket in buckets]
+
+
+def test_basis_to_degree_40_against_brute_force():
+    """The tail table, extended in one step, in two (5, then 40) and in
+    steps shorter than some generator degrees, gives the brute-force bases
+    of every degree up to 40 after each extension, and bases(top) is the
+    tuple of those bases."""
+    models = [
+        DgaModel([("a", 1), ("b", 1), ("u", 2), ("w", 3)]),  # degree-1 generators
+        DgaModel([("u", 2), ("v", 4), ("z", 21)]),  # an odd generator above 40 / 2
+        DgaModel([("u", 2), ("z", 39)]),  # one whose exponent 1 lands at the top only
+        DgaModel([("a", 1), ("u", 2), ("x", 7), ("w", 10), ("y", 13)]),  # degrees above the steps
+    ]
+    schedules = ([40], [5, 40], [0, 3, 5, 9, 14, 20, 27, 33, 40])
+    for model in models:
+        expected = brute_force_bases(model, 40)
+        for schedule in schedules:
+            fresh = DgaModel(model.generators)
+            for top in schedule:
+                fresh.basis(top)
+                assert fresh.bases(top) == tuple(tuple(b) for b in expected[:top + 1]), (model, schedule, top)
+                assert [list(fresh.basis(d)) for d in range(top + 1)] == expected[:top + 1]
+        stepped, fresh = DgaModel(model.generators), DgaModel(model.generators)
+        stepped.basis(5)
+        assert stepped.basis(40) == fresh.basis(40)
+        assert stepped.bases(-1) == stepped.bases(-2) == ()
+
+
 def test_graded_commutativity_randomized():
     rng = random.Random(20101)
     for _ in range(300):

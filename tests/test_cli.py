@@ -87,6 +87,18 @@ def test_ring_verify_nilpotency_one_passes_with_w_zero(capsys, tmp_path):
     assert result["actual_dims"] == result["expected_dims"] == [1, 0] * 5 + [1]
 
 
+def test_ring_verify_with_deg_z_above_every_degree_it_reads(capsys):
+    """A deg z above both --max-degree and a*deg w gives the verdict of a
+    deg z the complex already reaches, not a truncation error."""
+    for deg_z in ("1", "5"):
+        code, out, err = run(capsys, "ring-verify", "--deg-z", deg_z, "--nilpotency", "1",
+                             "--max-degree", "0", CP2)
+        assert (code, err) == (1, "")
+        assert out == (f"FAIL  H* = Q[w,z]/(w^1), deg w = 2, deg z = {deg_z}, up to degree 0\n"
+                       f"w = 0\nno degree-{deg_z} class z with independent products w^i z^j was found\n"
+                       "(truncated at degree 0)\n")
+
+
 def test_spaceform_model_emits_parseable_dsl(capsys):
     code, out, _ = run(capsys, "spaceform-model", RP2)
     assert code == 0

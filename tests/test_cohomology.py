@@ -30,6 +30,7 @@ from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
 from loopspace.spaceforms import SpaceFormSpec, euler_action_matrices, theorem3_model
 
+from test_algebra import leibniz_expansion, monomial_names, own_factor_model
 from helpers import (
     coprime_denominator_model,
     matrix_columns,
@@ -423,7 +424,7 @@ def test_class_queries_apply_no_differential(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a class query applied the differential")
 
-    monkeypatch.setattr(cohomology_module, "apply_differential", forbidden)
+    monkeypatch.setattr(cohomology_module, "apply_derivation", forbidden)
     monkeypatch.setattr(cohomology_module, "leibniz", forbidden)
     u2, v2 = model.gen("u2"), model.gen("v2")
     assert data.class_coordinates(u2 * v2 + v2 * v2, 4) == [1, 1]
@@ -624,6 +625,153 @@ def test_theorem3_models_split_off_the_middle_generator(monkeypatch):
         expected = tuple(_series_product(truncated, _free_series([mid.degree], 32)))
         assert _ranked_without_enumerating(model, 32, monkeypatch) == expected
         assert cochain_complex(model, 32).betti().dims == expected
+
+
+def test_rank_path_makes_one_leibniz_pass_and_reduces_one_degree_at_a_time(monkeypatch):
+    """cohomology() without representatives makes one Leibniz pass over the
+    ranked model, consumed as the reductions go: each column_reduce call
+    gets the columns of one degree d, the images of no later degree are
+    made before it, and every position in them lies in the index range of
+    degree d+1.  DgaModel.basis is called as often at max degree 24 as at
+    12, and the dims are those of the full complex."""
+    rng = random.Random(4242)
+    models = [theorem3_model(SpaceFormSpec(7, 2, 2)),  # the middle generator is inert
+              DgaModel([("u2", 2), ("x", 5), ("z", 3)], {"x": [("1/2", {"u2": 3})]}),  # so is z
+              even_k1_model(), odd_model(2), parse_path(SIX_GEN, kind="dga").value,
+              *(random_model(rng) for _ in range(6))]
+    assert _active_names(models[0]) == ("u2", "u7") and _active_names(models[1]) == ("u2", "x")
+    original_leibniz, original_reduce, original_basis = cohomology_module.leibniz, linalg.column_reduce, DgaModel.basis
+    for model in models:
+        active = _active_names(model)
+        basis_calls = {}
+        for max_degree in (12, 24):
+            ranked = DgaModel([model.generator(name) for name in active])
+            offsets = [0]
+            for size in ranked.basis_sizes(max_degree + 1):
+                offsets.append(offsets[-1] + size)
+            passes, made, reductions, calls = [], [0], [], []
+
+            def counting_leibniz(table, monomials):
+                passes.append(table)
+                for image in original_leibniz(table, monomials):
+                    made[0] += 1
+                    yield image
+
+            def recording_reduce(vectors):
+                d = len(reductions)
+                assert made[0] == offsets[d], (model, d)  # no image of degree d or later yet
+                vectors = list(vectors)
+                assert made[0] == offsets[d + 1] and len(vectors) == offsets[d + 1] - offsets[d]
+                reductions.append(vectors)
+                return original_reduce(vectors)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology_module, "leibniz", counting_leibniz)
+                patch.setattr(linalg, "column_reduce", recording_reduce)
+                patch.setattr(DgaModel, "basis", lambda m, d: calls.append(d) or original_basis(m, d))
+                dims = cohomology(model, max_degree).dims
+            assert len(passes) == 1 and len(reductions) == max_degree + 1, model
+            for d, columns in enumerate(reductions):
+                assert all(offsets[d + 1] <= p < offsets[d + 2] for column in columns for p in column), (model, d)
+            assert dims == cochain_complex(model, max_degree).betti().dims, model
+            basis_calls[max_degree] = len(calls)
+        assert basis_calls[12] == basis_calls[24] <= 1, (model, basis_calls)
+
+
+def _active_names(model):
+    """The generators with a nonzero differential or in some generator
+    differential: those the rank path does not split off."""
+    used = {name for g in model.generators for mon in model.differential_of(g.name).terms
+            for name in model.exponent_map(mon)}
+    return tuple(g.name for g in model.generators if g.name in used or not model.differential_of(g.name).is_zero)
+
+
+def _d_squared_by_product_rule(model, g):
+    """d(dg) in Fractions: each monomial of dg differentiated by
+    leibniz_expansion, the product rule on generator elements."""
+    total = model.zero()
+    for mon, c in model.differential_of(g.name).terms.items():
+        names = monomial_names(model, mon)
+        if names:
+            total = total + leibniz_expansion(model, names).scale(c)
+    return total
+
+
+def _parity_keeping_model():
+    # db = a keeps the parity of b, so d(dy) for dy = b*g is not checked
+    return DgaModel([("a", 1), ("b", 1), ("g", 1), ("y", 1)], {"b": [(1, {"a": 1})], "y": [(1, {"b": 1, "g": 1})]})
+
+
+def _non_homogeneous_model():
+    # dc, de and df do not square to zero, and df mixes degrees 8 and 5
+    return DgaModel([("a", 2), ("b", 3), ("c", 4), ("e", 5), ("f", 7)],
+                    {"b": [(1, {"a": 2})], "c": [("2/3", {"a": 1, "b": 1})],
+                     "e": [("1/5", {"a": 1, "c": 1}), (1, {"a": 3})],
+                     "f": [(1, {"a": 4}), ("1/2", {"a": 1, "b": 1})]})
+
+
+def test_check_model_d_squared_matches_the_product_rule():
+    """check_model reads d(dg) off the integer derivation table; its
+    d-squared verdict names exactly the generators whose d(dg), expanded by
+    the Fraction product rule, is nonzero.  Only a dg holding a generator
+    whose differential keeps its parity is reported as not checked."""
+    rng = random.Random(1968)
+    models = [random_model(rng) for _ in range(40)]
+    models += [model for model, *_ in _refused_cases()]
+    models += [*odd_differential_models(), own_factor_model(), _non_homogeneous_model()]
+    for model in models:
+        expected = [f"d(d{g.name}) != 0" for g in model.generators
+                    if not _d_squared_by_product_rule(model, g).is_zero]
+        square = next(c for c in check_model(model).checks if c.name == "d-squared")
+        assert (square.passed, square.detail) == (not expected, "; ".join(expected)), model
+    refusal = "db has a term of the parity of b: the graded Leibniz rule needs a differential that changes parity"
+    expected_texts = {
+        _non_homogeneous_model: (
+            "FAIL  degree-raising  (df is not homogeneous)\n"
+            "FAIL  d-squared  (d(dc) != 0; d(de) != 0; d(df) != 0)\n"
+            "pass  minimality\n"
+            "pass  odd-square-exclusion",
+            ["degree-raising: df is not homogeneous", "d-squared: d(dc) != 0; d(de) != 0; d(df) != 0"]),
+        _parity_keeping_model: (
+            "FAIL  degree-raising  (db has degree 1, expected 2)\n"
+            f"FAIL  d-squared  (d(dy) not checked: {refusal})\n"
+            "FAIL  minimality  (db uses a of degree >= 1; dy uses b, g of degree >= 1)\n"
+            "pass  odd-square-exclusion",
+            ["degree-raising: db has degree 1, expected 2", f"d-squared: d(dy) not checked: {refusal}",
+             "minimality: db uses a of degree >= 1; dy uses b, g of degree >= 1"]),
+        own_factor_model: (
+            "pass  degree-raising\npass  d-squared\nFAIL  minimality  (dg uses a, g of degree >= 1)\n"
+            "pass  odd-square-exclusion",
+            ["minimality: dg uses a, g of degree >= 1"]),
+    }
+    for make, (text, messages) in expected_texts.items():
+        report = check_model(make())
+        assert (report.format(), report.failure_messages()) == (text, messages)
+    # the product rule gives d(dy) = d(b*g) = a*g on the parity-keeping model
+    model = _parity_keeping_model()
+    assert _d_squared_by_product_rule(model, model.generator("y")) == model.gen("a") * model.gen("g")
+
+
+def test_check_model_builds_one_integer_table_and_no_fraction_differential(monkeypatch):
+    """The gate and the cochain path that follows it read one integer
+    derivation table, made once per model; the gate makes no table of the
+    Fraction differentials, which apply_differential would read."""
+    import loopspace.gca.algebra as algebra_module
+
+    made = []
+    original = algebra_module.derivation_table
+
+    def counting(model, diffs):
+        made.append(all(type(c) is int for dg in diffs for c in dg.values()))
+        return original(model, diffs)
+
+    monkeypatch.setattr(algebra_module, "derivation_table", counting)
+    for compute in (lambda m: cohomology(m, 10), lambda m: cochain_complex(m, 10)):
+        made.clear()
+        model = DgaModel([("u2", 2), ("v2", 2), ("x", 3)], {"x": [("1/2", {"u2": 2}), ("1/3", {"v2": 2})]})
+        compute(model)
+        assert check_model(model).ok
+        assert made == [True]
 
 
 def _sparse_integer_matrix(rng, kind):
@@ -935,6 +1083,19 @@ def test_verify_ring_presentation_wrong_nilpotency_fails_at_4():
     report = verify_ring_presentation(even_k1_model(), RingPresentation(2, 2, 3), 12)
     assert not report.passed
     assert report.first_mismatch == 4
+
+
+def test_verify_ring_presentation_reads_z_above_the_truncation():
+    """The complex is built up to deg z as well as a*deg w, so a z whose
+    degree lies above the truncation is still found: Lambda(u2, x3, z7)
+    with dx3 = u2^2 passes at degree 3 with the w and z it has at 7."""
+    model = DgaModel([("u2", 2), ("x3", 3), ("z7", 7)], {"x3": [(1, {"u2": 2})]})
+    presentation = RingPresentation(2, 7, 2)
+    high = verify_ring_presentation(model, presentation, 7)
+    low = verify_ring_presentation(model, presentation, 3)
+    assert high.passed and low.passed, low.format()
+    assert (low.w, low.z) == (high.w, high.z) == (model.gen("u2"), model.gen("z7"))
+    assert low.actual_dims == (1, 0, 1, 0)
 
 
 def test_verify_ring_presentation_rejects_wrong_degree():
