@@ -33,10 +33,13 @@ whose monomials are never enumerated.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) splits off no generator, since its
-representatives are vectors over the bases of the whole model.  It keeps
-each d_d as the same sparse integer columns of L*d_d and reduces each
-nonzero one once, by :func:`linalg.column_reduce`, with the rows of degree
-d+1 taken in reverse order.  That one reduction serves twice: d_d is
+representatives are vectors over the bases of the whole model.  Like the
+rank path it reads the bases of degrees 0..max_degree+1 from one table
+extension and makes one Leibniz pass over the sources, each degree taking
+its columns as the pass makes them.  It keeps each d_d as those sparse
+integer columns of L*d_d and reduces each nonzero one once, by
+:func:`linalg.column_reduce`, with the rows of degree d+1 taken in reverse
+order.  That one reduction serves twice: d_d is
 injective exactly when every column is kept, and the kept columns are a
 reduced basis of the image in degree d+1 (L times the image of d, which
 spans the same space).  The kernel has one primitive integer vector per
@@ -53,8 +56,12 @@ vector depends on its own free column only, so it is built only at a
 representative's column; the rest of the kernel, the image and the rank are
 never stored.  A class query scales the element to integers, tests it by
 applying the columns of L*d_d to its own terms (so it reads no elimination
-product of d_d) and reduces its free entries against the sparse image
-rows; a Fraction is formed only for the answer.  The ring search
+product of d_d; where d_d = 0 every element passes, so the test is
+skipped) and reduces its free entries against the sparse image rows; a
+Fraction is formed only for the answer.  What a query reads in a degree
+beyond the element (the free positions, the image pivots, the
+representatives' own columns and their multipliers) is computed once per
+complex, on the first query there.  The ring search
 multiplies integer combinations of the representatives as integer
 {monomial: int} maps and reads their classes the same way, with no
 Fraction at all.
@@ -72,6 +79,7 @@ d_d is reduced once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -183,6 +191,7 @@ class ComplexData:
         self.model = model
         self.max_degree = max_degree
         self.degrees = degrees
+        self._read_offs: dict[int, tuple] = {}  # degree: what _class_numerators reads there
 
     def betti(self, with_representatives: bool = False) -> BettiTable:
         dims = tuple(len(d.reps) for d in self.degrees)
@@ -248,24 +257,33 @@ class ComplexData:
         the representatives' own free columns, each scaled by that
         representative's entry there.  The element is exact exactly when
         every numerator is 0, and the rank of numerator vectors is the rank
-        of their classes."""
-        data = self._degree_data(degree)
-        if not data.free:
+        of their classes.
+
+        The constants of the degree (see :func:`_read_off`) are computed on
+        its first query and kept by the complex: the free entries are taken
+        from the terms' own support through a {free column: position} map,
+        the rows come with their pivot values, the answer is scaled by fixed
+        multipliers, and the cocycle test is skipped where every outgoing
+        column is empty (d_d = 0), since the boundary sum is then zero."""
+        read = self._read_offs.get(degree)
+        if read is None:
+            read = self._read_offs[degree] = _read_off(self._degree_data(degree))
+        index, out_columns, position, rows, own, multipliers, common = read
+        if not position:
             if not terms:
                 return [], 1
             raise GcaError("nonzero element in a degree with trivial cocycle space")
-        x = {data.index[m]: c for m, c in terms.items()}
-        boundary: dict[int, int] = {}
-        for j, c in x.items():
-            for i, v in data.out_columns[j].items():
-                boundary[i] = boundary.get(i, 0) + c * v
-        if any(boundary.values()):
-            raise GcaError(f"element of degree {degree} is not a cocycle class")
-        left = {p: c for p, f in enumerate(data.free) if (c := x.get(f))}
+        if out_columns:
+            boundary: dict[int, int] = {}
+            for m, c in terms.items():
+                for i, v in out_columns[index[m]].items():
+                    boundary[i] = boundary.get(i, 0) + c * v
+            if any(boundary.values()):
+                raise GcaError(f"element of degree {degree} is not a cocycle class")
+        left = {p: c for m, c in terms.items() if (p := position.get(index[m])) is not None}
         scale = 1
-        for row, p in zip(data.image_at_free, data.image_pivots):
+        for p, a, row in rows:
             if b := left.get(p):
-                a = row[p]
                 g = gcd(a, b)
                 if g != 1:
                     a, b = a // g, b // g
@@ -276,13 +294,27 @@ class ComplexData:
                     z = left.pop(i, 0) - b * y
                     if z:
                         left[i] = z
-        # each representative is nonzero at exactly one free column, its own:
-        # the free columns the image does not fill, in ascending order
-        filled = set(data.image_pivots)
-        own = [i for i in reversed(range(len(data.free))) if i not in filled]
-        entries = [rep[data.free[i]] for rep, i in zip(data.reps, own)]
-        common = lcm(*entries)
-        return [left.get(i, 0) * (common // e) for i, e in zip(own, entries)], scale * common
+        return [left.get(i, 0) * k for i, k in zip(own, multipliers)], scale * common
+
+
+def _read_off(data: DegreeData) -> tuple:
+    """What :meth:`ComplexData._class_numerators` reads in one degree, made
+    on the first query there: the basis index; the outgoing columns, or ()
+    when all are empty (d_d = 0, so every element is a cocycle); the
+    {free column: position in ``free``} map; the image rows as (pivot,
+    pivot value, row), ascending by pivot; and the representatives' own
+    positions in ``free`` (ascending by column, the positions no pivot
+    fills) with the multipliers common // entry and common, where entry is
+    a representative's value at its own column and common their lcm."""
+    free, filled = data.free, set(data.image_pivots)
+    own = tuple(p for p in range(len(free) - 1, -1, -1) if p not in filled)
+    entries = [rep[free[p]] for rep, p in zip(data.reps, own)]
+    common = lcm(*entries)
+    return (
+        data.index, data.out_columns if any(data.out_columns) else (), {f: p for p, f in enumerate(free)},
+        tuple((p, row[p], row) for p, row in zip(data.image_pivots, data.image_at_free)),
+        own, tuple(common // e for e in entries), common,
+    )
 
 
 def _sparse_columns(
@@ -348,8 +380,12 @@ def _check_complex_input(model: DgaModel, max_degree: int) -> None:
 def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
 
-    Each degree builds the sparse integer columns of L*d_d once (see
-    :func:`_sparse_columns`) and decides from them alone.  A zero d_d has
+    The bases of degrees 0..max_degree+1 come from one
+    :meth:`DgaModel.bases` call, and the columns from one :func:`leibniz`
+    pass over every source, consumed one degree at a time: each degree takes
+    the sparse integer columns of L*d_d as the pass makes them (those
+    :func:`_sparse_columns` would build) and decides from them alone, with
+    no per-degree basis or column build.  A zero d_d has
     every column free, last first.  A nonzero d_d is reduced once by
     :func:`linalg.column_reduce`, each column keyed by reversed row index
     (the highest row of degree d+1 is position 0), and that one reduction
@@ -367,19 +403,23 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     and reduced again.  Its lowest positions are the free columns it fills.
     A kernel vector is built only at each free column the image does not
     fill, in ascending order: these are the representatives, the first
-    kernel vectors that extend the image span."""
+    kernel vectors that extend the image span.  With no incoming image that
+    is every free column, ``free[::-1]``, and nothing is sorted."""
     _check_complex_input(model, max_degree)
-    model.basis(max_degree + 1)  # every basis the loop reads, in one table extension
-    table = model.integer_derivation()
+    bases = model.bases(max_degree + 1)
+    images = leibniz(model.integer_derivation(), itertools.chain.from_iterable(bases[:-1]))
     degrees = []
-    index = {m: i for i, m in enumerate(model.basis(0))}
+    index = {m: i for i, m in enumerate(bases[0])}
     image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
-    for d in range(max_degree + 1):
-        basis, target = model.basis(d), {m: i for i, m in enumerate(model.basis(d + 1))}
-        columns = _sparse_columns(model, d, table, target)
+    for d, basis in enumerate(bases[:-1]):
+        target = {m: i for i, m in enumerate(bases[d + 1])}
+        # zip reads the basis first, so it stops at the degree's end without
+        # taking an image of the next degree; the gate has checked that every
+        # image lies in degree d+1
+        columns = [{target[m]: c for m, c in column.items() if c} for _, column in zip(basis, images)]
         n, top = len(basis), len(target) - 1
         if not any(columns):  # d_d = 0: every column is free
-            ech, pivots, free, kept = [], [], tuple(reversed(range(n))), {}
+            ech, pivots, free, kept = [], [], tuple(range(n - 1, -1, -1)), {}
         else:
             kept = linalg.column_reduce([{top - i: v for i, v in column.items()} for column in columns])
             if len(kept) == n:  # d_d is injective: no column is free
@@ -387,21 +427,22 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
             else:
                 ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
                 free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
-        if not image or not free:  # nothing to fill, or nowhere
-            at_free = {}
-        elif len(free) == n:  # position p of free is row n-1-p: the image's own keys
-            at_free = image
-        else:
-            at_free = linalg.column_reduce(
-                [{p: v[n - 1 - f] for p, f in enumerate(free) if n - 1 - f in v} for v in image.values()])
-        image_pivots = tuple(sorted(at_free))
         # a kernel vector depends on its own free column only, so it is
         # built only at the representatives' columns, ascending
-        filled = {free[p] for p in image_pivots}
-        own = [f for f in reversed(free) if f not in filled]
+        if not image or not free:  # nothing to fill, or nowhere
+            rows, image_pivots, own = (), (), free[::-1]
+        else:
+            if len(free) == n:  # position p of free is row n-1-p: the image's own keys
+                at_free = image
+            else:
+                at_free = linalg.column_reduce(
+                    [{p: v[n - 1 - f] for p, f in enumerate(free) if n - 1 - f in v} for v in image.values()])
+            image_pivots = tuple(sorted(at_free))
+            rows = tuple(map(at_free.__getitem__, image_pivots))
+            own = [free[p] for p in range(len(free) - 1, -1, -1) if p not in at_free]
         degrees.append(DegreeData(
             d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
-            free, tuple(at_free[p] for p in image_pivots), image_pivots, index,
+            free, rows, image_pivots, index,
         ))
         index, image = target, kept
     return ComplexData(model, max_degree, tuple(degrees))
@@ -614,9 +655,12 @@ class RingReport:
         return "\n".join(lines)
 
 
-def _candidate_coefficients(dim: int):
+@functools.cache
+def _candidate_coefficients(dim: int) -> tuple[tuple[int, ...], ...]:
     """Small integer coefficient vectors, scaling-normalised (first nonzero
-    positive), in a deterministic order that tries basis vectors first."""
+    positive), in a deterministic order that tries basis vectors first.  A
+    pure table, built and sorted once per dimension (at most
+    ``_CANDIDATE_DIM_LIMIT``)."""
     vectors = []
     for vec in itertools.product(range(-2, 3), repeat=dim):
         nz = [c for c in vec if c]
@@ -624,7 +668,7 @@ def _candidate_coefficients(dim: int):
             continue
         vectors.append(vec)
     vectors.sort(key=lambda v: (sum(abs(c) for c in v), tuple(-c for c in v)))
-    return vectors
+    return tuple(vectors)
 
 
 def verify_ring_presentation(model: DgaModel, presentation: RingPresentation, max_degree: int) -> RingReport:
@@ -659,16 +703,16 @@ def verify_ring_presentation(model: DgaModel, presentation: RingPresentation, ma
         return RingReport(False, presentation, max_degree, expected, actual,
                           first_mismatch, None, None, tuple(messages))
 
-    w = _find_w(data, presentation)
-    if w is None:
+    found = _find_w(data, presentation)
+    if found is None:
         messages.append(f"no degree-{presentation.deg_w} class w with w^{a} exact "
                         f"and w^{a - 1} non-exact was found")
         return RingReport(False, presentation, max_degree, expected, actual,
                           None, None, None, tuple(messages))
-    w_data = data.degrees[presentation.deg_w]
-    w_element = model.from_coords(w_data.basis, w)
+    w, w_powers = found
+    w_element = model.from_coords(data.degrees[presentation.deg_w].basis, w)
 
-    z = _find_z(data, presentation, w_data.terms(w), max_degree)
+    z = _find_z(data, presentation, w_powers, max_degree)
     if z is None:
         messages.append(f"no degree-{presentation.deg_z} class z with independent "
                         f"products w^i z^j was found")
@@ -703,31 +747,37 @@ def _exact(data: ComplexData, terms: Mapping[Monomial, int], degree: int) -> boo
     return not any(data._class_numerators(terms, degree)[0])
 
 
-def _find_w(data: ComplexData, presentation: RingPresentation) -> tuple[int, ...] | None:
+def _find_w(
+    data: ComplexData, presentation: RingPresentation
+) -> tuple[tuple[int, ...], list[dict[Monomial, int]]] | None:
+    """The first candidate w with w^a exact and w^(a-1) not, with its
+    powers w^0..w^(a-1), which hold every power the products w^i z^j use."""
     a = presentation.nilpotency
     deg = presentation.deg_w
     degree_data = data._degree_data(deg)
     if a == 1:  # only w = 0 has w^1 exact, and w^0 = 1 is never exact
-        return (0,) * len(degree_data.basis)
+        return (0,) * len(degree_data.basis), _powers(data.model, {}, 0)
     for candidate in _class_candidates(data, deg):
         x = degree_data.terms(candidate)
-        below = _powers(data.model, x, a - 1)[-1]
-        if not _exact(data, multiply_terms(data.model, below, x), a * deg):
+        powers = _powers(data.model, x, a - 1)
+        if not _exact(data, multiply_terms(data.model, powers[-1], x), a * deg):
             continue
-        if _exact(data, below, (a - 1) * deg):
+        if _exact(data, powers[-1], (a - 1) * deg):
             continue
-        return candidate
+        return candidate, powers
     return None
 
 
 def _find_z(
     data: ComplexData,
     presentation: RingPresentation,
-    w: Mapping[Monomial, int],
+    w_powers: Sequence[Mapping[Monomial, int]],
     max_degree: int,
 ) -> tuple[int, ...] | None:
+    """The first candidate z whose products with the powers of w, w^i z^j
+    for every monomial of the presentation, are independent (i < a, so
+    ``w_powers`` from :func:`_find_w` holds each w^i)."""
     monomials = list(_quotient_monomials(presentation, max_degree))
-    w_powers = _powers(data.model, w, max((i for _, i, _ in monomials), default=0))
     degree_data = data._degree_data(presentation.deg_z)
     for candidate in _class_candidates(data, presentation.deg_z):
         if _products_independent(data, monomials, w_powers, degree_data.terms(candidate)):

@@ -38,10 +38,14 @@ Row = Sequence[Fraction | int]
 def integerize_rows(rows: Sequence[Row]) -> list[list[int]]:
     """Integer copies of the rows (null space unchanged): a row of ints as it
     is, any other row scaled by the lcm of the denominators of its nonzero
-    entries."""
+    entries.  A row's type test stops at its first entry that is not an
+    int, which for a row of Fractions is the first."""
     out = []
     for row in rows:
-        if set(map(type, row)) <= {int}:
+        for x in row:
+            if type(x) is not int:
+                break
+        else:
             out.append(list(row))
             continue
         scale = lcm(*(x.denominator for x in row if x))

@@ -349,13 +349,14 @@ def euler_action_matrices(
     index p sends the degree-p classes to degree p+2.
 
     The Euler class is scaled to integers once, by the lcm of its
-    denominators, and multiplied into each integer representative; each
-    product's class is read in integers (see
-    :meth:`ComplexData.class_coordinates`), and a Fraction is formed only
-    for a matrix entry.  An Euler class of another model, of a degree other
-    than 2, or that is not a cocycle raises the error that
-    ``data.class_coordinates(euler, 2)`` raises; the first two are refused
-    by the gate of every class query (see
+    denominators, and multiplied into each integer representative, read by
+    its nonzero entries; each product's class is read in integers (see
+    :meth:`ComplexData.class_coordinates`), one read per representative of
+    degrees 0..max_degree-2, and a Fraction is formed only for a nonzero
+    matrix entry; every zero entry is one shared Fraction(0).  An Euler
+    class of another model, of a degree other than 2, or that is not a
+    cocycle raises the error that ``data.class_coordinates(euler, 2)``
+    raises; the first two are refused by the gate of every class query (see
     :meth:`ComplexData._check_element`), also below degree 2, where there
     is no map and the answer is []."""
     model = data.model
@@ -365,15 +366,17 @@ def euler_action_matrices(
     if data.max_degree < 2:
         return []
     e, scale = integer_terms(euler.terms)
+    zero = Fraction(0)
     matrices: list[Matrix] = []
     for p in range(data.max_degree - 1):
-        source = data.degrees[p]
+        basis = data.degrees[p].basis
         columns = []
-        for rep in source.reps:
-            numerators, den = data._class_numerators(multiply_terms(model, e, source.terms(rep)), p + 2)
-            columns.append([Fraction(n, den * scale) for n in numerators])
-        target_dim = len(data.degrees[p + 2].reps)
-        matrices.append(tuple(tuple(column[i] for column in columns) for i in range(target_dim)))
+        for rep in data.degrees[p].reps:
+            terms = {m: c for m, c in zip(basis, rep) if c}
+            numerators, den = data._class_numerators(multiply_terms(model, e, terms), p + 2)
+            den *= scale
+            columns.append([Fraction(n, den) if n else zero for n in numerators])
+        matrices.append(tuple(zip(*columns)) if columns else ((),) * len(data.degrees[p + 2].reps))
     return matrices
 
 

@@ -28,7 +28,7 @@ from loopspace.gca import (
 from loopspace.gca.cohomology import ComplexData, DegreeData, differential_matrix
 from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
-from loopspace.spaceforms import SpaceFormSpec, euler_action_matrices, theorem3_model
+from loopspace.spaceforms import SpaceFormSpec, euler_action_matrices, euler_class, theorem3_model
 
 from test_algebra import leibniz_expansion, monomial_names, own_factor_model
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     reference_cochain_complex,
     reference_dense_cochain_complex,
     reference_echelon,
+    reference_euler_action_matrices,
     reference_integer_images,
     reference_rref,
     reference_verify_ring_presentation,
@@ -449,6 +450,116 @@ def test_ring_search_and_euler_action_build_no_elements(monkeypatch):
     assert euler_action_matrices(data) == expected_euler
     # u2 * u2 is exact, u2 * v2 is not
     assert [column for column in zip(*expected_euler[2])] == [(0, 0), (1, 0)]
+
+
+def _ring_gysin_cases():
+    """The ring-gysin pencils dx = (p*u2 + q*v2)^a and CP^(a-1) = Lambda(w2,
+    y_(2a-1)), dy = w^a, with nilpotency a and truncation degree D."""
+    pencils = [(pencil_power_model(p, q, a), a, degree)
+               for p, q in ((1, 2), (-3, 1), (0, -2), (2, 2)) for a in (2, 3, 5) for degree in (12, 20)]
+    projective = [(DgaModel([("w", 2), ("y", 2 * a - 1)], {"y": [(1, {"w": a})]}), a, degree)
+                  for a in (2, 3, 5) for degree in (12, 20)]
+    return pencils, projective
+
+
+def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
+    """On the ring-gysin pencils and CP^(a-1): cochain_complex reads its
+    bases from one DgaModel.bases call and makes one leibniz pass, with no
+    per-degree basis() or _sparse_columns call; euler_action_matrices makes
+    one class read per representative of degrees 0..D-2; the read-off
+    constants of a degree are built on its first query and at most once per
+    complex, however often it is queried; and the candidate table is built
+    and sorted once per dimension."""
+    passes, tops, read_offs, reads = [], [], [], []
+    leibniz, read_off = cohomology_module.leibniz, cohomology_module._read_off
+    numerators, bases = ComplexData._class_numerators, DgaModel.bases
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-degree basis or column build")
+
+    monkeypatch.setattr(cohomology_module, "leibniz", lambda table, monomials: passes.append(table)
+                        or leibniz(table, monomials))
+    monkeypatch.setattr(cohomology_module, "_read_off", lambda dd: read_offs.append(dd) or read_off(dd))
+    monkeypatch.setattr(ComplexData, "_class_numerators", lambda self, terms, degree: reads.append(degree)
+                        or numerators(self, terms, degree))
+    monkeypatch.setattr(DgaModel, "bases", lambda model, top: tops.append(top) or bases(model, top))
+    monkeypatch.setattr(DgaModel, "basis", forbidden)
+    monkeypatch.setattr(cohomology_module, "_sparse_columns", forbidden)
+    cohomology_module._candidate_coefficients.cache_clear()
+    pencils, projective = _ring_gysin_cases()
+    for model, a, degree in pencils + projective:
+        for log in (passes, tops, reads, read_offs):
+            log.clear()
+        data = cochain_complex(model, degree)
+        assert len(passes) == 1 and tops == [degree + 1], (model, degree)
+        matrices = euler_action_matrices(data)
+        assert reads == [p + 2 for p in range(degree - 1) for _ in data.degrees[p].reps], (model, degree)
+        assert len(reads) == sum(len(dd.reps) for dd in data.degrees[:degree - 1])
+        # built on the first read of each degree, in the order of the reads
+        assert [dd.degree for dd in read_offs] == list(dict.fromkeys(reads))
+        assert all(dd is data.degrees[dd.degree] for dd in read_offs)
+        built, euler_degrees = len(read_offs), set(reads)
+        assert euler_action_matrices(data) == matrices
+        for d, dd in enumerate(data.degrees):
+            for rep in data.representative_elements(d):
+                assert data.is_exact(rep, d) is False
+        # only the degrees the Euler matrices did not read are built now
+        assert len(read_offs) == built + len({dd.degree for dd in data.degrees if dd.reps} - euler_degrees)
+        if (model, a, degree) in pencils:
+            verify_ring_presentation(model, RingPresentation(2, 2, a), degree)
+        # no DegreeData, each of one complex, had its constants built twice
+        assert len({id(dd) for dd in read_offs}) == len(read_offs), (model, degree)
+    info = cohomology_module._candidate_coefficients.cache_info()
+    # H^2 has dimension 2 throughout, and every search reads the table for w
+    assert info.misses == 1 and info.hits >= len(pencils) - 1
+    assert cohomology_module._candidate_coefficients(2) is cohomology_module._candidate_coefficients(2)
+
+
+def test_class_reads_in_any_order_match_fresh_complexes_and_the_reference():
+    """The read-off constants a complex keeps between queries change no
+    answer.  On seeded random models, the fallback models and six_gen, the
+    class coordinates of integer and rational combinations of the
+    representatives and the image vectors, queried over all degrees in
+    shuffled order on one complex, equal those a fresh complex gives for
+    each query, and the Euler matrices of the shared complex equal the
+    element reference on a fresh one.  A non-cocycle is refused in every
+    degree where d_d != 0, on the shared complex after its constants are
+    built and on a fresh one."""
+    rng = random.Random(2718)
+    cases = [(random_model(rng), 8) for _ in range(25)] + [(m, 9) for m in _fallback_models()]
+    cases.append((parse_path(SIX_GEN, kind="dga").value, 10))
+    refused = set()
+    for model, max_degree in cases:
+        data = cochain_complex(model, max_degree)
+        images = reference_integer_images(model, max_degree)
+        queries = []
+        for d, dd in enumerate(data.degrees):
+            vectors = [*dd.reps, *images[d]]
+            for n in range(4):
+                coeffs = [rng.randint(-3, 3) if n < 2 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in vectors]
+                coords = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(dd.basis))]
+                queries.append((model.from_coords(dd.basis, coords), d))
+        rng.shuffle(queries)
+        for x, d in queries:
+            assert data.class_coordinates(x, d) == cochain_complex(model, max_degree).class_coordinates(x, d)
+        assert len(data._read_offs) == len(data.degrees)
+        if any(g.degree == 2 and model.differential_of(g.name).is_zero for g in model.generators):
+            fresh = cochain_complex(model, max_degree)
+            assert euler_action_matrices(data) == reference_euler_action_matrices(fresh, euler_class(model))
+        for d, dd in enumerate(data.degrees):
+            if not any(dd.out_columns):
+                continue
+            j = next(j for j, column in enumerate(dd.out_columns) if column)
+            x = model.from_coords(dd.basis, [int(i == j) + sum(v[i] for v in dd.reps) for i in range(len(dd.basis))])
+            text = (f"element of degree {d} is not a cocycle class" if dd.free
+                    else "nonzero element in a degree with trivial cocycle space")
+            for complex_data in (data, cochain_complex(model, max_degree)):
+                with pytest.raises(GcaError, match=f"^{text}$"):
+                    complex_data.class_coordinates(x, d)
+            refused.add(bool(dd.free))
+    # refused where d_d has a kernel (by the boundary sum) and where it has none
+    assert refused == {False, True}
 
 
 def test_class_queries_reject_elements_of_another_model():

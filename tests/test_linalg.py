@@ -70,6 +70,10 @@ def test_integerize_rows_reads_denominators_of_nonzero_fractions_only():
     assert linalg.integerize_rows([[zero, half, 1, zero, third]]) == [[0, 3, 6, 0, -4]]
     assert CountedFraction.reads == 4  # the lcm and the scaling read each nonzero fraction once
     assert linalg.integerize_rows([[zero, zero], []]) == [[0, 0], []]
+    # the type test reads past leading ints: a Fraction or a bool after them
+    # makes the row scaled, and every entry comes out an int
+    out = linalg.integerize_rows([[0, 3, Fraction(1, 2)], [2, 0, True]])
+    assert out == [[0, 6, 1], [2, 0, 1]] and all(type(x) is int for row in out for x in row)
 
 
 def test_column_space_basis():
