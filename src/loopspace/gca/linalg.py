@@ -8,8 +8,10 @@ space, so no rounding can occur anywhere.
 touching only nonzero entries, to a basis of their span keyed by lowest
 position.  That one reduction gives a rank (``sparse_rank`` is the number
 of vectors it keeps; ``rank`` hands it the nonzero rows of a matrix, since
-the rank of a matrix is the rank of its rows) and, in the cochain complex,
-both the rank test of a differential and the basis of its image.
+the rank of a matrix is the rank of its rows), in the cochain complex
+both the rank test of a differential and the basis of its image, and in
+the rank path of ``cohomology`` every rank at once, from one stream that
+reads and pops the kept vectors of a dict it passes in.
 
 ``echelon`` factors a matrix when more than its rank is needed: a
 fraction-free Gauss-Jordan reduction of the integerised matrix (Bareiss
@@ -113,7 +115,9 @@ def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def column_reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, Mapping[int, int]]:
+def column_reduce(
+    vectors: Iterable[Mapping[int, int]], kept: dict[int, Mapping[int, int]] | None = None,
+) -> dict[int, Mapping[int, int]]:
     """A basis of the span of integer vectors given as {position: nonzero
     int} maps, keyed by lowest position: {lowest position: vector}.
 
@@ -131,8 +135,18 @@ def column_reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, Mapping[int
     Every step multiplies a vector by an entry of another; dividing by the
     content removes the common factor those products leave, which keeps the
     entries about as large as the minors a fraction-free elimination holds.
+
+    The vectors are reduced into ``kept``, a new dict unless the caller
+    passes one, and that dict is returned.  A caller that owns it may read
+    it and pop keys between vectors, when ``vectors`` is a lazy stream: the
+    reduction reads the dict afresh for each vector.  A popped key must be
+    one that no later vector reaches as its lowest position while reduced,
+    for instance a key below the lowest position of every later vector;
+    then the kept vectors are those of the reduction without the pops,
+    minus the popped ones.
     """
-    kept: dict[int, Mapping[int, int]] = {}
+    if kept is None:
+        kept = {}
     for v in vectors:
         while v:
             low = min(v)

@@ -17,7 +17,7 @@ from loopspace.gca import (
     multiply,
 )
 
-from loopspace.gca.algebra import derivation_table, multiply_terms
+from loopspace.gca.algebra import derivation_table, leibniz, multiply_terms
 from loopspace.gca.cohomology import _sparse_columns, differential_matrix
 
 from helpers import (
@@ -352,6 +352,32 @@ def test_sparse_columns_against_product_rule():
                 expected = leibniz_expansion(model, names).terms if names else {}
                 assert column == {index[m]: c * scale for m, c in expected.items()}, (model, mon)
                 assert all(type(v) is int for v in column.values())
+
+
+def cancelling_model():
+    # dg = g*c and dh = -h*c, so d(g*h) = g*h*c - g*h*c cancels
+    return DgaModel([("c", 1), ("g", 2), ("h", 2)], {"g": [(1, {"g": 1, "c": 1})], "h": [(-1, {"h": 1, "c": 1})]})
+
+
+def test_leibniz_with_an_index_makes_sparse_columns():
+    """Given a {monomial: position} map, leibniz keys each image by the
+    positions of its monomials and drops the cancelled terms, which the
+    plain images keep with coefficient zero: one pass over the sources of
+    degrees 0..8 of each model, the cancelling one included."""
+    rng = random.Random(27182)
+    models = [random_model(rng) for _ in range(40)]
+    models += [*odd_differential_models(), even_before_odd_model(), own_factor_model(), cancelling_model()]
+    cancelled = 0
+    for model in models:
+        table = model.integer_derivation()
+        bases = model.bases(9)
+        index = {m: p for p, m in enumerate(itertools.chain.from_iterable(bases))}
+        sources = list(itertools.chain.from_iterable(bases[:-1]))
+        plain = list(leibniz(table, sources))
+        cancelled += sum(0 in image.values() for image in plain)
+        assert list(leibniz(table, sources, index)) == [
+            {index[m]: c for m, c in image.items() if c} for image in plain], model
+    assert cancelled
 
 
 def test_differential_matrix_refuses_a_differential_that_does_not_raise_degree_by_one():

@@ -1,7 +1,9 @@
 """Betti tables, model validation, and ring-presentation verification."""
 
+import bisect
 import dataclasses
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -738,55 +740,189 @@ def test_theorem3_models_split_off_the_middle_generator(monkeypatch):
         assert cochain_complex(model, 32).betti().dims == expected
 
 
-def test_rank_path_makes_one_leibniz_pass_and_reduces_one_degree_at_a_time(monkeypatch):
+def test_rank_path_streams_one_reduction_that_clears_across_degrees(monkeypatch):
     """cohomology() without representatives makes one Leibniz pass over the
-    ranked model, consumed as the reductions go: each column_reduce call
-    gets the columns of one degree d, the images of no later degree are
-    made before it, and every position in them lies in the index range of
-    degree d+1.  DgaModel.basis is called as often at max degree 24 as at
-    12, and the dims are those of the full complex."""
+    ranked model and one column_reduce call, fed lazily from it.  The pass
+    takes the sources degree by degree, last first within a degree, and
+    makes no image for a cleared source: in degree d the cleared sources
+    are rank d_{d-1} in number (read off the dims of the ranked model's
+    full complex), and at max degree 12 they are exactly the lowest
+    positions of a reduced basis of the image of d_{d-1} (by the Fraction
+    reference).  Every position of a source's image lies in the index range
+    of the next degree.  DgaModel.basis is called as often at max degree 24
+    as at 12, and the dims are those of the full complex."""
     rng = random.Random(4242)
     models = [theorem3_model(SpaceFormSpec(7, 2, 2)),  # the middle generator is inert
               DgaModel([("u2", 2), ("x", 5), ("z", 3)], {"x": [("1/2", {"u2": 3})]}),  # so is z
               even_k1_model(), odd_model(2), parse_path(SIX_GEN, kind="dga").value,
-              *(random_model(rng) for _ in range(6))]
+              *odd_differential_models(), *(random_model(rng) for _ in range(6))]
     assert _active_names(models[0]) == ("u2", "u7") and _active_names(models[1]) == ("u2", "x")
     original_leibniz, original_reduce, original_basis = cohomology_module.leibniz, linalg.column_reduce, DgaModel.basis
+    _without_minimality(monkeypatch)
     for model in models:
-        active = _active_names(model)
+        ranked = _ranked_model(model)
+        cleared = _cleared_positions(ranked, 12)
         basis_calls = {}
         for max_degree in (12, 24):
-            ranked = DgaModel([model.generator(name) for name in active])
-            offsets = [0]
-            for size in ranked.basis_sizes(max_degree + 1):
-                offsets.append(offsets[-1] + size)
-            passes, made, reductions, calls = [], [0], [], []
+            bases = ranked.bases(max_degree + 1)
+            offsets = list(itertools.accumulate(map(len, bases), initial=0))
+            position = {m: p for p, m in enumerate(itertools.chain.from_iterable(bases))}
+            passes, sources, reductions, columns, calls = [], [], [], [], []
 
-            def counting_leibniz(table, monomials):
+            def recording_leibniz(table, monomials, index=None):
                 passes.append(table)
-                for image in original_leibniz(table, monomials):
-                    made[0] += 1
-                    yield image
+                return original_leibniz(table, (sources.append(m) or m for m in monomials), index)
 
-            def recording_reduce(vectors):
-                d = len(reductions)
-                assert made[0] == offsets[d], (model, d)  # no image of degree d or later yet
-                vectors = list(vectors)
-                assert made[0] == offsets[d + 1] and len(vectors) == offsets[d + 1] - offsets[d]
-                reductions.append(vectors)
-                return original_reduce(vectors)
+            def recording_reduce(vectors, kept=None):
+                reductions.append(kept)
+                return original_reduce((columns.append(v) or v for v in vectors), kept)
 
             with monkeypatch.context() as patch:
-                patch.setattr(cohomology_module, "leibniz", counting_leibniz)
+                patch.setattr(cohomology_module, "leibniz", recording_leibniz)
                 patch.setattr(linalg, "column_reduce", recording_reduce)
                 patch.setattr(DgaModel, "basis", lambda m, d: calls.append(d) or original_basis(m, d))
                 dims = cohomology(model, max_degree).dims
-            assert len(passes) == 1 and len(reductions) == max_degree + 1, model
-            for d, columns in enumerate(reductions):
-                assert all(offsets[d + 1] <= p < offsets[d + 2] for column in columns for p in column), (model, d)
+            assert len(passes) == 1 and len(reductions) == 1, model
             assert dims == cochain_complex(model, max_degree).betti().dims, model
+            # sources in degree order, last first within a degree
+            positions = [position[m] for m in sources]
+            assert positions == sorted(positions, key=lambda p: (bisect.bisect_right(offsets, p), -p)), model
+            previous = 0  # rank d_{d-1} of the ranked model
+            for d, (basis, b) in enumerate(zip(bases, cochain_complex(ranked, max_degree).betti().dims)):
+                taken = [m for m in sources if offsets[d] <= position[m] < offsets[d + 1]]
+                assert len(basis) - len(taken) == previous, (model, d)
+                previous = len(basis) - b - previous
+                if max_degree == 12:
+                    assert [m for m in reversed(basis) if position[m] not in cleared] == taken, (model, d)
+            # one image per source taken, each in the next degree's range
+            assert len(columns) == len(sources), model
+            for m, column in zip(sources, columns):
+                d = bisect.bisect_right(offsets, position[m]) - 1
+                assert all(offsets[d + 1] <= p < offsets[d + 2] for p in column), (model, d)
             basis_calls[max_degree] = len(calls)
         assert basis_calls[12] == basis_calls[24] <= 1, (model, basis_calls)
+
+
+def _ranked_model(model):
+    """The model on the generators the rank path keeps (see
+    _active_names), with their differentials."""
+    names = _active_names(model)
+    diffs = {name: [(c, model.exponent_map(m)) for m, c in model.differential_of(name).terms.items()]
+             for name in names}
+    return DgaModel([(name, model.generator(name).degree) for name in names], diffs)
+
+
+def _cleared_positions(model, max_degree):
+    """The positions, in one ascending index of the bases of degrees
+    0..max_degree+1, of the lowest positions of a reduced basis of each
+    incoming image: per degree d, the pivot columns of the echelon form
+    (reference_echelon) of the Fraction images of d_{d-1}, read as rows."""
+    cleared, offset = set(), 0
+    for d in range(max_degree + 1):
+        basis = model.basis(d)
+        if d:
+            rows = [apply_differential(model.monomial_element(m)).coords(basis) for m in model.basis(d - 1)]
+            cleared.update(offset + p for p in reference_echelon(rows)[1])
+        offset += len(basis)
+    return cleared
+
+
+def _complete_intersection_series(top):
+    """(1 - t^4)^2 / (1 - t^2)^4 as a power series up to t^top: the
+    numerator's coefficients, then four divisions by 1 - t^2, each a
+    running sum in steps of 2."""
+    series = [0] * (top + 1)
+    for d, c in ((0, 1), (4, -2), (8, 1)):
+        if d <= top:
+            series[d] = c
+    for _ in range(4):
+        for d in range(2, top + 1):
+            series[d] += series[d - 2]
+    return series
+
+
+def test_six_gen_to_degree_36_has_its_hilbert_series():
+    """six_gen is Lambda(a, b, c, e, x, y) with dx, dy a regular sequence in
+    Q[a, b, c, e], so its cohomology is the complete intersection with
+    Hilbert series (1 - t^4)^2 / (1 - t^2)^4: 1, then 4k in degree 2k and 0
+    in odd degrees."""
+    series = _complete_intersection_series(36)
+    assert series == [1] + [0 if d % 2 else 2 * d for d in range(1, 37)]
+    assert list(cohomology(parse_path(SIX_GEN, kind="dga").value, 36).dims) == series
+
+
+def test_rank_path_images_on_six_gen_are_a_fixed_count(monkeypatch):
+    """The work of the rank path as a count: on six_gen it makes one Leibniz
+    image per source it does not clear, sum_d (dim C^d - rank d_{d-1}),
+    with the ranks read off the Hilbert series: 2,535 images of 4,537
+    sources at max degree 24 and 11,191 of 20,881 at 36.  A change that
+    stops clearing makes an image for every source and fails here."""
+    model = parse_path(SIX_GEN, kind="dga").value
+    original = cohomology_module.leibniz
+    made = []
+
+    def counting_leibniz(table, monomials, index=None):
+        for image in original(table, monomials, index):
+            made.append(image)
+            yield image
+
+    monkeypatch.setattr(cohomology_module, "leibniz", counting_leibniz)
+    for max_degree, sources, expected in ((24, 4537, 2535), (36, 20881, 11191)):
+        sizes = model.basis_sizes(max_degree)
+        betti = _complete_intersection_series(max_degree)
+        count, rank = 0, 0  # rank d_{d-1}
+        for size, b in zip(sizes, betti):
+            count += size - rank
+            rank = size - b - rank
+        assert (sum(sizes), count) == (sources, expected)
+        made.clear()
+        assert list(cohomology(model, max_degree).dims) == betti
+        assert len(made) == expected
+
+
+def _without_minimality(patch):
+    """Let the gate pass a model whose one failure is minimality, which no
+    rank needs: the odd-differential models (dc = a*b) are dgas."""
+    check = cohomology_module.check_model
+
+    def checked(model):
+        report = check(model)
+        return dataclasses.replace(report, checks=tuple(c for c in report.checks if c.name != "minimality"))
+
+    patch.setattr(cohomology_module, "check_model", checked)
+
+
+def test_rank_path_matches_the_reference_complex(monkeypatch):
+    """300 seeded models and the odd-differential ones at max degree 10:
+    the rank path's dims are the numbers of representatives of the plain
+    Fraction reference, which builds each d_d densely from
+    apply_differential and reads its null space."""
+    _without_minimality(monkeypatch)
+    rng = random.Random(2011)
+    for model in [*(random_model(rng) for _ in range(300)), *odd_differential_models()]:
+        expected = tuple(len(reps) for _, _, reps, _ in reference_cochain_complex(model, 10))
+        assert cohomology(model, 10).dims == expected, model
+
+
+def test_a_refused_generator_stops_at_the_gate_before_any_leibniz_pass(monkeypatch):
+    """The refusal branch of leibniz reads every source before the first
+    image, which would run the rank path's clearing tests too early.  It is
+    never reached from cohomology(): a refused generator has a dg term of
+    its own parity, so of a degree other than its own plus one, and the
+    gate's degree-raising check refuses the model first."""
+    models = [
+        _parity_keeping_model(),  # db = a, homogeneous of degree 1
+        DgaModel([("a", 2), ("b", 3), ("x", 3)], {"x": [(1, {"a": 2}), (1, {"a": 1, "b": 1})]}),  # degrees 4 and 5
+    ]
+    calls = []
+    original = cohomology_module.leibniz
+    monkeypatch.setattr(cohomology_module, "leibniz", lambda *args: calls.append(args) or original(*args))
+    for model in models:
+        assert model.integer_derivation()[2], model  # the table refuses a generator
+        for extra in ((), (2,)):
+            with pytest.raises(GcaError, match="^model fails validation: degree-raising: "):
+                cohomology(_with_inert(model, extra), 8)
+    assert calls == []
 
 
 def _active_names(model):
