@@ -10,6 +10,16 @@ exception is a fault of the program and propagates.  With
 :mod:`loopspace.serialize`); otherwise a human-readable table is printed.
 The environment variable ``LOOPSPACE_MAX_DEGREE`` overrides the default
 truncation degree (24) wherever ``--max-degree`` is not given explicitly.
+
+:func:`build_parser` holds the command set: a top-level parser whose
+subparsers are the commands, and a table of the leaf parsers by their
+command words (``cohomology``, ``bott index``, ``certify rp2``, ...).
+:func:`main` parses each call once: when ``argv`` starts with a leaf's
+words, the rest goes straight to that leaf's parser, and any argument it
+leaves over is refused by the top-level parser, as the nested parse would.
+Every other ``argv`` (no command, an option before it, an unknown or
+incomplete command) is parsed by the top-level parser itself.  Both ways
+print the same help, usage and errors, and exit with the same codes.
 """
 
 from __future__ import annotations
@@ -64,10 +74,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# {command words: leaf parser}, e.g. ("bott", "index"); filled by build_parser
+_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command set: each leaf command binds its handler as ``run``.
-    Built on first use and shared by every later call of :func:`main`."""
+    """The command set: each leaf command binds its handler as ``run`` and
+    is recorded in ``_LEAF_PARSERS`` under its command words.  Built on
+    first use and shared by every later call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="loopspace",
         description="Exact computations on free-loop spaces of spherical space forms.",
@@ -75,14 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"loopspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cohomology", help="Betti table of a DGA model")
-    p.set_defaults(run=cmd_cohomology)
+    def leaf(subparsers, *words: str, run: Callable, help: str) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(words[-1], help=help)
+        p.set_defaults(run=run)
+        _LEAF_PARSERS[words] = p
+        return p
+
+    p = leaf(sub, "cohomology", run=cmd_cohomology, help="Betti table of a DGA model")
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
-    p = sub.add_parser("ring-verify", help="verify a Q[w,z]/(w^a) cohomology presentation")
-    p.set_defaults(run=cmd_ring_verify)
+    p = leaf(sub, "ring-verify", run=cmd_ring_verify,
+             help="verify a Q[w,z]/(w^a) cohomology presentation")
     p.add_argument("--deg-w", type=_positive_int, default=2)
     p.add_argument("--deg-z", type=_positive_int, required=True)
     p.add_argument("--nilpotency", type=_positive_int, required=True)
@@ -90,20 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
-    p = sub.add_parser("homotopy", help="rational homotopy table of a loop component")
-    p.set_defaults(run=cmd_homotopy)
+    p = leaf(sub, "homotopy", run=cmd_homotopy, help="rational homotopy table of a loop component")
     p.add_argument("--which", choices=("lambda", "quotient"), required=True)
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
-    p = sub.add_parser("spaceform-model", help="emit the minimal model of the circle quotient")
-    p.set_defaults(run=cmd_spaceform_model)
+    p = leaf(sub, "spaceform-model", run=cmd_spaceform_model,
+             help="emit the minimal model of the circle quotient")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
 
-    p = sub.add_parser("gysin-check", help="circle-bundle rank identity between two models")
-    p.set_defaults(run=cmd_gysin_check)
+    p = leaf(sub, "gysin-check", run=cmd_gysin_check,
+             help="circle-bundle rank identity between two models")
     p.add_argument("--max-degree", type=_nonneg_int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("base_file")
@@ -111,22 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bott", help="index iteration of a step function")
     bott_sub = p.add_subparsers(dest="bott_command", required=True)
-    q = bott_sub.add_parser("index", help="index of the m-th iterate")
-    q.set_defaults(run=cmd_bott_index)
+    q = leaf(bott_sub, "bott", "index", run=cmd_bott_index, help="index of the m-th iterate")
     q.add_argument("--iterate", type=_positive_int, required=True)
     q.add_argument("--json", action="store_true")
     q.add_argument("file")
 
     p = sub.add_parser("certify", help="contradiction-search certificates")
     cert_sub = p.add_subparsers(dest="certify_command", required=True)
-    q = cert_sub.add_parser("rp2", help="two-geodesic certificate for the projective plane")
-    q.set_defaults(run=cmd_certify_rp2)
+    q = leaf(cert_sub, "certify", "rp2", run=cmd_certify_rp2,
+             help="two-geodesic certificate for the projective plane")
     q.add_argument("--grid", type=_positive_int, required=True)
     q.add_argument("--values", type=_nonneg_int, required=True)
     q.add_argument("--cutoff", type=_positive_int, required=True)
     q.add_argument("--json", action="store_true")
-    q = cert_sub.add_parser("theorem5", help="even-parity certificate for odd space forms")
-    q.set_defaults(run=cmd_certify_theorem5)
+    q = leaf(cert_sub, "certify", "theorem5", run=cmd_certify_theorem5,
+             help="even-parity certificate for odd space forms")
     q.add_argument("--k", type=_positive_int, required=True)
     q.add_argument("--iterates", type=_nonneg_int, required=True)
     q.add_argument("--json", action="store_true")
@@ -306,9 +324,25 @@ def cmd_certify_theorem5(args) -> int:
     return 0 if cert.established else 1
 
 
+def _parse(argv: list[str]):
+    """Parse ``argv`` once, as the module docstring describes.  An argument
+    that starts with ``--=`` keeps ``argv`` with the top-level parser,
+    which refuses it wherever it stands, as an abbreviation of both
+    ``--help`` and ``--version``."""
+    parser = build_parser()
+    for words in (1, 2):
+        leaf = _LEAF_PARSERS.get(tuple(argv[:words]))
+        if leaf is not None and not any(a.startswith("--=") for a in argv):
+            args, extras = leaf.parse_known_args(argv[words:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

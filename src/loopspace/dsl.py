@@ -496,9 +496,12 @@ def parse(source: str | SourceSpec) -> ParseResult:
 
 
 def parse_path(path, kind: str | None = None) -> ParseResult:
+    """Parse a UTF-8 file; one leading byte order mark is dropped.  (The
+    ``utf-8-sig`` codec would drop it too, but it counts the offset of an
+    undecodable byte from after the mark.)"""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return parse(SourceSpec(text=text, kind=kind))
+    return parse(SourceSpec(text=text.removeprefix("\ufeff"), kind=kind))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exit codes, table output, and stable JSON for the command-line front end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace.cli import main
+from loopspace.cli import build_parser, main
 from loopspace.dsl import parse
 from loopspace.spaceforms import SpaceFormSpec, theorem3_model
 
@@ -317,13 +318,37 @@ def test_oversize_numbers_are_located_errors(capsys, tmp_path, name, text, argv,
 
 
 def test_undecodable_input_is_a_read_error(tmp_path):
-    path = tmp_path / "latin1.dga"
-    path.write_bytes(b"model m {\n generator x:2;\xff\n}\n")
-    done = subprocess.run([sys.executable, "-m", "loopspace.cli", "cohomology", str(path)],
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
-    assert done.returncode == 2 and done.stdout == b""
-    assert done.stderr.decode() == (
-        f"loopspace: error: cannot read {path}: not UTF-8: invalid start byte at byte offset 25\n")
+    # behind a byte order mark the offset still counts from the file's start
+    for name, prefix, offset in [("latin1.dga", b"", 25), ("bom_latin1.dga", b"\xef\xbb\xbf", 28)]:
+        path = tmp_path / name
+        path.write_bytes(prefix + b"model m {\n generator x:2;\xff\n}\n")
+        done = subprocess.run([sys.executable, "-m", "loopspace.cli", "cohomology", str(path)], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.decode() == (
+            f"loopspace: error: cannot read {path}: not UTF-8: invalid start byte at byte offset {offset}\n")
+
+
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path):
+    """A copy of each fixture behind a UTF-8 byte order mark prints the
+    same bytes as the fixture; a second mark, or one anywhere else, is
+    still a located error."""
+    commands = {".dga": ("cohomology", "--max-degree", "8"), ".spaceform": ("homotopy", "--which", "lambda"),
+                ".bott": ("bott", "index", "--iterate", "3")}
+    for fixture in sorted(FIXTURES.iterdir()):
+        copy = tmp_path / fixture.name
+        copy.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        argv = (*commands[fixture.suffix], "--json")
+        want = run(capsys, *argv, str(fixture))
+        assert want[0] == 0, fixture.name
+        assert run(capsys, *argv, str(copy)) == want, fixture.name
+    for name, text, location in [("twice.dga", "\ufeff\ufeffmodel m { generator x:2; }\n", "1:1"),
+                                 ("inside.dga", "model m {\n  generator x:2;\ufeff\n}\n", "2:17")]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "cohomology", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"{path}:{location}: error: unexpected character '\\ufeff'"
 
 
 def test_env_max_degree_override(capsys, monkeypatch):
@@ -425,3 +450,78 @@ def test_json_output_builds_no_text_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_certificate_table", forbidden)
     code, out, _ = run(capsys, "certify", "rp2", "--grid", "4", "--values", "1", "--cutoff", "9", "--json")
     assert code == 0 and json.loads(out)["kind"] == "certificate"
+
+
+# Every leaf command, well formed; main parses each with the leaf's own parser.
+LEAF_CALLS = [
+    ("cohomology", "--max-degree", "6", QUOTIENT),
+    ("ring-verify", "--deg-z", "2", "--nilpotency", "2", "--max-degree", "10", QUOTIENT),
+    ("homotopy", "--which", "lambda", "--max-degree", "8", LENS),
+    ("spaceform-model", "--json", LENS),
+    ("gysin-check", "--max-degree", "9", CP2, SPHERE5),
+    ("bott", "index", "--iterate", "7", QUARTER),
+    ("certify", "rp2", "--grid", "8", "--values", "1", "--cutoff", "17"),
+    ("certify", "theorem5", "--k", "1", "--iterates", "10", LENS, QUARTER),
+]
+
+ODD_CALLS = [
+    ("ring-verify", "--deg-z", "2", QUOTIENT),  # a required option missing
+    ("bott", "index", "--iterate", "0", QUARTER),
+    ("cohomology", "--max-degree", "x", QUOTIENT),
+    ("cohomology", "--max-deg", "3", QUOTIENT),
+    ("cohomology", "--max-degree=3", "--json", QUOTIENT),
+    ("certify", "rp2", "--grid=8", "--values", "1", "--cutoff=17"),
+    ("cohomology", "--max-degree", "3", "--", QUOTIENT),
+    ("bott", "index", "--iterate", "-2", QUARTER),
+    ("cohomology", QUOTIENT, "extra"),
+    ("bott", "index", "--iterate", "3", QUARTER, "--version"),
+    ("certify", "rp2", "-h"),
+    ("bott", "index"),
+    ("bott", "-h"),
+    ("certify", "nope"),
+    # ambiguous to the top-level parser, wherever it stands
+    ("cohomology", "--=3", QUOTIENT),
+    ("bott", "index", "--iterate", "3", QUARTER, "--=x"),
+    # left to the top-level parser
+    (),
+    ("bott",),
+    ("certify",),
+    ("--version",),
+    ("-h",),
+    ("cohomolgy", QUOTIENT),
+    ("--json", "cohomology", QUOTIENT),
+]
+
+
+def _argv_id(argv) -> str:
+    return " ".join(Path(a).name if os.sep in a else a for a in argv) or "()"
+
+
+@pytest.mark.parametrize("argv", LEAF_CALLS + ODD_CALLS, ids=_argv_id)
+def test_main_matches_the_nested_parse(capsys, monkeypatch, argv):
+    """main's one parse per call against the nested subparser parse:
+    the same exit code, stdout and stderr (help and usage included)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LOOPSPACE_MAX_DEGREE", raising=False)
+    got = run(capsys, *argv)
+    try:
+        args = build_parser().parse_args(list(argv))
+        code = args.run(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert got == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", LEAF_CALLS, ids=_argv_id)
+def test_a_leaf_command_is_parsed_once(capsys, monkeypatch, argv):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == ["loopspace " + " ".join(argv[:2 if argv[0] in ("bott", "certify") else 1])]
