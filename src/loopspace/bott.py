@@ -72,13 +72,23 @@ class BottFunction:
 
     def __post_init__(self):
         disc = self.discontinuities
-        if not all(map(lt, disc, disc[1:])):
-            raise GcaError("discontinuities must be strictly increasing")
         # a bool is a Rational, but its DSL text does not parse
-        if any(type(t) not in _EXACT_TURN_TYPES and (type(t) is bool or not isinstance(t, Rational))
-               for t in disc):
+        exact = all(type(t) in _EXACT_TURN_TYPES or (type(t) is not bool and isinstance(t, Rational))
+                    for t in disc)
+        # order and range are decided on the integer numerators over the common
+        # denominator L; inexact turns are compared as they are, so a descent
+        # is named before the type, and turns that do not compare have none
+        L = math.lcm(*(t.denominator for t in disc)) if exact else 1
+        nums = tuple(t.numerator * (L // t.denominator) for t in disc) if exact else disc
+        try:
+            increasing = all(map(lt, nums, nums[1:]))
+        except TypeError:
+            increasing = True
+        if not increasing:
+            raise GcaError("discontinuities must be strictly increasing")
+        if not exact:
             raise GcaError("discontinuities must be exact rationals")
-        if any(not 0 <= t.numerator < t.denominator for t in disc):
+        if nums and not 0 <= nums[0] <= nums[-1] < L:
             raise GcaError("discontinuities must be turns in [0, 1)")
         n_arcs = len(disc) if disc else 1
         if len(self.arc_values) != n_arcs:
@@ -87,9 +97,8 @@ class BottFunction:
             raise GcaError(f"expected {len(disc)} point values, got {len(self.point_values)}")
         for v in self.arc_values + self.point_values:
             exact_int(v, 0, "values of the index function are non-negative integers")
-        L = math.lcm(*(t.denominator for t in disc))
         object.__setattr__(self, "denominator", L)
-        object.__setattr__(self, "numerators", tuple(t.numerator * (L // t.denominator) for t in disc))
+        object.__setattr__(self, "numerators", nums)
         self._check_conjugation_symmetry()
 
     def _check_conjugation_symmetry(self):
@@ -127,26 +136,36 @@ class BottFunction:
         """Construct from possibly unsorted data.
 
         Discontinuities are normalised into [0, 1) and sorted together with
-        their arc and point values.  Omitted point values default to the
+        their arc and point values, both decided on integer numerators over
+        the common denominator.  Omitted point values default to the
         minimum of the two adjacent arc values.  With ``ambient_dim`` = n the
         number of discontinuities is checked against the bound 2n - 2 on
         unit-circle eigenvalues of a linearised Poincare map.  Turns must be
         exact (see ``normalize_turn``) and values ints; a float or a bool is
         refused, not rounded.
         """
-        disc = [normalize_turn(t) for t in discontinuities]
+        disc = [exact_rational(t, "turns") for t in discontinuities]
         arcs = [exact_int(v, -math.inf, _INDEX_VALUE_MESSAGE) for v in arc_values]
-        if len(set(disc)) != len(disc):
+        # duplicates and order are decided on the integer numerators over the
+        # common denominator L, reduced mod L
+        L = math.lcm(*(t.denominator for t in disc))
+        scaled = [t.numerator * (L // t.denominator) for t in disc]
+        nums = [n % L for n in scaled]
+        if len(set(nums)) != len(disc):
             raise GcaError("duplicate discontinuities")
         if ambient_dim is not None and len(disc) > 2 * ambient_dim - 2:
             raise GcaError(
                 f"{len(disc)} discontinuities exceed the bound 2n-2 = {2 * ambient_dim - 2}"
             )
         if disc:
-            order = sorted(range(len(disc)), key=lambda i: disc[i])
+            order = sorted(range(len(disc)), key=nums.__getitem__)
             if len(arcs) != len(disc):
                 raise GcaError(f"expected {len(disc)} arc values, got {len(arcs)}")
-            disc_sorted = [disc[i] for i in order]
+            # only a turn outside [0, 1), or a Fraction subtype, is reduced by t % 1
+            disc_sorted = [
+                disc[i] if nums[i] == scaled[i] and type(disc[i]) is Fraction else disc[i] % 1
+                for i in order
+            ]
             arcs_sorted = [arcs[i] for i in order]
             if point_values is None:
                 points_sorted = [

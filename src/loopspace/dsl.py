@@ -35,7 +35,6 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt
 from typing import NamedTuple
 
 from .bott import BottFunction
@@ -446,8 +445,10 @@ class _Parser:
             return None
         if not self.expect_punct("}"):
             return None
-        normalized = [t % 1 for t in disc]
-        if any(map(gt, normalized, normalized[1:])):
+        # a descent of the turns reduced into [0, 1), a % 1 > b % 1, by
+        # integer cross-multiplication
+        if any((a.numerator % a.denominator) * b.denominator
+               > (b.numerator % b.denominator) * a.denominator for a, b in zip(disc, disc[1:])):
             self.warning(0, "discontinuities were not sorted; sorting them")
         try:
             return BottFunction.build(disc, arcs, points)

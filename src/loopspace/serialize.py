@@ -9,6 +9,12 @@ produce byte-identical output.  The top-level document is::
 where ``input`` echoes the normalised source text of the parsed input
 (an object with one entry per file for two-input commands, null for
 commands that take only flags).
+
+``dumps`` encodes through one C encoder whose hook prints an exact Fraction
+as ``str`` and hands any other non-JSON value (a Fraction subclass, a result
+object) to ``jsonable``.  So ``certificate_json`` returns the certificate's
+own containers, Fractions and all, and ``dumps`` converts them as it
+encodes; a float would be printed, so the tests keep certificates free of one.
 """
 
 from __future__ import annotations
@@ -70,37 +76,12 @@ def _as_is(value):
     return value
 
 
-# scalar types converted inline by the container converters, without a call
-# to jsonable; a subclass (an IntEnum, a Fraction subtype) still goes through it
-_PLAIN = frozenset({bool, int, str, type(None)})
-
-
 def _list_json(value) -> list:
-    out = []
-    for v in value:
-        t = type(v)
-        if t in _PLAIN:
-            out.append(v)
-        elif t is Fraction:
-            out.append(str(v))
-        else:
-            out.append(jsonable(v))
-    return out
+    return [jsonable(v) for v in value]
 
 
 def _dict_json(value) -> dict:
-    # one pass with _list_json's rules, not _list_json and a zip: most dicts
-    # are small transcript entries, where a second pass costs more than it saves
-    out = {}
-    for k, v in value.items():
-        t = type(v)
-        if t in _PLAIN:
-            out[str(k)] = v
-        elif t is Fraction:
-            out[str(k)] = str(v)
-        else:
-            out[str(k)] = jsonable(v)
-    return out
+    return {str(k): jsonable(v) for k, v in value.items()}
 
 
 # the converter of each type jsonable accepts; a subclass takes the converter
@@ -176,10 +157,10 @@ def gysin_report_json(report: GysinReport) -> dict:
 def certificate_json(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
-        "parameters": jsonable(cert.parameters),
-        "survivors": jsonable(cert.survivors),
+        "parameters": cert.parameters,
+        "survivors": cert.survivors,
         "verdict": cert.verdict,
-        "transcript": jsonable(cert.transcript),
+        "transcript": cert.transcript,
     }
 
 
@@ -187,5 +168,12 @@ def payload(kind: str, input_echo, result) -> dict:
     return {"kind": kind, "input": input_echo, "result": result, "version": __version__}
 
 
+def _default(value):
+    return str(value) if type(value) is Fraction else jsonable(value)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=_default)
+
+
 def dumps(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, ensure_ascii=False)
+    return _ENCODER.encode(document)

@@ -68,7 +68,7 @@ def test_constructor_rejects_bad_data():
 # the exact messages of invalid constructions: the conjugation messages as
 # worded before that check moved to integer numerators, one case for each
 # other check of __post_init__ in the order they run, then two faults at
-# once, where the earlier check names the fault
+# once, where the earlier check names the fault, then turns that do not compare
 @pytest.mark.parametrize(
     "disc, arcs, points, message",
     [
@@ -104,6 +104,11 @@ def test_constructor_rejects_bad_data():
         ((Fraction(1, 4), Fraction(3, 4)), (1,), (0,), "expected 2 arc values, got 1"),
         ((Fraction(1, 4), Fraction(3, 4)), (1, -1), (0,), "expected 2 point values, got 1"),
         ((Fraction(1, 4),), (-1,), (0,), "values of the index function are non-negative integers"),
+        # turns that do not compare with each other have no order to fault
+        (("1/4", Fraction(3, 4)), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+        ((Fraction(1, 4), None), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+        ((None, None), (1, 0), (0, 0), "discontinuities must be exact rationals"),
+        ((1j, Fraction(1, 2)), (1, 0), (0, 0), "discontinuities must be exact rationals"),
     ],
 )
 def test_constructor_error_messages(disc, arcs, points, message):
@@ -159,6 +164,97 @@ def test_build_accepts_exact_turns_and_int_values():
     assert BottFunction.build((1 + Fraction(1, 4), -1 + Fraction(3, 4)), (1, 0)) == f
     assert f.value_at("1/2") == 1 and f.value_at(2) == 0 and f.value_at(Fraction(5, 4)) == 0
     assert BottFunction.constant(Level(2)) == BottFunction.constant(2)
+
+
+def _build_by_fraction(turns, arcs, points, ambient_dim):
+    """The Fraction oracle of BottFunction.build: turns reduced by t % 1,
+    deduplicated by hashing and sorted by comparing them."""
+    disc = [Fraction(t) % 1 for t in turns]
+    if len(set(disc)) != len(disc):
+        raise GcaError("duplicate discontinuities")
+    if ambient_dim is not None and len(disc) > 2 * ambient_dim - 2:
+        raise GcaError(f"{len(disc)} discontinuities exceed the bound 2n-2 = {2 * ambient_dim - 2}")
+    order = sorted(range(len(disc)), key=lambda i: disc[i])
+    arcs = [arcs[i] for i in order]
+    if points is None:
+        points = [min(arcs[i - 1], arcs[i]) for i in range(len(arcs))]
+    else:
+        points = [points[i] for i in order]
+    return BottFunction(tuple(disc[i] for i in order), tuple(arcs), tuple(points))
+
+
+def _outcome(build, *args):
+    try:
+        f = build(*args)
+    except GcaError as exc:
+        return "error", str(exc)
+    assert all(type(t) is Fraction for t in f.discontinuities)
+    return "function", f, f.discontinuities, f.arc_values, f.point_values
+
+
+class _Turn(Fraction):
+    pass
+
+
+def _as_input(rng, t):
+    # the same turn, shifted by whole turns, as a Fraction, a 'p/q' string or an int
+    t += rng.randint(-2, 2)
+    form = rng.randrange(3)
+    if form == 2 and t.denominator == 1:
+        return int(t)
+    return f"{t.numerator}/{t.denominator}" if form else t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_on_numerators_agrees_with_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for _ in range(150):
+        f = random_bott(rng)
+        disc, arcs, points = list(f.discontinuities), list(f.arc_values), list(f.point_values)
+        if len(disc) == 0:
+            continue
+        roll = rng.random()
+        if roll < 0.15:  # a duplicate that only shows once normalised
+            i = rng.randrange(len(disc))
+            disc.append(disc[i] + rng.choice((-1, 1)))
+            arcs.append(arcs[i])
+            points.append(points[i])
+        elif roll < 0.3:  # an extra turn, which breaks conjugation symmetry
+            disc.append(Fraction(rng.randrange(1, 13), 13))
+            arcs.append(rng.randint(0, 3))
+            points.append(0)
+        order = list(range(len(disc)))
+        rng.shuffle(order)
+        turns = [_as_input(rng, disc[i]) for i in order]
+        arcs = [arcs[i] for i in order]
+        points = None if rng.random() < 0.5 else [points[i] for i in order]
+        ambient_dim = rng.choice((None, None, 2, 3, 4))
+        got = _outcome(lambda: BottFunction.build(turns, arcs, points, ambient_dim=ambient_dim))
+        want = _outcome(_build_by_fraction, turns, arcs, points, ambient_dim)
+        assert got == want, (turns, arcs, points, ambient_dim)
+        outcomes[got[1] if got[0] == "error" else "function"] += 1
+    assert outcomes["function"] and outcomes["duplicate discontinuities"]
+
+
+@pytest.mark.parametrize(
+    "turns, arcs, expected",
+    [
+        ((Fraction(1, 4), Fraction(5, 4)), (1, 0), "duplicate discontinuities"),
+        ((Fraction(-3, 4), "1/4"), (1, 0), "duplicate discontinuities"),
+        ((0, 1, "1/2"), (1, 1, 1), "duplicate discontinuities"),
+        (("-3/4", Fraction(-1, 4)), (1, 0), quarter_turn_function()),
+        ((Fraction(7, 4), 2, "5/4"), (1, 1, 0),
+         BottFunction((Fraction(0), Fraction(1, 4), Fraction(3, 4)), (1, 0, 1), (1, 0, 0))),
+        ((-1, Fraction(1, 2)), (3, 3), BottFunction((Fraction(0), Fraction(1, 2)), (3, 3), (3, 3))),
+        # a Fraction subtype inside [0, 1) is stored as a plain Fraction too
+        ((_Turn(3, 4), _Turn(1, 4)), (0, 1), quarter_turn_function()),
+    ],
+)
+def test_build_normalises_turns_outside_the_unit_interval(turns, arcs, expected):
+    got = _outcome(lambda: BottFunction.build(turns, arcs))
+    assert got == _outcome(_build_by_fraction, turns, arcs, None, None)
+    assert got == (("error", expected) if isinstance(expected, str) else _outcome(lambda: expected))
 
 
 def test_derived_numerators_stay_out_of_equality_and_printing():
@@ -557,6 +653,43 @@ def test_certify_theorem4_preconditions():
 
 def test_certify_theorem4_deterministic():
     assert certify_theorem4(4, 2, 9) == certify_theorem4(4, 2, 9)
+
+
+_CERTIFICATE_TYPES = {int, str, bool, type(None), Fraction, list, tuple, dict}
+
+
+def _value_types(value, found):
+    found.add(type(value))
+    if isinstance(value, dict):
+        assert all(type(k) is str for k in value)
+        for v in value.values():
+            _value_types(v, found)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _value_types(v, found)
+    return found
+
+
+def test_certificates_hold_only_json_types_and_fractions():
+    # serialize.dumps prints a certificate's own containers, so no float (which
+    # it would print) and no other type may occur in one
+    rng = random.Random(5)
+    certificates = [certify_theorem4(N, V, M) for N in (2, 4, 8, 12, 36) for V in (0, 1, 2)
+                    for M in (2 * N + 1, 2 * N + 5)]
+    for _ in range(40):
+        f = random_bott(rng)
+        ks = [k for k in range(1, 6) if bott_index(f, k) == 0]
+        if ks:
+            spec = SpaceFormSpec(rng.choice((3, 5, 7)), 2 * rng.randint(1, 6), 2)
+            certificates.append(certify_theorem5(spec, True, rng.choice(ks), f, rng.randint(0, 12)))
+    certificates += [parity_remark_certificate(a, b) for a in range(3) for b in range(3)]
+    assert {c.kind for c in certificates} == {"theorem4", "theorem5", "parity-remark"}
+    assert {c.verdict for c in certificates} == {CONTRADICTION_ESTABLISHED, INCONCLUSIVE}
+    for cert in certificates:
+        found = set()
+        for part in (cert.parameters, cert.survivors, cert.transcript):
+            _value_types(part, found)
+        assert found <= _CERTIFICATE_TYPES, (cert.kind, found - _CERTIFICATE_TYPES)
 
 
 def test_certify_theorem5_established():

@@ -3,6 +3,7 @@
 import random
 import string
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -102,6 +103,23 @@ def test_unsorted_bott_warns_and_normalizes():
     assert any(d.severity == "warning" for d in r.diagnostics)
     assert r.value.discontinuities == (Fraction(1, 4), Fraction(3, 4))
     assert r.value.arc_values == (1, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sort_warning_exactly_on_a_descent_of_the_reduced_turns(seed):
+    rng = random.Random(seed)
+    warned = Counter()
+    for _ in range(200):
+        turns = [Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(rng.randint(0, 5))]
+        reduced = [t % 1 for t in turns]
+        descent = any(a > b for a, b in zip(reduced, reduced[1:]))
+        k = len(turns)
+        text = (f"bott {{ disc = {', '.join(f'{t.numerator}/{t.denominator}' for t in turns)}; "
+                f"arcs = {', '.join(['1'] * max(k, 1))}; points = {', '.join(['1'] * k)}; }}")
+        warnings = [d.message for d in parse(text).diagnostics if d.severity == "warning"]
+        assert warnings == (["discontinuities were not sorted; sorting them"] if descent else []), text
+        warned[descent] += 1
+    assert warned[True] and warned[False]
 
 
 def test_empty_bott_lists():

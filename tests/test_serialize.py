@@ -8,8 +8,17 @@ from fractions import Fraction
 import pytest
 
 from loopspace import serialize
-from loopspace.bott import certify_theorem4, quarter_turn_function
+from loopspace.bott import (
+    CONTRADICTION_ESTABLISHED,
+    INCONCLUSIVE,
+    Certificate,
+    certify_theorem4,
+    certify_theorem5,
+    parity_remark_certificate,
+    quarter_turn_function,
+)
 from loopspace.gca import DgaModel
+from loopspace.spaceforms import SpaceFormSpec
 
 
 class Level(int):
@@ -59,8 +68,7 @@ def test_unknown_types_are_refused(value):
 
 
 def test_scalars_inside_containers_convert_as_at_top_level():
-    # the container converters take exact scalar types inline and hand
-    # every subclass to jsonable
+    # the container converters hand every element, subclass or not, to jsonable
     for value in (Level(3), Colour.RED, Turn(1, 4), Fraction(-5, 6), True, None, "s", 7):
         top = serialize.jsonable(value)
         for converted in (
@@ -75,19 +83,67 @@ def test_scalars_inside_containers_convert_as_at_top_level():
     )
 
 
-def test_plain_scalars_in_a_certificate_take_no_jsonable_call(monkeypatch):
-    cert = certify_theorem4(72, 2, 145)
-    seen = []
+def _library_certificates():
+    for grid in range(8, 73, 2):
+        for values in (1, 2):
+            yield certify_theorem4(grid, values, 2 * grid + 1)
+    yield certify_theorem5(SpaceFormSpec(3, 8, 2), True, 1, quarter_turn_function(), 10)
+    yield certify_theorem5(SpaceFormSpec(3, 2, 2), True, 1, quarter_turn_function(), 10)
+    yield parity_remark_certificate(0, 1)
+    yield parity_remark_certificate(2, 4)
+
+
+def _printed(cert) -> str:
+    return serialize.dumps(serialize.payload("certificate", None, serialize.certificate_json(cert)))
+
+
+def _printed_by_jsonable(cert) -> str:
+    # the oracle: the whole document converted by jsonable, then encoded by
+    # the json module with no hook
+    document = serialize.payload("certificate", None, serialize.certificate_json(cert))
+    return json.dumps(serialize.jsonable(document), sort_keys=True, ensure_ascii=False)
+
+
+def test_library_certificates_print_without_a_jsonable_call(monkeypatch):
+    certificates = list(_library_certificates())
+    assert {c.verdict for c in certificates if c.kind == "theorem5"} == {
+        CONTRADICTION_ESTABLISHED, INCONCLUSIVE}
+    calls = []
     jsonable = serialize.jsonable
 
     def counting(value):
-        seen.append(value)
+        calls.append(value)
         return jsonable(value)
 
     monkeypatch.setattr(serialize, "jsonable", counting)
-    document = serialize.certificate_json(cert)
+    printed = [_printed(cert) for cert in certificates]
     monkeypatch.undo()
-    assert document == serialize.certificate_json(cert)
-    assert seen, "the containers still go through jsonable"
-    scalars = [v for v in seen if type(v) in (int, str, bool, type(None), Fraction)]
-    assert scalars == []
+    assert calls == []
+    assert printed == [_printed_by_jsonable(cert) for cert in certificates]
+
+
+def test_hand_built_certificate_prints_as_jsonable_converts_it():
+    model = DgaModel([("x", 2), ("y", 5)], {"y": [(Fraction(1), {"x": 3})]}, name="cp2")
+    cert = Certificate(
+        kind="hand-built",
+        parameters={"level": Level(3), "colour": Colour.RED, "turn": Turn(1, 4),
+                    "exact": Fraction(-5, 6), "pair": Pair(3, Turn(1, 2)), "note": "angle 2\u03c0 t"},
+        survivors=({"f": quarter_turn_function(), "model": model},),
+        verdict=INCONCLUSIVE,
+        transcript=({"turns": (Turn(3, 4), Fraction(1, 4)), "ok": True, "none": None},),
+    )
+    printed = _printed(cert)
+    assert printed == _printed_by_jsonable(cert)
+    result = json.loads(printed)["result"]
+    assert result["parameters"]["turn"] == "1/4" and result["parameters"]["pair"] == [3, "1/2"]
+    assert result["survivors"][0]["f"] == serialize.bott_json(quarter_turn_function())
+    assert result["survivors"][0]["model"] == serialize.model_json(model)
+    assert "2\u03c0" in printed
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, object()])
+def test_unknown_types_in_a_certificate_are_refused(value):
+    cert = Certificate("hand-built", {"outer": [value]}, (), INCONCLUSIVE, ())
+    with pytest.raises(TypeError) as excinfo:
+        _printed(cert)
+    assert str(excinfo.value) == f"cannot serialize {type(value).__name__}"
