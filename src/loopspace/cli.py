@@ -45,7 +45,7 @@ from .spaceforms import (
     GysinInput,
     SpaceFormSpec,
     check_gysin_degree,
-    euler_action_matrices,
+    euler_action_ranks,
     euler_class,
     gysin_check,
     theorem1_table,
@@ -270,7 +270,7 @@ def cmd_gysin_check(args) -> int:
     data = cochain_complex(base_model, max_degree)
     inputs = GysinInput(
         base=data.betti(),
-        euler=tuple(euler_action_matrices(data, euler)),
+        euler=tuple(euler_action_ranks(data, euler)),
         total=cohomology(total_model, max_degree),
     )
     report = gysin_check(inputs)

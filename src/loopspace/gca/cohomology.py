@@ -47,8 +47,8 @@ coordinates, ring verification) splits off no generator, since its
 representatives are vectors over the bases of the whole model.  Like the
 rank path it reads the bases of degrees 0..max_degree+1 from one table
 extension and makes one Leibniz pass over the sources, each degree taking
-its columns as the pass makes them.  It keeps each d_d as those sparse
-integer columns of L*d_d and reduces each nonzero one once, by
+its columns as the pass makes them, already positional.  It keeps each
+d_d as those sparse integer columns of L*d_d and reduces each nonzero one once, by
 :func:`linalg.column_reduce`, with the rows of degree d+1 taken in reverse
 order.  That one reduction serves twice: d_d is
 injective exactly when every column is kept, and the kept columns are a
@@ -393,10 +393,11 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
 
     The bases of degrees 0..max_degree+1 come from one
     :meth:`DgaModel.bases` call, and the columns from one :func:`leibniz`
-    pass over every source, consumed one degree at a time: each degree takes
-    the sparse integer columns of L*d_d as the pass makes them (those
-    :func:`_sparse_columns` would build) and decides from them alone, with
-    no per-degree basis or column build.  A zero d_d has
+    pass over every source, keyed by one {monomial: position in its own
+    degree's basis} map merged from the per-degree maps: each degree takes,
+    by ``itertools.islice``, the sparse integer columns of L*d_d (those
+    :func:`_sparse_columns` would build) already positional, and decides
+    from them alone, with no per-degree basis or column build.  A zero d_d has
     every column free, last first.  A nonzero d_d is reduced once by
     :func:`linalg.column_reduce`, each column keyed by reversed row index
     (the highest row of degree d+1 is position 0), and that one reduction
@@ -418,17 +419,15 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     is every free column, ``free[::-1]``, and nothing is sorted."""
     _check_complex_input(model, max_degree)
     bases = model.bases(max_degree + 1)
-    images = leibniz(model.integer_derivation(), itertools.chain.from_iterable(bases[:-1]))
+    indices = [{m: i for i, m in enumerate(basis)} for basis in bases]
+    # a monomial has one degree, and the gate has checked that d raises it by one
+    position = dict(itertools.chain.from_iterable(index.items() for index in indices[1:]))
+    images = leibniz(model.integer_derivation(), itertools.chain.from_iterable(bases[:-1]), position)
     degrees = []
-    index = {m: i for i, m in enumerate(bases[0])}
     image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
     for d, basis in enumerate(bases[:-1]):
-        target = {m: i for i, m in enumerate(bases[d + 1])}
-        # zip reads the basis first, so it stops at the degree's end without
-        # taking an image of the next degree; the gate has checked that every
-        # image lies in degree d+1
-        columns = [{target[m]: c for m, c in column.items() if c} for _, column in zip(basis, images)]
-        n, top = len(basis), len(target) - 1
+        columns = list(itertools.islice(images, len(basis)))
+        n, top = len(basis), len(bases[d + 1]) - 1
         if not any(columns):  # d_d = 0: every column is free
             ech, pivots, free, kept = [], [], tuple(range(n - 1, -1, -1)), {}
         else:
@@ -453,9 +452,9 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
             own = [free[p] for p in range(len(free) - 1, -1, -1) if p not in at_free]
         degrees.append(DegreeData(
             d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
-            free, rows, image_pivots, index,
+            free, rows, image_pivots, indices[d],
         ))
-        index, image = target, kept
+        image = kept
     return ComplexData(model, max_degree, tuple(degrees))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .gca import linalg
 from .gca.algebra import AlgebraElement, DgaModel, GcaError, exact_int, exact_rational, multiply_terms
@@ -39,8 +39,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _matrix(rows: Sequence[Sequence], nrows: int, ncols: int, what: str) -> Matrix:
     label = f"{what}: entries"
-    out = tuple(tuple(exact_rational(x, label) for x in row) for row in rows)
-    if len(out) != nrows or any(len(row) != ncols for row in out):
+    try:
+        out = tuple(tuple(exact_rational(x, label) for x in row) for row in rows)
+    except TypeError:  # the rows, or one of them, is not iterable
+        out = None
+    if out is None or len(out) != nrows or any(len(row) != ncols for row in out):
         raise GcaError(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
 
@@ -342,6 +345,20 @@ def euler_class(model: DgaModel) -> AlgebraElement:
     raise GcaError(f"model {model.name!r} has no closed degree-2 generator")
 
 
+def _euler_reads(data: ComplexData, euler: AlgebraElement | None) -> Iterator[tuple[int, list, int]]:
+    """The gate and class reads of :func:`euler_action_matrices`: (p, one (numerators, den)
+    read per degree-p representative of its product with scale * euler, scale)."""
+    model = data.model
+    if euler is None:
+        euler = euler_class(model)
+    data._check_element(euler, 2)
+    e, scale = integer_terms(euler.terms)
+    for p in range(data.max_degree - 1):
+        dd = data.degrees[p]
+        products = (multiply_terms(model, e, dd.terms(rep)) for rep in dd.reps)
+        yield p, [data._class_numerators(terms, p + 2) for terms in products], scale
+
+
 def euler_action_matrices(
     data: ComplexData, euler: AlgebraElement | None = None
 ) -> list[Matrix]:
@@ -359,25 +376,20 @@ def euler_action_matrices(
     raises; the first two are refused by the gate of every class query (see
     :meth:`ComplexData._check_element`), also below degree 2, where there
     is no map and the answer is []."""
-    model = data.model
-    if euler is None:
-        euler = euler_class(model)
-    data._check_element(euler, 2)
-    if data.max_degree < 2:
-        return []
-    e, scale = integer_terms(euler.terms)
     zero = Fraction(0)
-    matrices: list[Matrix] = []
-    for p in range(data.max_degree - 1):
-        basis = data.degrees[p].basis
-        columns = []
-        for rep in data.degrees[p].reps:
-            terms = {m: c for m, c in zip(basis, rep) if c}
-            numerators, den = data._class_numerators(multiply_terms(model, e, terms), p + 2)
-            den *= scale
-            columns.append([Fraction(n, den) if n else zero for n in numerators])
-        matrices.append(tuple(zip(*columns)) if columns else ((),) * len(data.degrees[p + 2].reps))
-    return matrices
+    return [tuple(zip(*[[Fraction(n, den * scale) if n else zero for n in nums] for nums, den in reads]))
+            if reads else ((),) * len(data.degrees[p + 2].reps)
+            for p, reads, scale in _euler_reads(data, euler)]
+
+
+def euler_action_ranks(data: ComplexData, euler: AlgebraElement | None = None) -> list[int]:
+    """The rank of each map of :func:`euler_action_matrices`, index p from
+    degree p, from the same class reads and gate: each read's numerators,
+    as a sparse {row: int} column, go to :func:`linalg.sparse_rank`.  A
+    column is its matrix column times its denominator, which leaves the
+    rank unchanged, so no Fraction is formed."""
+    return [linalg.sparse_rank([{i: n for i, n in enumerate(nums) if n} for nums, _ in reads])
+            for _, reads, _ in _euler_reads(data, euler)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +398,13 @@ def euler_action_matrices(
 
 @dataclass(frozen=True)
 class GysinInput:
-    """Data of a circle bundle: base Betti table, cup-by-Euler-class
-    matrices (index p maps degree p to p+2), and the claimed total-space
-    Betti table.  Both tables share one truncation degree."""
+    """Data of a circle bundle: base Betti table, cup-by-Euler-class maps
+    (index p maps degree p to p+2; a matrix, its rank as a plain int in
+    0..min(rows, cols), all the rank identity reads, or None for a zero
+    map), and the claimed total-space Betti table, of the same truncation."""
 
     base: BettiTable
-    euler: tuple[Matrix | None, ...]
+    euler: tuple[Matrix | int | None, ...]
     total: BettiTable
 
     def __post_init__(self):
@@ -399,27 +412,30 @@ class GysinInput:
             raise GcaError("base and total tables must share max_degree")
         euler = []
         for p, m in enumerate(self.euler):
-            if m is None:
-                euler.append(None)
-                continue
-            nrows = self.base._dim(p + 2)
-            ncols = self.base._dim(p)
-            euler.append(_matrix(m, nrows, ncols, f"euler action at degree {p}"))
+            nrows, ncols = self.base._dim(p + 2), self.base._dim(p)
+            if isinstance(m, int):  # a rank; a bool is refused
+                if isinstance(m, bool) or not 0 <= m <= min(nrows, ncols):
+                    raise GcaError(f"euler action at degree {p}: a rank must be an integer in "
+                                   f"0..{min(nrows, ncols)}, got {m!r}")
+                m = int(m)
+            elif m is not None:
+                m = _matrix(m, nrows, ncols, f"euler action at degree {p}")
+            euler.append(m)
         object.__setattr__(self, "euler", tuple(euler))
 
     def euler_rank(self, p: int) -> int:
         return _euler_rank(self.euler, p)
 
 
-def _euler_rank(euler: Sequence[Matrix | None], p: int) -> int:
-    """Rank of the Euler map from degree p; zero for an absent map."""
-    if 0 <= p < len(euler) and euler[p] is not None:
-        return linalg.rank(euler[p])
+def _euler_rank(euler: Sequence[Matrix | int | None], p: int) -> int:
+    """Rank of the Euler map from degree p, a rank given as is; zero for an absent map."""
+    if 0 <= p < len(euler) and (m := euler[p]) is not None:
+        return m if isinstance(m, int) else linalg.rank(m)
     return 0
 
 
 def _rank_identity(
-    base: BettiTable, euler: Sequence[Matrix | None], top: int
+    base: BettiTable, euler: Sequence[Matrix | int | None], top: int
 ) -> list[tuple[int, int]]:
     """(coker, ker) in each degree p = 0..top: the cokernel of the Euler map
     from p-2 to p and the kernel of the Euler map from p-1 to p+1.  Each
@@ -484,7 +500,7 @@ def gysin_check(inputs: GysinInput) -> GysinReport:
     return GysinReport(True, top, None, "")
 
 
-def rank_identity_totals(base: BettiTable, euler: Sequence[Matrix | None]) -> BettiTable:
+def rank_identity_totals(base: BettiTable, euler: Sequence[Matrix | int | None]) -> BettiTable:
     """The total-space Betti table forced by the rank identity (degrees
     within max_degree - 2; the last two degrees are filled by the same
     formula with out-of-range maps treated as zero)."""

@@ -140,6 +140,26 @@ def test_gysin_check_at_degree_two_checks_degree_zero(capsys):
     assert code == 0 and result["passed"] and result["checked_up_to"] == 0
 
 
+def test_gysin_check_ranks_no_euler_matrix(capsys, monkeypatch):
+    """gysin-check ranks each Euler map from class numerators: it forms,
+    gates and ranks no matrix, and prints the bytes it printed before."""
+    import loopspace.gca.linalg as linalg_module
+    import loopspace.spaceforms as spaceforms_module
+
+    six_gen = str(FIXTURES / "six_gen.dga")
+    calls = [("9", CP2, SPHERE5), ("9", CP2, CP2), ("9", QUOTIENT, CP2), ("8", six_gen, CP2)]
+    expected = [run(capsys, "gysin-check", "--max-degree", d, "--json", b, t) for d, b, t in calls]
+    assert {code for code, _, _ in expected} == {0, 1}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an Euler matrix was formed, gated or ranked")
+
+    for module, name in ((spaceforms_module, "euler_action_matrices"), (spaceforms_module, "_matrix"),
+                         (linalg_module, "rank")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert [run(capsys, "gysin-check", "--max-degree", d, "--json", b, t) for d, b, t in calls] == expected
+
+
 def test_bott_index_command(capsys):
     code, out, _ = run(capsys, "bott", "index", "--iterate", "7", QUARTER)
     assert code == 0

@@ -30,7 +30,9 @@ from loopspace.gca import (
 from loopspace.gca.cohomology import ComplexData, DegreeData, differential_matrix
 from loopspace.gca import linalg
 from loopspace.gca.algebra import AlgebraElement
-from loopspace.spaceforms import SpaceFormSpec, euler_action_matrices, euler_class, theorem3_model
+from loopspace.spaceforms import (
+    SpaceFormSpec, euler_action_matrices, euler_action_ranks, euler_class, theorem3_model,
+)
 
 from test_algebra import leibniz_expansion, monomial_names, own_factor_model
 from helpers import (
@@ -466,9 +468,11 @@ def _ring_gysin_cases():
 
 def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
     """On the ring-gysin pencils and CP^(a-1): cochain_complex reads its
-    bases from one DgaModel.bases call and makes one leibniz pass, with no
-    per-degree basis() or _sparse_columns call; euler_action_matrices makes
-    one class read per representative of degrees 0..D-2; the read-off
+    bases from one DgaModel.bases call and makes one leibniz pass, keyed by
+    each monomial's position in its own degree's basis, with no per-degree
+    basis() or _sparse_columns call; euler_action_matrices makes one class
+    read per representative of degrees 0..D-2, and euler_action_ranks makes
+    the same reads in the same order; the read-off
     constants of a degree are built on its first query and at most once per
     complex, however often it is queried; and the candidate table is built
     and sorted once per dimension."""
@@ -479,8 +483,8 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-degree basis or column build")
 
-    monkeypatch.setattr(cohomology_module, "leibniz", lambda table, monomials: passes.append(table)
-                        or leibniz(table, monomials))
+    monkeypatch.setattr(cohomology_module, "leibniz", lambda table, monomials, index=None: passes.append(index)
+                        or leibniz(table, monomials, index))
     monkeypatch.setattr(cohomology_module, "_read_off", lambda dd: read_offs.append(dd) or read_off(dd))
     monkeypatch.setattr(ComplexData, "_class_numerators", lambda self, terms, degree: reads.append(degree)
                         or numerators(self, terms, degree))
@@ -494,6 +498,7 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
             log.clear()
         data = cochain_complex(model, degree)
         assert len(passes) == 1 and tops == [degree + 1], (model, degree)
+        assert all(passes[0][m] == i for dd in data.degrees[1:] for m, i in dd.index.items()), (model, degree)
         matrices = euler_action_matrices(data)
         assert reads == [p + 2 for p in range(degree - 1) for _ in data.degrees[p].reps], (model, degree)
         assert len(reads) == sum(len(dd.reps) for dd in data.degrees[:degree - 1])
@@ -501,6 +506,10 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
         assert [dd.degree for dd in read_offs] == list(dict.fromkeys(reads))
         assert all(dd is data.degrees[dd.degree] for dd in read_offs)
         built, euler_degrees = len(read_offs), set(reads)
+        matrix_reads = reads[:]
+        reads.clear()
+        assert euler_action_ranks(data) == [linalg.rank(m) for m in matrices], (model, degree)
+        assert reads == matrix_reads and len(read_offs) == built, (model, degree)
         assert euler_action_matrices(data) == matrices
         for d, dd in enumerate(data.degrees):
             for rep in data.representative_elements(d):

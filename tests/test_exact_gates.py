@@ -140,6 +140,20 @@ def test_exact_number_gates():
             assert call(Count(good.numerator)) == call(good), name
 
 
+def test_gysin_euler_rank_gate():
+    # an Euler map given by its rank is a plain int in 0..min(rows, cols);
+    # an inexact number, a bool or a rank out of range is refused, and an
+    # int subclass is taken as the int
+    for bad in INEXACT[:-1] + [-1, 2, Fraction(1), Turn(1)]:
+        with pytest.raises(GcaError, match=r"^euler action at degree 0: "):
+            GysinInput(BASE, (bad,), TOTAL)
+            pytest.fail(f"GysinInput euler rank accepted {bad!r}")
+    for good in (0, 1):
+        inputs = GysinInput(BASE, (Count(good),), TOTAL)
+        assert inputs == GysinInput(BASE, (good,), TOTAL) and type(inputs.euler[0]) is int
+    assert GysinInput(BASE, (None,), TOTAL).euler_rank(0) == 0
+
+
 def test_truncation_degrees_below_zero_are_refused():
     calls = [
         lambda: loop_space_dims(LENS_ACTION, -1),

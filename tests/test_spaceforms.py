@@ -16,6 +16,8 @@ from loopspace.gca import (
     UnknownGeneratorError,
     check_model,
     cochain_complex,
+    cohomology,
+    linalg,
     verify_ring_presentation,
 )
 from loopspace.gca.cohomology import BettiTable
@@ -29,6 +31,7 @@ from loopspace.spaceforms import (
     circle_quotient_gysin_input,
     classify_order4_extension,
     euler_action_matrices,
+    euler_action_ranks,
     euler_class,
     gysin_check,
     loop_space_dims,
@@ -40,9 +43,12 @@ from loopspace.spaceforms import (
     theorem3_model,
 )
 
-from helpers import random_model, reference_euler_action_matrices
+import golden
+from helpers import odd_differential_models, random_model, reference_euler_action_matrices
+from test_cohomology import _fallback_models, pencil_power_model
 
-RATIONAL_PENCIL = Path(__file__).resolve().parent.parent / "fixtures" / "rational_pencil.dga"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+RATIONAL_PENCIL = FIXTURES / "rational_pencil.dga"
 
 
 # -- spec validation -----------------------------------------------------------
@@ -333,14 +339,16 @@ def test_euler_action_error_paths():
          "element of degree 2 is not a cocycle class"),
     ]
     for complex_data, euler, kind, text in cases:
-        with pytest.raises(GcaError) as err:
-            euler_action_matrices(complex_data, euler)
-        assert (type(err.value), str(err.value)) == (kind, text)
+        for euler_action in (euler_action_matrices, euler_action_ranks):
+            with pytest.raises(GcaError) as err:
+                euler_action(complex_data, euler)
+            assert (type(err.value), str(err.value)) == (kind, text), euler_action
     # an equal model built separately is the same model, and below degree 2
     # there is no map, so a valid class gives no matrix
     same = theorem3_model(SpaceFormSpec(2, 2, 2)).gen("v2")
     assert euler_action_matrices(data, same) == reference_euler_action_matrices(data, same)
     assert euler_action_matrices(cochain_complex(model, 1), same) == []
+    assert euler_action_ranks(cochain_complex(model, 1), same) == []
 
 
 def test_euler_class_gate_does_not_depend_on_the_truncation():
@@ -354,9 +362,10 @@ def test_euler_class_gate_does_not_depend_on_the_truncation():
     for max_degree in (1, 2):
         data = cochain_complex(model, max_degree)
         for euler, kind, text in cases:
-            with pytest.raises(GcaError) as err:
-                euler_action_matrices(data, euler)
-            assert (type(err.value), str(err.value)) == (kind, text), max_degree
+            for euler_action in (euler_action_matrices, euler_action_ranks):
+                with pytest.raises(GcaError) as err:
+                    euler_action(data, euler)
+                assert (type(err.value), str(err.value)) == (kind, text), (max_degree, euler_action)
 
 
 def test_matrix_entries_must_be_exact():
@@ -375,6 +384,110 @@ def test_matrix_entries_must_be_exact():
     assert GysinInput(base, ((("1/2",),),), total).euler == inputs.euler
     assert ActionEntry(2, 2, ((3, "-2/6"), (0, 1))).matrix == ((3, Fraction(-1, 3)), (0, 1))
     assert all(type(v) is Fraction for row in ActionEntry(2, 2, ((3, "-2/6"), (0, 1))).matrix for v in row)
+
+
+def test_euler_entries_that_are_no_matrix_and_no_rank_are_refused():
+    # a map is a rows x cols matrix (rows = dim H^(p+2), cols = dim H^p), a
+    # rank in 0..min(rows, cols), or None; anything else is a GcaError
+    base = BettiTable.from_dims([1, 0, 1, 0, 1, 0])
+    total = BettiTable.from_dims([1, 0, 0, 0, 0, 1])
+    cases = [
+        (((1,),), "euler action at degree 0: expected a 1x1 matrix"),
+        ((None, (1, 0)), "euler action at degree 1: expected a 0x0 matrix"),
+        ((Fraction(1),), "euler action at degree 0: expected a 1x1 matrix"),
+        ((1.0,), "euler action at degree 0: expected a 1x1 matrix"),
+        ((Decimal(1),), "euler action at degree 0: expected a 1x1 matrix"),
+        ((5,), "euler action at degree 0: a rank must be an integer in 0..1, got 5"),
+        ((True,), "euler action at degree 0: a rank must be an integer in 0..1, got True"),
+        ((1, 0, -1), "euler action at degree 2: a rank must be an integer in 0..1, got -1"),
+        ((1, 1), "euler action at degree 1: a rank must be an integer in 0..0, got 1"),
+        ((1, None, 1, 1), "euler action at degree 3: a rank must be an integer in 0..0, got 1"),
+    ]
+    for euler, text in cases:
+        with pytest.raises(GcaError) as err:
+            GysinInput(base, euler, total)
+        assert (type(err.value), str(err.value)) == (GcaError, text), euler
+    with pytest.raises(GcaError, match=r"^f_3: expected a 1x1 matrix$"):
+        ActionEntry(3, 1, (5,))
+    inputs = GysinInput(base, (1, 0, 1, None, 0), total)
+    assert inputs.euler == (1, 0, 1, None, 0)
+    assert [inputs.euler_rank(p) for p in range(-2, 8)] == [0, 0, 1, 0, 1, 0, 0, 0, 0, 0]
+    assert gysin_check(inputs) == gysin_check(GysinInput(base, (((1,),), None, (("1/2",),)), total))
+
+
+def _euler_rank_cases():
+    """(complex, Euler class) pairs: seeded random models, exterior
+    algebras with Koszul-signed classes, the factored models of
+    test_cohomology, theorem-3 n = 2..7, the fixtures with an Euler class,
+    the ring-gysin pencils, classes with Fraction coefficients, and
+    truncations 0, 1 and 2.  The odd differential models fail minimality,
+    so no complex of theirs can be built; the exterior algebras stand in
+    for their odd products."""
+    rng = random.Random(1729)
+    closed = [m for m in (random_model(rng) for _ in range(40)) if any(
+        g.degree == 2 and m.differential_of(g.name).is_zero for g in m.generators)]
+    assert 10 <= len(closed) < 40
+    cases = [(cochain_complex(m, 8), None) for m in closed]
+    for m in odd_differential_models():
+        with pytest.raises(GcaError, match="^model fails validation: minimality"):
+            cochain_complex(m, 6)
+        ext = DgaModel([(g.name, 1) for g in m.generators if g.degree == 1])
+        ones = [ext.gen(g.name) for g in ext.generators]
+        cases += [(cochain_complex(ext, 6), ones[i] * ones[j]) for i in range(len(ones)) for j in range(i)]
+        cases.append((cochain_complex(ext, 6), (ones[0] * ones[-1]).scale(Fraction(1, 2)) - ones[1] * ones[2]))
+    cases += [(cochain_complex(m, 9), None) for m in _fallback_models()]
+    cases += [(cochain_complex(theorem3_model(SpaceFormSpec(n, 2, 2)), 20), None) for n in range(2, 8)]
+    for name in ("cp2.dga", "quotient_s2.dga", "rational_pencil.dga", "six_gen.dga"):
+        cases.append((cochain_complex(parse_path(FIXTURES / name, kind="dga").value, 10), None))
+    cases += [(cochain_complex(pencil_power_model(p, q, a), 14), None)
+              for p, q in ((1, 2), (-3, 1), (0, -2), (2, 2)) for a in (2, 3, 5)]
+    k1 = theorem3_model(SpaceFormSpec(2, 2, 2))
+    u2, v2 = k1.gen("u2"), k1.gen("v2")
+    cases += [(cochain_complex(k1, 12), u2.scale(Fraction(1, 2)) + v2.scale(Fraction(1, 3))),
+              (cochain_complex(k1, 12), u2.scale(Fraction(-3, 4)) + v2.scale(6)),
+              (cochain_complex(k1, 12), k1.zero())]
+    pencil = parse_path(RATIONAL_PENCIL, kind="dga").value
+    cases.append((cochain_complex(pencil, 14), pencil.gen("u2").scale(Fraction(2, 5)) - pencil.gen("v2")))
+    cases += [(cochain_complex(m, d), None) for m in (k1, pencil, pencil_power_model(1, 2, 3)) for d in (0, 1, 2)]
+    return cases
+
+
+def test_euler_action_ranks_match_the_reference_ranks():
+    ranked = 0
+    for data, euler in _euler_rank_cases():
+        ranks = euler_action_ranks(data, euler)
+        assert ranks == [linalg.rank(m) for m in reference_euler_action_matrices(data, euler)], (data.model, euler)
+        assert len(ranks) == max(data.max_degree - 1, 0) and all(type(r) is int for r in ranks)
+        ranked += any(0 < r < min(len(data.degrees[p].reps), len(data.degrees[p + 2].reps))
+                      for p, r in enumerate(ranks))
+    # some maps are neither zero nor of full rank
+    assert ranked >= 3
+
+
+def _golden_gysin_inputs():
+    """The base, Euler matrices and ranks, and total of every golden
+    gysin-check: (label, base, matrices, ranks, total)."""
+    for label, argv in sorted(golden.COMMANDS.items()):
+        if argv[0] == "gysin-check":
+            max_degree, base_file, total_file = int(argv[2]), argv[-2], argv[-1]
+            data = cochain_complex(parse_path(FIXTURES / base_file, kind="dga").value, max_degree)
+            total = cohomology(parse_path(FIXTURES / total_file, kind="dga").value, max_degree)
+            yield label, data.betti(), tuple(euler_action_matrices(data)), tuple(euler_action_ranks(data)), total
+
+
+def test_rank_form_and_matrix_form_gysin_inputs_give_one_report():
+    verdicts = set()
+    for label, base, matrices, ranks, total in _golden_gysin_inputs():
+        by_rank, by_matrix = GysinInput(base, ranks, total), GysinInput(base, matrices, total)
+        assert ranks == tuple(linalg.rank(m) for m in matrices), label
+        assert by_rank.euler == ranks
+        top = base.max_degree + 2
+        assert [by_rank.euler_rank(p) for p in range(-2, top)] == [by_matrix.euler_rank(p) for p in range(-2, top)]
+        report = gysin_check(by_rank)
+        assert report == gysin_check(by_matrix), label
+        assert rank_identity_totals(base, ranks) == rank_identity_totals(base, matrices), label
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
 
 
 def test_euler_class_requires_closed_degree_two_generator():
