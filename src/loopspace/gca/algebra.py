@@ -9,36 +9,64 @@ Monomials are plain exponent tuples over the generators in canonical
 order: generators are ordered by (degree, declaration order) and products are
 normalised to that order, accumulating Koszul signs.  A generator of odd
 degree squares to zero, so its exponent in any stored monomial is 0 or 1.
-The monomial basis of each degree is read from one table of exponent tails,
-one level per generator and one entry per degree: the tails of generators i
-onward of a given degree are the tails of generators i+1 onward, each
-prefixed by an exponent of generator i.  The table is built bottom-up, from
-the last generator to the first, and extended to the highest degree asked
-for, each level in one sweep over its generator's exponent; each extension
-is published in one assignment, so a concurrent reader sees either the old
-table or the new one, never a half-built level.
 
-The differential acts on monomials through a derivation table (see
-:func:`derivation_table`), made once from the generator differentials: one
-entry per generator with a nonzero differential, holding for each monomial
-of that differential the exponent step it adds and two bit masks over the
-odd generators, one for the sign and one for the odd squares that kill the
-term.  :func:`leibniz` reads the table for a run of monomials, making each
-image as it is consumed (keyed by monomial, or by position as a sparse
-column), and :func:`apply_derivation` for the terms of a
+Inside the engine a monomial is one packed int, its key (see
+:class:`MonomialKeys`; the packed exponent vectors of Monagan-Pearce,
+CASC 2007).  Generator i owns a bit field of the key, generator 0's field
+the most significant: an odd generator's field is 1 bit wide, and an even
+generator's of degree g is (top // g).bit_length() bits wide, where top is
+the highest degree the layout must hold.  No exponent of a monomial of
+degree at most top overflows its field, so the key is the sum of
+exponent << shift over the fields, int order is lexicographic exponent
+order (the descending basis order, every position and every
+representative are those of the exponent tuples), a monomial times a
+generator step is one int add, and key & odd_mask is the set of odd
+generators the monomial holds.  A layout holds every degree up to its
+capacity, the highest top that gives the same widths; a model widens its
+layout, in one assignment, when asked for more (see
+:meth:`DgaModel.monomial_keys`), and a key is only ever read in the
+layout that made it: the tail table and the derivation tables belong to
+one layout.  The monomials in some of the generators alone can be keyed in
+a model's layout (:meth:`MonomialKeys.restricted`), where that layout's
+derivation table reads them.  Public values stay tuples:
+:meth:`DgaModel.basis` and :meth:`DgaModel.bases` decode the keys once per
+degree, and :class:`AlgebraElement` terms are keyed by tuple.
+
+The keys of each degree are read from one table of tails, one level per
+generator and one entry per degree: the tails of generators i onward of
+degree d are those of degree d - g with one more factor of generator i
+(of degree g), taken from the same level when i is even and from the
+level below when it is odd, followed by the tails of generators i+1 onward
+of degree d.  The table is built bottom-up, from the last generator to the
+first, and extended to the highest degree asked for; a degree with nothing
+to prefix shares the tuple of the level below, so an empty degree costs
+one lookup.  Each extension is published in one assignment, so a
+concurrent reader sees either the old table or the new one, never a
+half-built level.
+
+The differential acts on keys through a derivation table (see
+:func:`derivation_table`), made from the generator differentials for one
+layout: one entry per generator with a nonzero differential, holding for
+each monomial of that differential the signed packed step it adds and two
+masks over the odd bits of the key, one for the sign and one for the odd
+squares that kill the term.  :func:`leibniz` reads the table for a run of
+keys, making each image as it is consumed (keyed by key, or by position as
+a sparse column), and :func:`apply_derivation` for the terms of a
 {monomial: coefficient} map; it is the one implementation of the Leibniz
-rule.  A model keeps two tables: :meth:`DgaModel.derivation` of its own
-differentials, for :func:`apply_differential`, and
-:meth:`DgaModel.integer_derivation` of the scaled integer copy, which the
-validation gate and the cochain computations read.
+rule.  A model keeps two tables, each for its current layout:
+:meth:`DgaModel.derivation` of its own differentials, for
+:func:`apply_differential`, and :meth:`DgaModel.integer_derivation` of the
+scaled integer copy, which the validation gate and the cochain computations
+read.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from math import inf, lcm
+from operator import add, and_, lshift, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
@@ -132,8 +160,8 @@ class DgaModel:
     models as degenerate.
     """
 
-    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_tails",
-                 "_integer_diffs", "_table", "_integer_table")
+    __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_keys",
+                 "_bases", "_integer_diffs", "_table", "_integer_table")
 
     def __init__(
         self,
@@ -152,10 +180,8 @@ class DgaModel:
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
-        # _tails[i][d]: the exponent tuples of generators i onward of total
-        # degree d, lexicographically descending; the last level has only the
-        # empty tail, in degree 0, and the others start empty
-        self._tails = ((),) * self.ngens + ((((),),),)
+        self._keys = None  # see monomial_keys
+        self._bases = ()  # _bases[d]: basis(d), decoded from the keys
         self._integer_diffs = None  # see integer_differentials
         self._table = None  # see derivation
         self._integer_table = None  # see integer_derivation
@@ -285,22 +311,31 @@ class DgaModel:
             diffs = self._integer_diffs = self._scale_differentials()
         return diffs
 
-    def derivation(self) -> "DerivationTable":
+    def _reach(self) -> int:
+        """The most d raises the degree of a monomial, and at least 1: the
+        largest deg(n) - deg(g) over the monomials n of each dg, which is 1
+        for a model the validation gate passes."""
+        return max([1, *(self.monomial_degree(n) - g.degree for g in self.generators for n in self._diffs[g.name])])
+
+    def derivation(self, top: int = 0) -> "DerivationTable":
         """The :func:`derivation_table` of the model's own differentials,
-        which :func:`apply_differential` reads; computed on first use and
-        published in one assignment, like :meth:`integer_differentials`."""
+        which :func:`apply_differential` reads, for a layout that holds
+        degree ``top`` (see :meth:`monomial_keys`), the highest degree of an
+        image; made once per layout and published in one assignment."""
+        keys = self.monomial_keys(top)
         table = self._table
-        if table is None:
-            table = self._table = derivation_table(self, self.differential_terms())
+        if table is None or table[0] is not keys:
+            table = self._table = derivation_table(keys, self.differential_terms())
         return table
 
-    def integer_derivation(self) -> "DerivationTable":
+    def integer_derivation(self, top: int = 0) -> "DerivationTable":
         """The :func:`derivation_table` of :meth:`integer_differentials`,
-        which the validation gate and both cochain paths read; computed on
-        first use and published in one assignment, like :meth:`derivation`."""
+        which the validation gate and both cochain paths read; as
+        :meth:`derivation`."""
+        keys = self.monomial_keys(top)
         table = self._integer_table
-        if table is None:
-            table = self._integer_table = derivation_table(self, self.integer_differentials())
+        if table is None or table[0] is not keys:
+            table = self._integer_table = derivation_table(keys, self.integer_differentials())
         return table
 
     def _scale_differentials(self) -> tuple[dict[Monomial, int], ...]:
@@ -330,52 +365,41 @@ class DgaModel:
 
     # -- basis enumeration ------------------------------------------------
 
+    def monomial_keys(self, top: int) -> "MonomialKeys":
+        """The model's key layout (see :class:`MonomialKeys`), first
+        replaced by one with the widths of ``top`` when it cannot hold every
+        monomial of degree ``top``."""
+        keys = self._keys
+        if keys is None or top > keys.capacity:
+            keys = self._keys = MonomialKeys(self.generators, top)
+        return keys
+
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, lexicographically
         descending in the canonical exponent vector."""
         if degree < 0:
             return ()
-        tails = self._tails
-        if degree >= len(tails[0]):
-            tails = self._extend_tails(degree)
-        return tails[0][degree]
+        bases = self._bases
+        if degree >= len(bases):
+            bases = self._decode(degree)
+        return bases[degree]
 
     def bases(self, top: int) -> tuple[tuple[Monomial, ...], ...]:
         """``basis(d)`` for d = 0..top, read from one table extension."""
         if top < 0:
             return ()
-        tails = self._tails
-        if top >= len(tails[0]):
-            tails = self._extend_tails(top)
-        return tails[0][:top + 1]
+        bases = self._bases
+        if top >= len(bases):
+            bases = self._decode(top)
+        return bases[:top + 1]
 
-    def _extend_tails(self, degree: int) -> tuple:
-        """The tail table extended to ``degree``, built bottom-up from the
-        last generator and published in one assignment.  Each level gets
-        its new degrees in one sweep over the exponent of its generator,
-        descending: exponent e appends (e,) + tail to new degree k + e*step
-        for every nonempty degree k of the level below, so the empty
-        degrees cost nothing."""
-        old = self._tails
-        start = len(old[0])
-        below = old[-1] + ((),) * (degree + 1 - len(old[-1]))
-        levels = [below]
-        for i in reversed(range(self.ngens)):
-            step = self._degrees[i]
-            new = [[] for _ in range(start, degree + 1)]
-            filled = [(k - start, tails) for k, tails in enumerate(below) if tails]
-            for e in range(min(degree // step, 1 if step % 2 else degree), -1, -1):
-                prefix, shift = (e,), e * step
-                for k, tails in filled:
-                    k += shift  # the position in new of degree k + e*step
-                    if k >= 0:
-                        if k > degree - start:
-                            break
-                        new[k].extend(map(prefix.__add__, tails))
-            below = old[i] + tuple(map(tuple, new))
-            levels.append(below)
-        tails = self._tails = tuple(reversed(levels))
-        return tails
+    def _decode(self, top: int) -> tuple:
+        """The decoded bases extended to ``top``, each new degree decoded
+        once from the model's layout and published in one assignment."""
+        bases = self._bases
+        keys = self.monomial_keys(top)
+        bases = self._bases = bases + keys.decode(keys.bases(top)[len(bases):])
+        return bases
 
     def basis_sizes(self, top: int) -> tuple[int, ...]:
         """len(basis(d)) for d = 0..top, counted without enumerating (see
@@ -429,6 +453,93 @@ class DgaModel:
             else:
                 parts.append(f"{c}*{self.format_monomial(mon)}")
         return " + ".join(parts)
+
+
+class MonomialKeys:
+    """The key layout of the monomials over ``generators`` (in canonical
+    order) with field widths for degree ``top``, and the tail table of their
+    keys (see the module docstring).  ``capacity``, at least ``top``, is the
+    highest degree whose monomials fit the fields."""
+
+    __slots__ = ("generators", "degrees", "shifts", "masks", "odd_mask", "capacity", "_tails")
+
+    def __init__(self, generators: Sequence[Generator], top: int):
+        self.generators = tuple(generators)
+        self.degrees = tuple(g.degree for g in self.generators)
+        shifts, masks, shift, odd, capacity, top = [], [], 0, 0, inf, max(top, 0)
+        for d in reversed(self.degrees):  # the last generator's field is the lowest
+            if d % 2:
+                width = 1
+                odd |= 1 << shift
+            else:
+                width = (top // d).bit_length()
+                capacity = min(capacity, (d << width) - 1)
+            shifts.append(shift)
+            masks.append((1 << width) - 1)
+            shift += width
+        self.shifts, self.masks = tuple(reversed(shifts)), tuple(reversed(masks))
+        self.odd_mask, self.capacity = odd, capacity
+        # _tails[i][d]: the keys of the tails of generators i onward of
+        # degree d, descending; the last level has only the empty tail, key
+        # 0 in degree 0, and the others start empty
+        self._tails = ((),) * len(shifts) + (((0,),),)
+
+    def restricted(self, indices: Sequence[int]) -> "MonomialKeys":
+        """The layout of the monomials in the generators at ``indices``
+        alone, with this layout's fields, so that a derivation table made
+        for this one reads their keys; it has a tail table of its own."""
+        keys = MonomialKeys((), 0)
+        keys.generators = tuple(self.generators[i] for i in indices)
+        keys.degrees = tuple(self.degrees[i] for i in indices)
+        keys.shifts = tuple(self.shifts[i] for i in indices)
+        keys.masks = tuple(self.masks[i] for i in indices)
+        keys.odd_mask, keys.capacity = self.odd_mask, self.capacity
+        keys._tails = ((),) * len(indices) + (((0,),),)
+        return keys
+
+    def pack(self, mon: Monomial) -> int:
+        return sum(map(lshift, mon, self.shifts))
+
+    def unpack(self, key: int) -> Monomial:
+        return tuple(map(and_, map(key.__rshift__, self.shifts), self.masks))
+
+    def decode(self, bases: Sequence[Sequence[int]]) -> tuple[tuple[Monomial, ...], ...]:
+        """The exponent tuples of runs of keys, one tuple per run, each field
+        read in one pass over every key."""
+        keys = tuple(itertools.chain.from_iterable(bases))
+        fields = [[key >> shift & mask for key in keys] for shift, mask in zip(self.shifts, self.masks)]
+        monomials = tuple(zip(*fields)) if fields else ((),) * len(keys)
+        ends = itertools.accumulate(map(len, bases), initial=0)
+        return tuple(monomials[start:end] for start, end in itertools.pairwise(ends))
+
+    def bases(self, top: int) -> tuple[tuple[int, ...], ...]:
+        """The keys of each degree 0..top, each degree's descending, which
+        is lexicographically descending in the exponents."""
+        if top > self.capacity:
+            raise GcaError(f"degree {top} exceeds the capacity {self.capacity} of the key layout")
+        tails = self._tails
+        if top >= len(tails[0]):
+            tails = self._extend(top)
+        return tails[0][:top + 1]
+
+    def _extend(self, top: int) -> tuple:
+        """The tail table extended to ``top`` (see the module docstring),
+        published in one assignment."""
+        old = self._tails
+        start = len(old[0])
+        below = old[-1] + ((),) * (top + 1 - len(old[-1]))
+        levels = [below]
+        for i in reversed(range(len(self.degrees))):
+            step, unit = self.degrees[i], 1 << self.shifts[i]
+            level = [*old[i], *below[start:]]
+            source = below if step % 2 else level
+            for d in range(max(start, step), top + 1):
+                if shifted := source[d - step]:
+                    level[d] = (*map(unit.__add__, shifted), *level[d])
+            below = tuple(level)
+            levels.append(below)
+        tails = self._tails = tuple(reversed(levels))
+        return tails
 
 
 def times_free_series(series: list[int], degrees: Iterable[int]) -> list[int]:
@@ -583,35 +694,37 @@ def multiply_terms(
 
 
 #: The Leibniz rule of one differential (see :func:`derivation_table`): the
-#: (position, bit) of each odd generator, one (i, terms) entry per
-#: generator i with a nonzero differential that changes parity, each term
-#: a tuple (delta, coefficient, sign mask, clash mask), and one
-#: (i, message) refusal per generator whose differential does not.
+#: :class:`MonomialKeys` it is made for, one (shift, mask, terms) entry per
+#: generator with a nonzero differential that changes parity, each term a
+#: tuple (delta, coefficient, sign mask, clash mask), and one (shift, mask,
+#: message) refusal per generator whose differential does not.
 DerivationTable = tuple[
-    tuple[tuple[int, int], ...],
-    tuple[tuple[int, tuple[tuple[Monomial, Coeff, int, int], ...]], ...],
-    tuple[tuple[int, str], ...],
+    MonomialKeys,
+    tuple[tuple[int, int, tuple[tuple[int, Coeff, int, int], ...]], ...],
+    tuple[tuple[int, int, str], ...],
 ]
 
 
-def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]]) -> DerivationTable:
-    """The graded Leibniz rule of a differential on the model's monomials,
+def derivation_table(keys: MonomialKeys, diffs: Sequence[Mapping[Monomial, Coeff]]) -> DerivationTable:
+    """The graded Leibniz rule of a differential on the keys of a layout,
     made once for :func:`leibniz`, generic over the coefficient type.
 
-    ``diffs`` holds one {monomial: coefficient} map per generator, in
-    canonical order: the model's own :class:`Fraction` differentials, or a
-    scaled integer copy of them.  The factor g^e of a monomial m contributes
-    e * (factors before) * dg * (factors after), signed by the degree of the
-    factors before.  A monomial n of dg makes it the monomial m + delta,
-    delta = n - (the unit vector at g), with one sign.  Only odd factors
-    move a sign, so with M the odd generators of m, the sign is (-1)^|M & S|
-    for a mask S of odd positions fixed by g and n, the sum mod 2 of:
+    ``diffs`` holds one {monomial: coefficient} map per generator of the
+    layout, in canonical order: a model's own :class:`Fraction`
+    differentials, or a scaled integer copy of them.  The factor g^e of a
+    monomial m contributes e * (factors before) * dg * (factors after),
+    signed by the degree of the factors before.  A monomial n of dg makes it
+    the monomial m + delta, delta = n - (the unit vector at g), with one
+    sign; packed, delta is one signed int, and the image key is the sum
+    whenever the image fits the layout.  Only odd factors move a sign, so
+    with M the odd bits of the key of m, the sign is (-1)^|M & S| for a mask
+    S of odd bits fixed by g and n, the sum mod 2 of:
 
-    - the positions before g (the sign of the rule);
-    - when g is even, so that dg is odd, the positions after g, whose
-      factors dg moves past;
-    - for each odd generator k of n, the positions after k other than g:
-      the Koszul sign of the product of the other factors with n.
+    - the bits before g, above its field (the sign of the rule);
+    - when g is even, so that dg is odd, the bits after g, below its field,
+      whose factors dg moves past;
+    - for each odd generator k of n, the bits after k other than g's: the
+      Koszul sign of the product of the other factors with n.
 
     The term vanishes when an odd generator of n other than g is in M (the
     clash mask), since it would square.  A generator with dg = 0 has no
@@ -622,65 +735,62 @@ def derivation_table(model: DgaModel, diffs: Sequence[Mapping[Monomial, Coeff]])
     get the wrong sign, so such a g gets no entry but a refusal that names
     it: :func:`leibniz` raises it for any monomial that holds g.
     """
-    odd_bits = tuple((j, 1 << j) for j in model._odd)
-    odd = sum(bit for _, bit in odd_bits)
+    shifts, masks = keys.shifts, keys.masks
+    odd_bits = tuple((k, 1 << shifts[k]) for k, d in enumerate(keys.degrees) if d % 2)
     entries, refused = [], []
     for i, dg in enumerate(diffs):
         if not dg:
             continue
-        own, parity = 1 << i, model._degrees[i] & 1
-        rule = (own - 1) ^ (0 if parity else -(own << 1))  # before g, and after an even g
+        own, parity = 1 << shifts[i], keys.degrees[i] & 1
+        rule = -(own << masks[i].bit_length()) ^ (0 if parity else own - 1)  # before g, and after an even g
         terms = []
         for n, c in dg.items():
             sign, clash = rule, 0
             for k, bit in odd_bits:
                 if n[k]:
-                    sign ^= -(bit << 1) & ~own  # after k, other than g
+                    sign ^= (bit - 1) & ~own  # after k, other than g
                     clash |= bit
             if clash.bit_count() & 1 == parity:  # n has the parity of g
-                name = model.generators[i].name
-                refused.append((i, f"d{name} has a term of the parity of {name}: "
-                                   "the graded Leibniz rule needs a differential that changes parity"))
+                name = keys.generators[i].name
+                refused.append((shifts[i], masks[i], f"d{name} has a term of the parity of {name}: "
+                                "the graded Leibniz rule needs a differential that changes parity"))
                 break
-            terms.append((n[:i] + (n[i] - 1,) + n[i + 1:], c, sign & odd, clash & ~own))
+            terms.append((keys.pack(n) - own, c, sign & keys.odd_mask, clash & ~own))
         else:
-            entries.append((i, tuple(terms)))
-    return odd_bits, tuple(entries), tuple(refused)
+            entries.append((shifts[i], masks[i], tuple(terms)))
+    return keys, tuple(entries), tuple(refused)
 
 
 def leibniz(
-    table: DerivationTable, monomials: Iterable[Monomial], index: Mapping[Monomial, int] | None = None,
+    table: DerivationTable, monomials: Iterable[int], index: Mapping[int, int] | None = None,
 ) -> Iterator[dict]:
-    """d of each monomial, by the graded Leibniz rule of a
-    :func:`derivation_table`: one {monomial: coefficient} map per monomial,
-    in order, made as it is consumed.  The odd generators of a monomial are
-    read once, and only when it holds a generator with a nonzero
-    differential; a monomial with none gets an empty map.  Terms that cancel
-    stay in the result with coefficient zero.  With ``index``, a
-    {monomial: position} map, each image is a sparse column instead:
-    {position: nonzero coefficient}, its terms keyed by their positions and
-    the cancelled ones dropped.  A monomial that holds a generator the table
-    refuses raises its :class:`GcaError` before any image is made."""
-    odd_bits, entries, refused = table
+    """d of each monomial, given by its key in the layout of a
+    :func:`derivation_table`, by the table's graded Leibniz rule: one
+    {key: coefficient} map per monomial, in order, made as it is consumed.
+    The layout must hold every image.  The odd generators of a monomial are
+    its key's odd bits, and a monomial with no generator of nonzero
+    differential gets an empty map.  Terms that cancel stay in the result
+    with coefficient zero.  With ``index``, a {key: position} map, each
+    image is a sparse column instead: {position: nonzero coefficient}, its
+    terms keyed by their positions and the cancelled ones dropped.  A
+    monomial that holds a generator the table refuses raises its
+    :class:`GcaError` before any image is made."""
+    keys, entries, refused = table
     if refused:
         monomials = tuple(monomials)
-        for i, message in refused:
-            if any(mon[i] for mon in monomials):
+        for shift, mask, message in refused:
+            if any(key >> shift & mask for key in monomials):
                 raise GcaError(message)
-    for mon in monomials:
+    odd_mask = keys.odd_mask
+    for key in monomials:
         image: dict = {}
-        odd = -1  # the bits of the monomial's odd generators, once read
-        for i, terms in entries:
-            e = mon[i]
+        odd = key & odd_mask
+        for shift, mask, terms in entries:
+            e = key >> shift & mask
             if e:
-                if odd < 0:
-                    odd = 0
-                    for j, bit in odd_bits:
-                        if mon[j]:
-                            odd |= bit
                 for delta, c, sign, clash in terms:
                     if not odd & clash:
-                        m = tuple(map(add, mon, delta))
+                        m = key + delta
                         if index is not None:
                             m = index[m]
                         image[m] = image.get(m, 0) + (-e * c if (odd & sign).bit_count() & 1 else e * c)
@@ -690,12 +800,15 @@ def leibniz(
 def apply_derivation(table: DerivationTable, terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
     """d of a {monomial: coefficient} map by the Leibniz rule of a
     :func:`derivation_table` (see :func:`leibniz`), with the coefficient
-    type of both; terms that cancel are dropped."""
-    out: dict[Monomial, Coeff] = {}
-    for coeff, image in zip(terms.values(), leibniz(table, terms)):
+    type of both; the monomials are packed in the table's layout, which
+    must hold every term and its image, and the result is decoded.  Terms
+    that cancel are dropped."""
+    keys = table[0]
+    out: dict[int, Coeff] = {}
+    for coeff, image in zip(terms.values(), leibniz(table, map(keys.pack, terms))):
         for m, c in image.items():
             out[m] = out.get(m, 0) + coeff * c
-    return {m: c for m, c in out.items() if c}
+    return {keys.unpack(m): c for m, c in out.items() if c}
 
 
 def apply_differential(x: AlgebraElement) -> AlgebraElement:
@@ -707,4 +820,6 @@ def apply_differential(x: AlgebraElement) -> AlgebraElement:
     is refused with a :class:`GcaError` naming the generator (see
     :func:`derivation_table`), since the rule's signs would be wrong there.
     """
-    return AlgebraElement(x.model, apply_derivation(x.model.derivation(), x.terms))
+    model = x.model
+    top = max(map(model.monomial_degree, x.terms), default=0) + model._reach()
+    return AlgebraElement(model, apply_derivation(model.derivation(top), x.terms))

@@ -2,7 +2,11 @@
 
 The free algebra is infinite-dimensional, so every computation here is
 truncated at an explicit maximal degree (default 24).  There are two paths,
-and both pass the same validation gate and basis limit.
+and both pass the same validation gate and basis limit.  Both read the
+monomials as packed int keys (the layout is described once, in the
+:mod:`loopspace.gca.algebra` module docstring): the gate widens the
+model's key layout to degree max_degree+1 before it makes its derivation
+table, so the table the gate reads is the one both paths read after it.
 
 Both paths build each d_d as sparse integer columns of L*d, where L is the
 lcm of every coefficient denominator of the generator differentials, which
@@ -19,9 +23,9 @@ Betti numbers alone (:func:`cohomology` without representatives) come from
 ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The rank is the
 number of columns a column reduction keeps (:func:`linalg.column_reduce`),
 which reads their nonzero entries only, so no kernel, image or dense
-matrix is ever formed.  The monomials of degrees 0..max_degree+1 are read
-from the basis table at once and indexed in one ascending
-{monomial: position} map.  One lazy stream of columns, made by one Leibniz
+matrix is ever formed.  The keys of degrees 0..max_degree+1 are read
+from the tail table at once and indexed in one ascending {key: position}
+map.  One lazy stream of columns, made by one Leibniz
 pass that keys each image by position, feeds one reduction: the sources
 degree by degree, each degree's last first.  A kept column of d_{d-1} with
 lowest position p is a cocycle whose first monomial is the source at p, so
@@ -38,16 +42,20 @@ at the end.  The inert generators, closed and in no generator
 differential, are split off first: with A the others and I the
 inert ones, the model is the tensor product of the dgas Lambda(A) and
 Lambda(I), the second with d = 0, so by the Kunneth theorem over Q its
-cohomology is H(Lambda(A)) (x) Lambda(I).  Only Lambda(A) is ranked; its
-dimensions are multiplied by the counted Poincare series of Lambda(I),
-whose monomials are never enumerated.
+cohomology is H(Lambda(A)) (x) Lambda(I).  Only Lambda(A) is ranked, its
+monomials enumerated over A alone but keyed in the model's own layout (see
+:meth:`MonomialKeys.restricted`), where the gate's table, which has no
+entry for an inert generator, reads them; its dimensions are multiplied
+by the counted Poincare series of Lambda(I), whose monomials are never
+enumerated.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) splits off no generator, since its
 representatives are vectors over the bases of the whole model.  Like the
-rank path it reads the bases of degrees 0..max_degree+1 from one table
-extension and makes one Leibniz pass over the sources, each degree taking
-its columns as the pass makes them, already positional.  It keeps each
+rank path it reads the keys of degrees 0..max_degree+1 from one table
+extension and makes one Leibniz pass over them, each degree taking its
+columns as the pass makes them, already positional; the bases are decoded
+to exponent tuples once, for the :class:`DegreeData` of each degree.  It keeps each
 d_d as those sparse integer columns of L*d_d and reduces each nonzero one once, by
 :func:`linalg.column_reduce`, with the rows of degree d+1 taken in reverse
 order.  That one reduction serves twice: d_d is
@@ -107,7 +115,6 @@ from .algebra import (
     Monomial,
     UnknownGeneratorError,
     apply_derivation,
-    derivation_table,
     exact_int,
     leibniz,
     multiply_terms,
@@ -334,18 +341,20 @@ def _sparse_columns(
     """The matrix of d from degree to degree+1 as sparse columns, one
     {target basis index: nonzero coefficient} map per source monomial, by
     the Leibniz rule of the :func:`derivation_table` ``table`` (see
-    :func:`leibniz`): a monomial with no generator of nonzero differential
-    gets an empty column.  ``index`` maps each monomial of the basis of
-    degree+1 to its position."""
-    basis = model.basis(degree)
+    :func:`leibniz`), whose layout must hold the images of the sources: a
+    monomial with no generator of nonzero differential gets an empty
+    column.  ``index`` maps each monomial of the basis of degree+1 to its
+    position; it is packed in the table's layout."""
+    keys = table[0]
+    basis = keys.bases(degree)[degree]
+    position = {keys.pack(m): i for m, i in index.items()}
     columns = []
     try:
-        for column in leibniz(table, basis, index):
+        for column in leibniz(table, basis, position):
             columns.append(column)
     except KeyError:  # the image of the next monomial leaves degree+1
-        raise GcaError(
-            f"differential does not raise degree by one on {model.format_monomial(basis[len(columns)])}"
-        ) from None
+        raise GcaError("differential does not raise degree by one on "
+                       + model.format_monomial(keys.unpack(basis[len(columns)]))) from None
     return columns
 
 
@@ -360,7 +369,7 @@ def differential_matrix(
     target = model.basis(degree + 1)
     if columns is None:
         index = {m: i for i, m in enumerate(target)}
-        columns = _sparse_columns(model, degree, model.integer_derivation(), index)
+        columns = _sparse_columns(model, degree, model.integer_derivation(degree + model._reach()), index)
     rows = [[0] * len(columns) for _ in target]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -378,8 +387,11 @@ def _check_complex_input(model: DgaModel, max_degree: int) -> None:
     """The gate shared by every cochain computation: a valid model and
     bases of at most ``DEFAULT_BASIS_LIMIT`` monomials (read at each call)
     in degrees 0..max_degree+1, counted before any is enumerated (see
-    :meth:`DgaModel.basis_sizes`)."""
+    :meth:`DgaModel.basis_sizes`).  The model's key layout is widened to
+    degree max_degree+1 first, so that the gate's derivation table is the
+    one the cochain computation reads."""
     exact_int(max_degree, 0, _MAX_DEGREE_MESSAGE)
+    model.monomial_keys(max_degree + 1)
     report = check_model(model)
     if not report.ok:
         raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
@@ -392,9 +404,10 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`).
 
     The bases of degrees 0..max_degree+1 come from one
-    :meth:`DgaModel.bases` call, and the columns from one :func:`leibniz`
-    pass over every source, keyed by one {monomial: position in its own
-    degree's basis} map merged from the per-degree maps: each degree takes,
+    :meth:`DgaModel.bases` call, decoded from the keys of the model's
+    layout, and the columns from one :func:`leibniz` pass over the keys of
+    every source, with one {key: position in its own degree's basis} map:
+    each degree takes,
     by ``itertools.islice``, the sparse integer columns of L*d_d (those
     :func:`_sparse_columns` would build) already positional, and decides
     from them alone, with no per-degree basis or column build.  A zero d_d has
@@ -419,10 +432,11 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     is every free column, ``free[::-1]``, and nothing is sorted."""
     _check_complex_input(model, max_degree)
     bases = model.bases(max_degree + 1)
-    indices = [{m: i for i, m in enumerate(basis)} for basis in bases]
+    table = model.integer_derivation(max_degree + 1)
+    keys = table[0].bases(max_degree + 1)
     # a monomial has one degree, and the gate has checked that d raises it by one
-    position = dict(itertools.chain.from_iterable(index.items() for index in indices[1:]))
-    images = leibniz(model.integer_derivation(), itertools.chain.from_iterable(bases[:-1]), position)
+    position = {key: i for packed in keys[1:] for i, key in enumerate(packed)}
+    images = leibniz(table, itertools.chain.from_iterable(keys[:-1]), position)
     degrees = []
     image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
     for d, basis in enumerate(bases[:-1]):
@@ -452,7 +466,7 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
             own = [free[p] for p in range(len(free) - 1, -1, -1) if p not in at_free]
         degrees.append(DegreeData(
             d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
-            free, rows, image_pivots, indices[d],
+            free, rows, image_pivots, dict(zip(basis, range(n))),
         ))
         image = kept
     return ComplexData(model, max_degree, tuple(degrees))
@@ -472,13 +486,13 @@ def cohomology(
     :func:`cochain_complex` does.  Without representatives the dimensions
     come from ranks alone: the inert generators (d = 0, and in no generator
     differential) are split off, and the model on the others is ranked.
-    Its monomials of degrees 0..max_degree+1 come from one basis table
-    extension (:meth:`DgaModel.bases`) and are indexed in one ascending
-    map, and one :func:`leibniz` pass over the sources, by the integer
-    derivation table (the model's own when nothing is split off; the inert
-    exponents are 0 in every differential monomial and are dropped
-    otherwise), gives the sparse integer columns of L*d (see
-    :meth:`DgaModel.integer_differentials`), keyed by position.  The
+    Its monomials of degrees 0..max_degree+1, as keys in the model's own
+    layout, come from one tail table extension (of the model's
+    :class:`MonomialKeys`, or of its :meth:`MonomialKeys.restricted` to the
+    others) and are indexed in one ascending {key: position} map, and one
+    :func:`leibniz` pass over the sources, by the model's integer
+    derivation table, the gate's, gives the sparse integer columns of L*d
+    (see :meth:`DgaModel.integer_differentials`), keyed by position.  The
     columns of every degree go, as the pass makes them, to one column
     reduction (see :func:`linalg.column_reduce`) into a dict held here: the
     sources of each degree d are taken last first, and a source whose
@@ -497,16 +511,12 @@ def cohomology(
     diffs = model.integer_differentials()
     touched = {k for dg in diffs for n in dg for k, e in enumerate(n) if e}
     inert = [i for i, dg in enumerate(diffs) if not dg and i not in touched]
-    if inert:
-        active = [i for i in range(model.ngens) if i not in inert]
-        ranked = DgaModel([model.generators[i] for i in active], name=model.name)
-        # the inert exponents are 0 in every differential monomial
-        table = derivation_table(
-            ranked, tuple({tuple(n[k] for k in active): c for n, c in diffs[i].items()} for i in active))
-    else:
-        ranked, table = model, model.integer_derivation()
-    bases = ranked.bases(max_degree + 1)
-    index = {m: i for i, m in enumerate(itertools.chain.from_iterable(bases))}
+    table = model.integer_derivation(max_degree + 1)  # the gate's
+    keys = table[0]
+    if inert:  # an inert generator has no entry in the table
+        keys = keys.restricted([i for i in range(model.ngens) if i not in inert])
+    bases = keys.bases(max_degree + 1)
+    index = dict(zip(itertools.chain.from_iterable(bases), itertools.count()))
     kept: dict[int, Mapping[int, int]] = {}
     ranks = []  # ranks[d] = rank d_{d-1}
 
@@ -582,10 +592,13 @@ def check_model(model: DgaModel) -> ModelReport:
     raising_bad = []
     square_bad = []
     minimality_bad = []
-    table = model.integer_derivation()
-    for g, dg in zip(model.generators, model.integer_differentials()):
+    top = reach = 0  # the highest degree of a dg monomial, and the most d raises one
+    diffs = tuple(zip(model.generators, model.integer_differentials()))
+    for g, dg in diffs:
         if dg:
             degrees = {model.monomial_degree(mon) for mon in dg}
+            highest = max(degrees)
+            top, reach = max(top, highest), max(reach, highest - g.degree)
             if len(degrees) > 1:
                 raising_bad.append(f"d{g.name} is not homogeneous")
             elif (degree := degrees.pop()) != g.degree + 1:
@@ -595,6 +608,10 @@ def check_model(model: DgaModel) -> ModelReport:
                 if high:
                     minimality_bad.append(f"d{g.name} uses {', '.join(high)} of degree >= {g.degree}")
                     break
+    table = model.integer_derivation(top + reach)  # d(dg) has degree at most top + reach
+    for g, dg in diffs:
+        if not dg:
+            continue
         try:
             if apply_derivation(table, dg):
                 square_bad.append(f"d(d{g.name}) != 0")

@@ -40,12 +40,20 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 def _matrix(rows: Sequence[Sequence], nrows: int, ncols: int, what: str) -> Matrix:
     label = f"{what}: entries"
     try:
-        out = tuple(tuple(exact_rational(x, label) for x in row) for row in rows)
-    except TypeError:  # the rows, or one of them, is not iterable
+        out = tuple(tuple(exact_rational(x, label) for x in _sequence(row)) for row in _sequence(rows))
+    except TypeError:  # the rows, or one of them, is not a sequence
         out = None
     if out is None or len(out) != nrows or any(len(row) != ncols for row in out):
         raise GcaError(f"{what}: expected a {nrows}x{ncols} matrix")
     return out
+
+
+def _sequence(value):
+    """``value``, to be iterated as a matrix or a row; a string, which would
+    iterate into one-character entries, raises TypeError."""
+    if isinstance(value, str):
+        raise TypeError("a string is no matrix or row")
+    return value
 
 
 @dataclass(frozen=True)

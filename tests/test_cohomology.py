@@ -483,8 +483,8 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-degree basis or column build")
 
-    monkeypatch.setattr(cohomology_module, "leibniz", lambda table, monomials, index=None: passes.append(index)
-                        or leibniz(table, monomials, index))
+    monkeypatch.setattr(cohomology_module, "leibniz", lambda table, monomials, index=None:
+                        passes.append((table[0], index)) or leibniz(table, monomials, index))
     monkeypatch.setattr(cohomology_module, "_read_off", lambda dd: read_offs.append(dd) or read_off(dd))
     monkeypatch.setattr(ComplexData, "_class_numerators", lambda self, terms, degree: reads.append(degree)
                         or numerators(self, terms, degree))
@@ -498,7 +498,8 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
             log.clear()
         data = cochain_complex(model, degree)
         assert len(passes) == 1 and tops == [degree + 1], (model, degree)
-        assert all(passes[0][m] == i for dd in data.degrees[1:] for m, i in dd.index.items()), (model, degree)
+        keys, position = passes[0]  # the position map is keyed by packed monomial
+        assert all(position[keys.pack(m)] == i for dd in data.degrees[1:] for m, i in dd.index.items()), (model, degree)
         matrices = euler_action_matrices(data)
         assert reads == [p + 2 for p in range(degree - 1) for _ in data.degrees[p].reps], (model, degree)
         assert len(reads) == sum(len(dd.reps) for dd in data.degrees[:degree - 1])
@@ -759,7 +760,10 @@ def test_rank_path_streams_one_reduction_that_clears_across_degrees(monkeypatch)
     positions of a reduced basis of the image of d_{d-1} (by the Fraction
     reference).  Every position of a source's image lies in the index range
     of the next degree.  DgaModel.basis is called as often at max degree 24
-    as at 12, and the dims are those of the full complex."""
+    as at 12, and the dims are those of the full complex.  The pass reads
+    the model's packed keys of monomials in the ranked generators alone,
+    decoded here by the layout of its derivation table and read over the
+    ranked generators."""
     rng = random.Random(4242)
     models = [theorem3_model(SpaceFormSpec(7, 2, 2)),  # the middle generator is inert
               DgaModel([("u2", 2), ("x", 5), ("z", 3)], {"x": [("1/2", {"u2": 3})]}),  # so is z
@@ -793,6 +797,10 @@ def test_rank_path_streams_one_reduction_that_clears_across_degrees(monkeypatch)
                 dims = cohomology(model, max_degree).dims
             assert len(passes) == 1 and len(reductions) == 1, model
             assert dims == cochain_complex(model, max_degree).betti().dims, model
+            active = [i for i, g in enumerate(model.generators) if g.name in _active_names(model)]
+            decoded = list(map(passes[0][0].unpack, sources))
+            assert not any(mon[i] for mon in decoded for i in range(model.ngens) if i not in active), model
+            sources[:] = [tuple(mon[i] for i in active) for mon in decoded]
             # sources in degree order, last first within a degree
             positions = [position[m] for m in sources]
             assert positions == sorted(positions, key=lambda p: (bisect.bisect_right(offsets, p), -p)), model

@@ -415,6 +415,28 @@ def test_euler_entries_that_are_no_matrix_and_no_rank_are_refused():
     assert gysin_check(inputs) == gysin_check(GysinInput(base, (((1,),), None, (("1/2",),)), total))
 
 
+def test_a_string_is_refused_as_a_matrix_or_a_row():
+    # a string iterates into one-character strings, each an exact entry, so
+    # "5" once passed as the 1x1 matrix [[5]] and "01" as the row [0, 1]
+    base = BettiTable.from_dims([1, 0, 1, 0])
+    for euler in (("7",), (["7"],), (("7",),)):  # a string matrix, a string row in a list and in a tuple
+        with pytest.raises(GcaError) as err:
+            GysinInput(base, euler, base)
+        assert (type(err.value), str(err.value)) == (GcaError, "euler action at degree 0: expected a 1x1 matrix")
+    for matrix, dim, text in (
+        (("5",), 1, "f_2: expected a 1x1 matrix"),
+        ("5", 1, "f_2: expected a 1x1 matrix"),
+        ([[1, 0], "01"], 2, "f_2: expected a 2x2 matrix"),
+        (["10", "01"], 2, "f_2: expected a 2x2 matrix"),
+    ):
+        with pytest.raises(GcaError) as err:
+            ActionEntry(2, dim, matrix)
+        assert (type(err.value), str(err.value)) == (GcaError, text), matrix
+    # entries may still be 'p/q' strings
+    assert ActionEntry(2, 2, [["1/2", 0], [0, "-3"]]).matrix == ((Fraction(1, 2), 0), (0, -3))
+    assert GysinInput(base, ([["7"]],), base).euler == (((7,),),)
+
+
 def _euler_rank_cases():
     """(complex, Euler class) pairs: seeded random models, exterior
     algebras with Koszul-signed classes, the factored models of
