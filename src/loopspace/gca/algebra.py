@@ -25,12 +25,13 @@ generators the monomial holds.  A layout holds every degree up to its
 capacity, the highest top that gives the same widths; a model widens its
 layout, in one assignment, when asked for more (see
 :meth:`DgaModel.monomial_keys`), and a key is only ever read in the
-layout that made it: the tail table and the derivation tables belong to
+layout that made it: the tail table and the derivation table belong to
 one layout.  The monomials in some of the generators alone can be keyed in
 a model's layout (:meth:`MonomialKeys.restricted`), where that layout's
 derivation table reads them.  Public values stay tuples:
-:meth:`DgaModel.basis` and :meth:`DgaModel.bases` decode the keys once per
-degree, and :class:`AlgebraElement` terms are keyed by tuple.
+:meth:`DgaModel.basis` and :meth:`DgaModel.bases` decode the keys of the
+tail table on each call, which is the model's only basis store, and
+:class:`AlgebraElement` terms are keyed by tuple.
 
 The keys of each degree are read from one table of tails, one level per
 generator and one entry per degree: the tails of generators i onward of
@@ -53,11 +54,11 @@ squares that kill the term.  :func:`leibniz` reads the table for a run of
 keys, making each image as it is consumed (keyed by key, or by position as
 a sparse column), and :func:`apply_derivation` for the terms of a
 {monomial: coefficient} map; it is the one implementation of the Leibniz
-rule.  A model keeps two tables, each for its current layout:
-:meth:`DgaModel.derivation` of its own differentials, for
-:func:`apply_differential`, and :meth:`DgaModel.integer_derivation` of the
-scaled integer copy, which the validation gate and the cochain computations
-read.
+rule.  A model keeps one table, for its current layout:
+:meth:`DgaModel.integer_derivation`, of L times its differentials (see
+:meth:`DgaModel.integer_differentials`), which the validation gate, the
+cochain computations and :func:`apply_differential` read; the last divides
+each coefficient of its image by L.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 from operator import add, and_, lshift, mul
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -102,6 +102,9 @@ def exact_int(value, minimum: float, message: str, *, name: str | None = None) -
     elif isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
         return int(value)
     raise GcaError(message.format(value=value, name=name))
+
+
+_DEGREE_MESSAGE = "degree must be an integer, got {value!r}"
 
 
 class UnknownGeneratorError(GcaError):
@@ -161,7 +164,7 @@ class DgaModel:
     """
 
     __slots__ = ("name", "generators", "collapsed", "_index", "_diffs", "_degrees", "_odd", "_keys",
-                 "_bases", "_integer_diffs", "_table", "_integer_table")
+                 "_integer_diffs", "_integer_table")
 
     def __init__(
         self,
@@ -181,9 +184,7 @@ class DgaModel:
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
         self._keys = None  # see monomial_keys
-        self._bases = ()  # _bases[d]: basis(d), decoded from the keys
-        self._integer_diffs = None  # see integer_differentials
-        self._table = None  # see derivation
+        self._integer_diffs = None  # (L, L*d), see integer_differentials
         self._integer_table = None  # see integer_derivation
 
         diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
@@ -254,9 +255,10 @@ class DgaModel:
         c = exact_rational(coeff, "coefficient")
         return AlgebraElement(self, {mon: c} if c else {})
 
-    def from_coords(self, basis: Sequence[Monomial], coords: Sequence[Fraction]) -> "AlgebraElement":
-        terms = {m: Fraction(c) for m, c in zip(basis, coords) if c}
-        return AlgebraElement(self, terms)
+    def from_coords(self, basis: Sequence[Monomial], coords: Sequence[CoeffLike]) -> "AlgebraElement":
+        if any(type(c) is not int for c in coords):  # a representative's are ints
+            coords = [exact_rational(c, "coordinate") for c in coords]
+        return AlgebraElement(self, {m: Fraction(c) for m, c in zip(basis, coords) if c})
 
     def _read_exponents(self, exponents: ExponentsLike) -> tuple[Monomial, int | None]:
         """Exponent tuple of a {name: exponent} mapping or (name, exponent)
@@ -294,22 +296,22 @@ class DgaModel:
         self.generator_index(name)
         return AlgebraElement(self, dict(self._diffs[name]))
 
-    def differential_terms(self) -> tuple[Mapping[Monomial, Fraction], ...]:
-        """The generator differentials as {monomial: coefficient} maps, one
-        per generator in canonical order (read-only views)."""
-        return tuple(MappingProxyType(self._diffs[g.name]) for g in self.generators)
-
     def integer_differentials(self) -> tuple[Mapping[Monomial, int], ...]:
         """L times each generator differential, in canonical order, where L
         is the lcm of every coefficient denominator of the generator
         differentials (not to be modified).  The Leibniz rule is linear in
         the generator differentials, so these give L*d on every degree,
         which has the same rank as d.  The model never changes, so they are
-        computed on first use and published in one assignment."""
-        diffs = self._integer_diffs
-        if diffs is None:
-            diffs = self._integer_diffs = self._scale_differentials()
-        return diffs
+        computed on first use and published, with L, in one assignment."""
+        scaled = self._integer_diffs
+        if scaled is None:
+            scaled = self._integer_diffs = self._scale_differentials()
+        return scaled[1]
+
+    def _scale_differentials(self) -> tuple[int, tuple[dict[Monomial, int], ...]]:
+        scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
+        return scale, tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
+                            for g in self.generators)
 
     def _reach(self) -> int:
         """The most d raises the degree of a monomial, and at least 1: the
@@ -317,31 +319,17 @@ class DgaModel:
         for a model the validation gate passes."""
         return max([1, *(self.monomial_degree(n) - g.degree for g in self.generators for n in self._diffs[g.name])])
 
-    def derivation(self, top: int = 0) -> "DerivationTable":
-        """The :func:`derivation_table` of the model's own differentials,
-        which :func:`apply_differential` reads, for a layout that holds
-        degree ``top`` (see :meth:`monomial_keys`), the highest degree of an
-        image; made once per layout and published in one assignment."""
-        keys = self.monomial_keys(top)
-        table = self._table
-        if table is None or table[0] is not keys:
-            table = self._table = derivation_table(keys, self.differential_terms())
-        return table
-
     def integer_derivation(self, top: int = 0) -> "DerivationTable":
         """The :func:`derivation_table` of :meth:`integer_differentials`,
-        which the validation gate and both cochain paths read; as
-        :meth:`derivation`."""
+        which the validation gate, both cochain paths and
+        :func:`apply_differential` read, for a layout that holds degree
+        ``top`` (see :meth:`monomial_keys`), the highest degree of an image;
+        made once per layout and published in one assignment."""
         keys = self.monomial_keys(top)
         table = self._integer_table
         if table is None or table[0] is not keys:
             table = self._integer_table = derivation_table(keys, self.integer_differentials())
         return table
-
-    def _scale_differentials(self) -> tuple[dict[Monomial, int], ...]:
-        scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
-        return tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
-                     for g in self.generators)
 
     # -- monomial arithmetic --------------------------------------------
 
@@ -369,6 +357,8 @@ class DgaModel:
         """The model's key layout (see :class:`MonomialKeys`), first
         replaced by one with the widths of ``top`` when it cannot hold every
         monomial of degree ``top``."""
+        if type(top) is not int:  # every call of the cochain paths passes an int
+            top = exact_int(top, -inf, _DEGREE_MESSAGE)
         keys = self._keys
         if keys is None or top > keys.capacity:
             keys = self._keys = MonomialKeys(self.generators, top)
@@ -376,34 +366,25 @@ class DgaModel:
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, lexicographically
-        descending in the canonical exponent vector."""
-        if degree < 0:
+        descending in the canonical exponent vector, decoded from the
+        model's tail table."""
+        if exact_int(degree, -inf, _DEGREE_MESSAGE) < 0:
             return ()
-        bases = self._bases
-        if degree >= len(bases):
-            bases = self._decode(degree)
-        return bases[degree]
+        keys = self.monomial_keys(degree)
+        return keys.decode(keys.bases(degree)[degree:])[0]
 
     def bases(self, top: int) -> tuple[tuple[Monomial, ...], ...]:
         """``basis(d)`` for d = 0..top, read from one table extension."""
-        if top < 0:
+        if exact_int(top, -inf, _DEGREE_MESSAGE) < 0:
             return ()
-        bases = self._bases
-        if top >= len(bases):
-            bases = self._decode(top)
-        return bases[:top + 1]
-
-    def _decode(self, top: int) -> tuple:
-        """The decoded bases extended to ``top``, each new degree decoded
-        once from the model's layout and published in one assignment."""
-        bases = self._bases
         keys = self.monomial_keys(top)
-        bases = self._bases = bases + keys.decode(keys.bases(top)[len(bases):])
-        return bases
+        return keys.decode(keys.bases(top))
 
     def basis_sizes(self, top: int) -> tuple[int, ...]:
         """len(basis(d)) for d = 0..top, counted without enumerating (see
         :func:`times_free_series`)."""
+        if exact_int(top, -inf, _DEGREE_MESSAGE) < 0:
+            return ()
         return tuple(times_free_series([1] + [0] * top, self._degrees))
 
     # -- value semantics ---------------------------------------------------
@@ -822,4 +803,6 @@ def apply_differential(x: AlgebraElement) -> AlgebraElement:
     """
     model = x.model
     top = max(map(model.monomial_degree, x.terms), default=0) + model._reach()
-    return AlgebraElement(model, apply_derivation(model.derivation(top), x.terms))
+    image = apply_derivation(model.integer_derivation(top), x.terms)  # L*d of x
+    scale = model._integer_diffs[0]  # L, set by the table's integer_differentials
+    return AlgebraElement(model, {m: c / scale for m, c in image.items()})

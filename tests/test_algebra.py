@@ -341,12 +341,13 @@ def test_sparse_columns_against_product_rule():
     models += [*odd_differential_models(), even_before_odd_model(), own_factor_model()]
     models.append(coprime_denominator_model(random.Random(2718)))
     for model in models:
-        scale = lcm(*(c.denominator for dg in model.differential_terms() for c in dg.values()))
+        scale = lcm(*(c.denominator for g in model.generators for c in model.differential_of(g.name).terms.values()))
         # every model raises degree by one, so the layout of degree 11 holds each image
-        table = derivation_table(model.monomial_keys(11), model.integer_differentials())
+        keys = model.monomial_keys(11)
+        table = derivation_table(keys, model.integer_differentials())
         for degree in range(11):
             index = {m: i for i, m in enumerate(model.basis(degree + 1))}
-            columns = _sparse_columns(model, degree, table, index)
+            columns = _sparse_columns(model, degree, table, {keys.pack(m): i for m, i in index.items()})
             assert len(columns) == len(model.basis(degree))
             for mon, column in zip(model.basis(degree), columns):
                 names = monomial_names(model, mon)

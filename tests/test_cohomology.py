@@ -1115,6 +1115,15 @@ def test_basis_sizes_count_the_enumerated_bases():
     assert DgaModel([("a", 2)]).basis_sizes(0) == (1,)
 
 
+def test_basis_sizes_match_the_decoded_bases_at_every_top():
+    """basis_sizes(top) and the lengths of bases(top) agree for top -2..12,
+    the negative tops included, on seeded random models."""
+    rng = random.Random(32)
+    for model in [random_model(rng) for _ in range(20)] + [DgaModel([]), DgaModel([("x", 3)])]:
+        for top in range(-2, 13):
+            assert model.basis_sizes(top) == tuple(map(len, model.bases(top))), (model, top)
+
+
 def test_basis_limit_is_checked_before_any_basis_is_enumerated(monkeypatch):
     twelve = DgaModel([(f"a{i}", 2) for i in range(12)])
 

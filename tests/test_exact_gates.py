@@ -27,7 +27,7 @@ from loopspace.gca import (
     cohomology,
     quotient_ring_dims,
 )
-from loopspace.gca.cohomology import BettiTable
+from loopspace.gca.cohomology import BettiTable, differential_matrix
 from loopspace.spaceforms import (
     ActionEntry,
     GysinInput,
@@ -59,6 +59,11 @@ INT_GATES = [
     ("DgaModel.monomial exponent", lambda v: MODEL.monomial({"a": v}), 2),
     ("DgaModel.element exponent", lambda v: MODEL.element([(1, {"a": v})]), 2),
     ("AlgebraElement power", lambda v: A ** v, 2),
+    ("DgaModel.basis degree", lambda v: MODEL.basis(v), 6),
+    ("DgaModel.bases top", lambda v: MODEL.bases(v), 6),
+    ("DgaModel.basis_sizes top", lambda v: MODEL.basis_sizes(v), 6),
+    ("DgaModel.monomial_keys top", lambda v: MODEL.monomial_keys(v).bases(v), 6),
+    ("differential_matrix degree", lambda v: differential_matrix(MODEL, v), 4),
     ("BettiTable max_degree", lambda v: BettiTable(v, (1, 0)), 1),
     ("BettiTable dims", lambda v: BettiTable(1, (1, v)), 1),
     ("BettiTable.dim degree", lambda v: BASE.dim(v), 2),
@@ -108,6 +113,7 @@ RATIONAL_GATES = [
     ("DgaModel.monomial_element coefficient",
      lambda v: MODEL.monomial_element(MODEL.monomial({"a": 1}), v), Fraction(-3, 2)),
     ("AlgebraElement.scale", lambda v: A.scale(v), Fraction(2, 3)),
+    ("DgaModel.from_coords coordinate", lambda v: MODEL.from_coords(MODEL.basis(2), [v]), Fraction(1, 2)),
     ("ActionEntry matrix entry", lambda v: ActionEntry(2, 1, ((v,),)), Fraction(-2)),
     ("GysinInput euler entry", lambda v: GysinInput(BASE, (((v,),),), TOTAL), Fraction(1, 2)),
     ("BottFunction.build turn", lambda v: BottFunction.build((v, Fraction(3, 4)), (1, 0)), Fraction(5, 4)),
@@ -166,3 +172,6 @@ def test_truncation_degrees_below_zero_are_refused():
             call()
     # zero is a truncation: degree 0 carries no homotopy and one monomial
     assert theorem2_table(LENS, 0).dims == () and quotient_ring_dims(RING, 0) == [1]
+    # d from degree -1 is no map of the complex
+    with pytest.raises(GcaError, match="^degree must be >= 0, got -1$"):
+        differential_matrix(MODEL, -1)

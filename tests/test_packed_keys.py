@@ -119,10 +119,11 @@ def oracle_image(model, mon, diffs):
 
 def test_leibniz_matches_the_product_rule_on_tuples():
     """Packed leibniz, decoded, and apply_derivation give the oracle image
-    of every monomial of degrees 0..D, for the integer and the Fraction
-    differentials: 40 seeded random models and cancelling ones (D = 9), the
-    odd-differential models, whose several odd generators exercise every
-    sign and clash mask (D = 9), and six_gen (D = 12).  apply_derivation of
+    of every monomial of degrees 0..D, for the model's integer derivation
+    table, the one table a model keeps: 40 seeded random models and
+    cancelling ones (D = 9), the odd-differential models, whose several odd
+    generators exercise every sign and clash mask (D = 9), and six_gen
+    (D = 12).  apply_derivation of
     a random combination is the combination of the images."""
     rng = random.Random(3303)
     cases = [(model, 9) for model in (random_model(rng) for _ in range(40))]
@@ -130,20 +131,19 @@ def test_leibniz_matches_the_product_rule_on_tuples():
                                        own_factor_model(), cancelling_model())]
     cases.append((parse_path(FIXTURES / "six_gen.dga", kind="dga").value, 12))
     for model, top in cases:
-        for table, diffs in ((model.integer_derivation(top + 1), model.integer_differentials()),
-                             (model.derivation(top + 1), model.differential_terms())):
-            keys = table[0]
-            sources = [mon for basis in model.bases(top) for mon in basis]
-            expected = [oracle_image(model, mon, diffs) for mon in sources]
-            images = leibniz(table, map(keys.pack, sources))
-            assert [{keys.unpack(k): c for k, c in image.items() if c} for image in images] == expected, model
-            assert [apply_derivation(table, {mon: 1}) for mon in sources] == expected, model
-            terms = {mon: rng.randint(-3, 3) for mon in rng.sample(sources, min(6, len(sources)))}
-            combined = {}
-            for mon, c in terms.items():
-                for m, v in oracle_image(model, mon, diffs).items():
-                    combined[m] = combined.get(m, 0) + c * v
-            assert apply_derivation(table, terms) == {m: v for m, v in combined.items() if v}, model
+        table, diffs = model.integer_derivation(top + 1), model.integer_differentials()
+        keys = table[0]
+        sources = [mon for basis in model.bases(top) for mon in basis]
+        expected = [oracle_image(model, mon, diffs) for mon in sources]
+        images = leibniz(table, map(keys.pack, sources))
+        assert [{keys.unpack(k): c for k, c in image.items() if c} for image in images] == expected, model
+        assert [apply_derivation(table, {mon: 1}) for mon in sources] == expected, model
+        terms = {mon: rng.randint(-3, 3) for mon in rng.sample(sources, min(6, len(sources)))}
+        combined = {}
+        for mon, c in terms.items():
+            for m, v in oracle_image(model, mon, diffs).items():
+                combined[m] = combined.get(m, 0) + c * v
+        assert apply_derivation(table, terms) == {m: v for m, v in combined.items() if v}, model
 
 
 def test_apply_differential_refuses_a_parity_keeping_differential():
