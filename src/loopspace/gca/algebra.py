@@ -67,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from operator import add, and_, lshift, mul
+from operator import add, and_, attrgetter, lshift, mul
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -137,10 +137,26 @@ class Generator:
     degree: int
 
     def __post_init__(self):
+        if type(self.name) is str and self.name and type(self.degree) is int and self.degree >= 1:
+            return  # the common case, tested first
         if not isinstance(self.name, str) or not self.name:
             raise GcaError(f"generator name must be a non-empty string, got {self.name!r}")
         exact_int(self.degree, 1, "generator {name!r} must have integer degree >= 1, got {value!r}",
                   name=self.name)
+
+
+def _as_generator(g) -> Generator:
+    """A :class:`Generator` as it is, or one made from a (name, degree) pair."""
+    if isinstance(g, Generator):
+        return g
+    try:
+        name, degree = g
+    except (TypeError, ValueError):
+        raise GcaError(f"generator must be a Generator or a (name, degree) pair, got {g!r}") from None
+    return Generator(name, degree)
+
+
+_DEGREE = attrgetter("degree")
 
 
 class DgaModel:
@@ -155,7 +171,8 @@ class DgaModel:
     degree-raising, minimality or d^2 = 0 are representable and are reported
     by :func:`loopspace.gca.cohomology.check_model` rather than rejected
     here.  Structural problems (duplicate names, unknown generators, bad
-    coefficients) raise :class:`GcaError`.
+    coefficients, generators, differentials, terms or exponents of the wrong
+    shape) raise :class:`GcaError`.
 
     Generators whose declared differential mentions at least one nonzero
     term but normalises to the zero element (an odd square, or exact
@@ -173,26 +190,32 @@ class DgaModel:
         *,
         name: str = "model",
     ):
-        gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
+        try:
+            gens = tuple(map(_as_generator, generators))
+        except TypeError:
+            raise GcaError(f"generators must be an iterable of generators, got {generators!r}") from None
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise GcaError(f"duplicate generator names: {', '.join(dup)}")
         self.name = name
-        self.generators = tuple(sorted(gens, key=lambda g: g.degree))
+        self.generators = tuple(sorted(gens, key=_DEGREE))
         self._index = {g.name: i for i, g in enumerate(self.generators)}
-        self._degrees = tuple(g.degree for g in self.generators)
-        self._odd = tuple(i for i, d in enumerate(self._degrees) if d % 2 == 1)
+        self._degrees = tuple(map(_DEGREE, self.generators))
+        self._odd = tuple([i for i, d in enumerate(self._degrees) if d & 1])
         self._keys = None  # see monomial_keys
         self._integer_diffs = None  # (L, L*d), see integer_differentials
         self._integer_table = None  # see integer_derivation
 
-        diffs: dict[str, dict[Monomial, Fraction]] = {g.name: {} for g in self.generators}
+        diffs: dict[str, dict[Monomial, Fraction]] = {name: {} for name in self._index}
         collapsed = []
-        for target, raw in (differentials or {}).items():
+        differentials = differentials or {}
+        if type(differentials) is not dict and not isinstance(differentials, Mapping):
+            raise GcaError(f"differentials must map generator names to polynomials, got {differentials!r}")
+        for target, raw in differentials.items():
             if target not in self._index:
                 raise UnknownGeneratorError(f"differential declared for unknown generator {target!r}")
-            terms, had_nonzero = self._normalize_raw(raw)
+            terms, had_nonzero = self._normalize_raw(raw, f"differential of {target!r}")
             diffs[target] = terms
             if had_nonzero and not terms:
                 collapsed.append(target)
@@ -202,15 +225,12 @@ class DgaModel:
     # -- introspection -------------------------------------------------
 
     def generator(self, name: str) -> Generator:
-        try:
-            return self.generators[self._index[name]]
-        except KeyError:
-            raise UnknownGeneratorError(f"unknown generator {name!r}") from None
+        return self.generators[self.generator_index(name)]
 
     def generator_index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError: a name that cannot be hashed
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
     @property
@@ -256,38 +276,74 @@ class DgaModel:
         return AlgebraElement(self, {mon: c} if c else {})
 
     def from_coords(self, basis: Sequence[Monomial], coords: Sequence[CoeffLike]) -> "AlgebraElement":
+        if len(coords) != len(basis):
+            raise GcaError(f"expected {len(basis)} coordinates, one per basis monomial, got {len(coords)}")
         if any(type(c) is not int for c in coords):  # a representative's are ints
             coords = [exact_rational(c, "coordinate") for c in coords]
         return AlgebraElement(self, {m: Fraction(c) for m, c in zip(basis, coords) if c})
 
-    def _read_exponents(self, exponents: ExponentsLike) -> tuple[Monomial, int | None]:
+    def _read_exponents(self, exponents: ExponentsLike, what: str = "monomial") -> tuple[Monomial, int | None]:
         """Exponent tuple of a {name: exponent} mapping or (name, exponent)
         pairs, and the index of the first odd generator it squares (None if
-        it squares none)."""
-        exps = [0] * self.ngens
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        for gname, e in items:
-            i = self.generator_index(gname)
-            exps[i] += exact_int(e, 0, "exponent of {name!r} must be a non-negative integer, got {value!r}",
-                                 name=gname)
-        return tuple(exps), next((i for i in self._odd if exps[i] > 1), None)
+        it squares none).  ``what`` names the owner in a refusal of the
+        shape."""
+        exps = [0] * len(self._degrees)
+        index = self._index
+        items = exponents.items() if type(exponents) is dict or isinstance(exponents, Mapping) else exponents
+        try:
+            for gname, e in items:
+                try:
+                    i = index[gname]
+                except (KeyError, TypeError):  # a TypeError: a name that cannot be hashed
+                    raise UnknownGeneratorError(f"unknown generator {gname!r}") from None
+                if type(e) is not int or e < 0:  # an int is the common case
+                    e = exact_int(e, 0, "exponent of {name!r} must be a non-negative integer, got {value!r}",
+                                  name=gname)
+                exps[i] += e
+        except GcaError:
+            raise
+        except (TypeError, ValueError):  # no iterable, or an item that is no pair
+            raise GcaError(f"{what}: exponents must be a {{name: exponent}} mapping or (name, exponent) "
+                           f"pairs, got {exponents!r}") from None
+        for i in self._odd:
+            if exps[i] > 1:
+                return tuple(exps), i
+        return tuple(exps), None
 
-    def _normalize_raw(self, raw: RawPoly) -> tuple[dict[Monomial, Fraction], bool]:
+    def _normalize_raw(self, raw: RawPoly, what: str = "polynomial") -> tuple[dict[Monomial, Fraction], bool]:
+        """The {monomial: nonzero Fraction} map of raw terms, odd squares and
+        cancelled terms dropped, and whether any term had a nonzero
+        coefficient.  ``what`` names the owner in a refusal of the shape."""
+        try:
+            raw = iter(raw)
+        except TypeError:
+            raise GcaError(f"{what} must be an iterable of (coefficient, exponents) terms, got {raw!r}") from None
         terms: dict[Monomial, Fraction] = {}
         had_nonzero = False
-        for coeff, exponents in raw:
-            c = exact_rational(coeff, "coefficient")
+        for term in raw:
+            try:
+                coeff, exponents = term
+            except (TypeError, ValueError):
+                raise GcaError(f"{what}: term must be a (coefficient, exponents) pair, got {term!r}") from None
+            if type(coeff) is Fraction:  # the DSL's and the common case, tested first
+                c = coeff
+            elif type(coeff) is int:
+                c = Fraction(coeff)
+            else:
+                c = exact_rational(coeff, "coefficient")
             if not c:
                 continue
             had_nonzero = True
-            mon, squared = self._read_exponents(exponents)
+            mon, squared = self._read_exponents(exponents, what)
             if squared is not None:
                 continue  # odd square: the term is zero
-            acc = terms.get(mon, Fraction(0)) + c
-            if acc:
+            acc = terms.get(mon)
+            if acc is None:
+                terms[mon] = c
+            elif acc := acc + c:
                 terms[mon] = acc
             else:
-                terms.pop(mon, None)
+                del terms[mon]
         return terms, had_nonzero
 
     # -- differential ---------------------------------------------------
@@ -310,8 +366,8 @@ class DgaModel:
 
     def _scale_differentials(self) -> tuple[int, tuple[dict[Monomial, int], ...]]:
         scale = lcm(*(c.denominator for dg in self._diffs.values() for c in dg.values()))
-        return scale, tuple({m: c.numerator * (scale // c.denominator) for m, c in self._diffs[g.name].items()}
-                            for g in self.generators)
+        return scale, tuple({m: c.numerator * (scale // c.denominator) for m, c in dg.items()} if dg else {}
+                            for dg in self._diffs.values())  # _diffs is in canonical order
 
     def _reach(self) -> int:
         """The most d raises the degree of a monomial, and at least 1: the
@@ -469,11 +525,10 @@ class MonomialKeys:
         """The layout of the monomials in the generators at ``indices``
         alone, with this layout's fields, so that a derivation table made
         for this one reads their keys; it has a tail table of its own."""
-        keys = MonomialKeys((), 0)
-        keys.generators = tuple(self.generators[i] for i in indices)
-        keys.degrees = tuple(self.degrees[i] for i in indices)
-        keys.shifts = tuple(self.shifts[i] for i in indices)
-        keys.masks = tuple(self.masks[i] for i in indices)
+        keys = MonomialKeys.__new__(MonomialKeys)
+        keys.generators, keys.degrees, keys.shifts, keys.masks = (
+            tuple(map(values.__getitem__, indices))
+            for values in (self.generators, self.degrees, self.shifts, self.masks))
         keys.odd_mask, keys.capacity = self.odd_mask, self.capacity
         keys._tails = ((),) * len(indices) + (((0,),),)
         return keys
@@ -511,12 +566,12 @@ class MonomialKeys:
         below = old[-1] + ((),) * (top + 1 - len(old[-1]))
         levels = [below]
         for i in reversed(range(len(self.degrees))):
-            step, unit = self.degrees[i], 1 << self.shifts[i]
+            step, prefix = self.degrees[i], (1 << self.shifts[i]).__add__  # one more factor of generator i
             level = [*old[i], *below[start:]]
             source = below if step % 2 else level
             for d in range(max(start, step), top + 1):
                 if shifted := source[d - step]:
-                    level[d] = (*map(unit.__add__, shifted), *level[d])
+                    level[d] = (*map(prefix, shifted), *level[d])
             below = tuple(level)
             levels.append(below)
         tails = self._tails = tuple(reversed(levels))

@@ -89,6 +89,51 @@ def test_generator_validation():
         DgaModel([("x", 2)], {"y": []})
 
 
+def test_malformed_input_is_refused_by_name():
+    """Raw input of the wrong shape is refused with a GcaError naming the
+    offending generator, term or value, never a bare TypeError, ValueError
+    or AttributeError: a differential or exponents that are no iterable, a
+    term or an exponent item that is no pair, a generator name that cannot
+    be hashed, differentials that are no mapping, a generator that is no
+    pair, and coordinates that do not match their basis."""
+    gens = [("u", 2), ("x", 3)]
+    model = DgaModel(gens)
+    shape = "exponents must be a {name: exponent} mapping or (name, exponent) pairs, got"
+    cases = [
+        (lambda: DgaModel(gens, {"x": [(1, 5)]}), GcaError, f"differential of 'x': {shape} 5"),
+        (lambda: DgaModel(gens, {"x": [(1, [("u", 1, 2)])]}), GcaError,
+         f"differential of 'x': {shape} [('u', 1, 2)]"),
+        (lambda: DgaModel(gens, {"x": 7}), GcaError,
+         "differential of 'x' must be an iterable of (coefficient, exponents) terms, got 7"),
+        (lambda: DgaModel(gens, {"x": [(1,)]}), GcaError,
+         "differential of 'x': term must be a (coefficient, exponents) pair, got (1,)"),
+        (lambda: DgaModel(gens, {"x": [(1, [(["u"], 2)])]}), UnknownGeneratorError, "unknown generator ['u']"),
+        (lambda: DgaModel([("u", 2)], [("u", [])]), GcaError,
+         "differentials must map generator names to polynomials, got [('u', [])]"),
+        (lambda: DgaModel([("u",)]), GcaError, "generator must be a Generator or a (name, degree) pair, got ('u',)"),
+        (lambda: DgaModel(5), GcaError, "generators must be an iterable of generators, got 5"),
+        (lambda: model.element(7), GcaError,
+         "polynomial must be an iterable of (coefficient, exponents) terms, got 7"),
+        (lambda: model.element([(1, 5)]), GcaError, f"polynomial: {shape} 5"),
+        (lambda: model.monomial(5), GcaError, f"monomial: {shape} 5"),
+        (lambda: model.generator_index(["u"]), UnknownGeneratorError, "unknown generator ['u']"),
+        (lambda: model.generator(["u"]), UnknownGeneratorError, "unknown generator ['u']"),
+        (lambda: model.from_coords(model.basis(2), [1, 2]), GcaError,
+         "expected 1 coordinates, one per basis monomial, got 2"),
+        (lambda: model.from_coords(model.basis(2), []), GcaError,
+         "expected 1 coordinates, one per basis monomial, got 0"),
+    ]
+    for call, kind, text in cases:
+        with pytest.raises(GcaError) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (kind, text)
+    # the accepted shapes: pair lists with repeated factors, and zero terms
+    # whose exponents are never read
+    same = DgaModel(gens, {"x": [(1, [("u", 1), ("u", 1)]), (0, 5)]})
+    assert same == DgaModel(gens, {"x": [(1, {"u": 2})]})
+    assert model.from_coords(model.basis(2), [3]) == model.gen("u").scale(3)
+
+
 def test_inexact_coefficients_raise_gca_error_at_every_entry_point():
     # a zero denominator and a string that is no number are refused like a
     # float, with the same type and text

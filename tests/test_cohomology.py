@@ -6,7 +6,7 @@ import importlib
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -1190,6 +1190,31 @@ def test_basis_limit_error_names_degree(monkeypatch):
         cohomology(m, 3)
     assert err.value.degree == 1  # three degree-1 monomials already exceed the limit
     assert err.value.limit == 2
+
+
+def test_basis_limit_refuses_exactly_when_a_basis_exceeds_it(monkeypatch):
+    """The gate counts the bases only when the product of the exponent
+    ranges exceeds the limit.  On seeded models, at limits just below, at
+    and above the largest basis and at the product itself, both paths
+    refuse exactly when a basis of degrees 0..max_degree+1 exceeds the
+    limit, naming the first such degree and its size."""
+    rng = random.Random(3403)
+    for _ in range(60):
+        model = random_model(rng)
+        max_degree = rng.randint(0, 12)
+        top = max_degree + 1
+        sizes = [len(model.basis(d)) for d in range(top + 1)]
+        bound = prod(top // g.degree + 1 if g.degree % 2 == 0 else 2 for g in model.generators)
+        for limit in (max(sizes) - 1, max(sizes), max(sizes) + 1, bound):
+            monkeypatch.setattr(cohomology_module, "DEFAULT_BASIS_LIMIT", limit)
+            over = [d for d, size in enumerate(sizes) if size > limit]
+            for path in (cohomology, cochain_complex):
+                if over:
+                    with pytest.raises(BasisLimitError) as err:
+                        path(model, max_degree)
+                    assert (err.value.degree, err.value.size, err.value.limit) == (over[0], sizes[over[0]], limit)
+                else:
+                    path(model, max_degree)
 
 
 def test_complex_data_rejects_degrees_outside_the_truncation():
