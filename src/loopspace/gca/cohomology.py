@@ -95,29 +95,35 @@ reduced basis of the image in degree d+1 (L times the image of d, which
 spans the same space).  The kernel has one primitive integer vector per
 free column, nonzero there and zero at every other free column.  So the
 image of d_{d-1} at the free columns of d_d is the image in kernel
-coordinates, up to scaling; its lowest positions, counted from the last
-free column, are the free columns it fills.  When d_d = 0 every column is
-free, last first, which is the reversed row order, so the image basis is
-already reduced there; otherwise it is restricted to the free columns and
-reduced again.  It is stored as sparse rows.  The kernel vectors at the
-other free columns are the first ones, left to right, that extend the
-image span: the representatives, the same for identical inputs.  A kernel
-vector depends on its own free column only, so it is built only at a
-representative's column; the rest of the kernel, the image and the rank are
-never stored.  A class query scales the element to integers, tests it by
+coordinates, up to scaling.  The reduction of d_{d-1} keys row f of degree
+d by its reversed position n-1-f (n = dim C^d), and the image at the free
+columns keeps that key: its lowest keys are the free columns it fills.
+When d_d = 0 every column is free, so the image basis is already reduced
+there; otherwise it is restricted to the keys of the free columns and
+reduced again.  It is stored as sparse rows, and the free columns are
+stored ascending; each fact is stored once, so the basis index, the image
+pivots (each row's lowest key) and the representatives' own columns are
+derived only in a degree a query reads.  The kernel vectors at the other
+free columns are the first ones, left to right, that extend the image
+span: the representatives, the same for identical inputs.  A kernel vector
+depends on its own free column only, so it is built only at a
+representative's column; the rest of the kernel, the image and the rank
+are never stored.  A class query scales the element to integers, tests it by
 applying the columns of L*d_d to its own terms (so it reads no elimination
 product of d_d; where d_d = 0 every element passes, so the test is
 skipped) and reduces its free entries against the sparse image rows; a
 Fraction is formed only for the answer.  What a query reads in a degree
-beyond the element (the free positions, the image pivots, the
-representatives' own columns and their multipliers) is computed once per
-complex, on the first query there.  The ring search
+beyond the element (the basis index, the free columns, the image pivots,
+the representatives' own columns and their multipliers) is computed once
+per complex, on the first query there.  The ring search
 multiplies integer combinations of the representatives as integer
 {monomial: int} maps and reads their classes the same way, with no
 Fraction at all.
 
 Each d_d is factored, by :func:`linalg.echelon`, only when its rank lies
-strictly between 0 and dim C^d, and then only for its kernel.  A zero
+strictly between 0 and dim C^d, and then only for its kernel: the one
+Leibniz pass's columns are laid out as a dense matrix by
+:func:`differential_matrix`, which builds no column of its own.  A zero
 d_d has every column free, with unit kernel vectors; an injective d_d has
 every column a pivot column and no free column.  Both are exactly what the
 factorisation returns on such input, so the data, and every output byte,
@@ -132,7 +138,7 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from operator import mul
@@ -141,8 +147,6 @@ from typing import Mapping, Sequence
 from . import linalg
 from .algebra import (
     AlgebraElement,
-    Coeff,
-    DerivationTable,
     DgaModel,
     GcaError,
     Monomial,
@@ -213,14 +217,17 @@ class DegreeData:
     basis: the representatives (primitive kernel vectors, each nonzero at
     exactly one free column, its own), the outgoing differential L*d_d as
     sparse columns (one {target basis index: nonzero value} map per basis
-    monomial), its free columns (last first), and the incoming image at
-    those columns, reduced: sparse {position in ``free``: int} rows sorted
-    by pivot, each row's lowest position its pivot, with the pivots.  The
-    pivots are the free columns the image fills; they are fixed by the
-    span, so they are those of any reduction of the image.  ``index`` maps
-    each basis monomial to its position.  This is all a class query reads:
+    monomial), its free columns (ascending), and the incoming image at
+    those columns, reduced: sparse rows keyed by reversed basis position,
+    n-1-f at free column f of a basis of n monomials (the key
+    :func:`linalg.column_reduce` reads the image of d_{d-1} by), sorted by
+    lowest key.  Each row's lowest key is its pivot, and the pivots are the
+    free columns the image fills; they are fixed by the span, so they are
+    those of any reduction of the image.  This is all a class query reads:
     no elimination product of d_d, the kernel outside the representatives
-    and the incoming image itself are not kept."""
+    and the incoming image itself are not kept, and what follows from these
+    fields (the basis index, the pivots, the representatives' own columns)
+    is derived only where a query reads it (see :func:`_read_off`)."""
 
     degree: int
     basis: tuple[Monomial, ...]
@@ -228,8 +235,6 @@ class DegreeData:
     out_columns: tuple[Mapping[int, int], ...]
     free: tuple[int, ...]
     image_at_free: tuple[Mapping[int, int], ...]
-    image_pivots: tuple[int, ...]
-    index: Mapping[Monomial, int] = field(compare=False)  # follows from the basis
 
     def terms(self, vec: Sequence[int]) -> dict[Monomial, int]:
         """The {monomial: coefficient} map of a vector over the basis."""
@@ -313,15 +318,15 @@ class ComplexData:
 
         The constants of the degree (see :func:`_read_off`) are computed on
         its first query and kept by the complex: the free entries are taken
-        from the terms' own support through a {free column: position} map,
-        the rows come with their pivot values, the answer is scaled by fixed
+        from the terms' own support and keyed as the image rows are, the
+        rows come with their pivot values, the answer is scaled by fixed
         multipliers, and the cocycle test is skipped where every outgoing
         column is empty (d_d = 0), since the boundary sum is then zero."""
         read = self._read_offs.get(degree)
         if read is None:
             read = self._read_offs[degree] = _read_off(self._degree_data(degree))
-        index, out_columns, position, rows, own, multipliers, common = read
-        if not position:
+        index, out_columns, free, top, rows, own, multipliers, common = read
+        if not free:
             if not terms:
                 return [], 1
             raise GcaError("nonzero element in a degree with trivial cocycle space")
@@ -332,7 +337,7 @@ class ComplexData:
                     boundary[i] = boundary.get(i, 0) + c * v
             if any(boundary.values()):
                 raise GcaError(f"element of degree {degree} is not a cocycle class")
-        left = {p: c for m, c in terms.items() if (p := position.get(index[m])) is not None}
+        left = {top - i: c for m, c in terms.items() if (i := index[m]) in free}
         scale = 1
         for p, a, row in rows:
             if b := left.get(p):
@@ -352,65 +357,38 @@ class ComplexData:
 def _read_off(data: DegreeData) -> tuple:
     """What :meth:`ComplexData._class_numerators` reads in one degree, made
     on the first query there: the basis index; the outgoing columns, or ()
-    when all are empty (d_d = 0, so every element is a cocycle); the
-    {free column: position in ``free``} map; the image rows as (pivot,
-    pivot value, row), ascending by pivot; and the representatives' own
-    positions in ``free`` (ascending by column, the positions no pivot
-    fills) with the multipliers common // entry and common, where entry is
-    a representative's value at its own column and common their lcm."""
-    free, filled = data.free, set(data.image_pivots)
-    own = tuple(p for p in range(len(free) - 1, -1, -1) if p not in filled)
-    entries = [rep[free[p]] for rep, p in zip(data.reps, own)]
+    when all are empty (d_d = 0, so every element is a cocycle); the set of
+    free columns and n-1, which keys free column f as the image rows are
+    keyed, n-1-f; the image rows as (pivot, pivot value, row), ascending by
+    pivot; and the keys of the representatives' own columns (ascending by
+    column, the free columns no pivot fills) with the multipliers
+    common // entry and common, where entry is a representative's value at
+    its own column and common their lcm."""
+    n, free = len(data.basis), data.free
+    rows = tuple((min(row), row) for row in data.image_at_free)
+    filled = {p for p, _ in rows}
+    own = [f for f in free if n - 1 - f not in filled]
+    entries = [rep[f] for rep, f in zip(data.reps, own)]
     common = lcm(*entries)
     return (
-        data.index, data.out_columns if any(data.out_columns) else (), {f: p for p, f in enumerate(free)},
-        tuple((p, row[p], row) for p, row in zip(data.image_pivots, data.image_at_free)),
-        own, tuple(common // e for e in entries), common,
+        dict(zip(data.basis, range(n))), data.out_columns if any(data.out_columns) else (), set(free), n - 1,
+        tuple((p, row[p], row) for p, row in rows), tuple(n - 1 - f for f in own),
+        tuple(common // e for e in entries), common,
     )
 
 
-def _sparse_columns(
-    model: DgaModel, degree: int, table: DerivationTable, index: Mapping[int, int]
-) -> list[dict[int, Coeff]]:
-    """The matrix of d from degree to degree+1 as sparse columns, one
-    {target basis index: nonzero coefficient} map per source monomial, by
-    the Leibniz rule of the :func:`derivation_table` ``table`` (see
-    :func:`leibniz`), whose layout must hold the images of the sources: a
-    monomial with no generator of nonzero differential gets an empty
-    column.  ``index`` maps the key of each monomial of the basis of
-    degree+1, in the table's layout, to its position."""
-    keys = table[0]
-    basis = keys.bases(degree)[degree]
-    columns = []
-    try:
-        for column in leibniz(table, basis, index):
-            columns.append(column)
-    except KeyError:  # the image of the next monomial leaves degree+1
-        raise GcaError("differential does not raise degree by one on "
-                       + model.format_monomial(keys.unpack(basis[len(columns)]))) from None
-    return columns
-
-
-def differential_matrix(
-    model: DgaModel, degree: int, columns: Sequence[Mapping[int, int]] | None = None
-) -> list[list[int]]:
+def differential_matrix(model: DgaModel, degree: int, columns: Sequence[Mapping[int, int]]) -> list[list[int]]:
     """Dense integer matrix of L*d from degree to degree+1 over the monomial
     bases (rows indexed by the target basis, columns by the source basis),
-    from the integer derivation table the model holds (see
-    :meth:`DgaModel.integer_derivation`), or from the sparse ``columns`` of
-    :func:`_sparse_columns` when the caller has built them.  The rows are
-    counted on the keys of degree+1; a table is made before its layout's
-    target keys are read, since making it may widen the layout."""
+    laid out from its sparse ``columns``, one {target basis index: nonzero
+    value} map per source monomial, as the Leibniz pass of
+    :func:`cochain_complex` makes them.  The rows are counted on the keys of
+    degree+1."""
     if type(degree) is not int:  # cochain_complex passes an int
         degree = exact_int(degree, -inf, _DEGREE_MESSAGE)
     if degree < 0:
         raise GcaError(f"degree must be >= 0, got {degree}")
-    if columns is None:
-        table = model.integer_derivation(degree + model._reach())
-        target = table[0].bases(degree + 1)[degree + 1]
-        columns = _sparse_columns(model, degree, table, dict(zip(target, itertools.count())))
-    else:
-        target = model.monomial_keys(degree + 1).bases(degree + 1)[degree + 1]
+    target = model.monomial_keys(degree + 1).bases(degree + 1)[degree + 1]
     rows = [[0] * len(columns) for _ in target]
     for j, column in enumerate(columns):
         for i, c in column.items():
@@ -425,13 +403,19 @@ def integer_terms(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, in
 
 
 def _check_complex_input(model: DgaModel, max_degree: int) -> None:
-    """The gate shared by every cochain computation: a valid model and
-    bases of at most ``DEFAULT_BASIS_LIMIT`` monomials (read at each call,
-    so a test may patch the constant; it is no keyword of any function)
-    in degrees 0..max_degree+1, counted before any is enumerated (see
-    :meth:`DgaModel.basis_sizes`).  The model's key layout is widened to
-    degree max_degree+1 first, so that the gate's derivation table is the
-    one the cochain computation reads.
+    """The gate shared by every cochain computation: a model whose d raises
+    degree by one and squares to zero, with no declared differential that
+    vanishes identically, and bases of at most ``DEFAULT_BASIS_LIMIT``
+    monomials (read at each call, so a test may patch the constant; it is
+    no keyword of any function) in degrees 0..max_degree+1, counted before
+    any is enumerated (see :meth:`DgaModel.basis_sizes`).  The model's key
+    layout is widened to degree max_degree+1 first, so that the gate's
+    derivation table is the one the cochain computation reads.
+
+    Minimality is no condition: the cohomology of a dga that is not minimal,
+    such as the free loop space model Lambda(V + sV), is computed the same
+    way, and :func:`check_model` still reports the failure.  A refusal
+    names every failed check of the report, minimality included.
 
     The gate's cost scales with the failures it reports, not with the
     monomials it scans: the bases are counted only when the product of the
@@ -443,7 +427,7 @@ def _check_complex_input(model: DgaModel, max_degree: int) -> None:
     top = max_degree + 1
     model.monomial_keys(top)
     report = check_model(model)
-    if not report.ok:
+    if any(not c.passed for c in report.checks if c.name != "minimality"):
         raise GcaError("model fails validation: " + "; ".join(report.failure_messages()))
     limit = DEFAULT_BASIS_LIMIT
     if prod([top // g + 1 if g % 2 == 0 else 2 for g in model._degrees]) > limit:
@@ -464,8 +448,9 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     ``itertools.islice``, already positional, with no per-degree basis or
     column build.  Each column of a nonzero d_d is keyed by reversed row
     index (the highest row of degree d+1 is position 0) for
-    :func:`linalg.column_reduce`.  With no incoming image every free
-    column holds a representative, ``free[::-1]``, and nothing is sorted."""
+    :func:`linalg.column_reduce`, and the reduced image keeps those keys
+    at the free columns of d_{d+1}.  With no incoming image every free
+    column holds a representative, and nothing is reduced."""
     _check_complex_input(model, max_degree)
     bases = model.bases(max_degree + 1)
     table = model.integer_derivation(max_degree + 1)
@@ -479,30 +464,26 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
         columns = list(itertools.islice(images, len(basis)))
         n, top = len(basis), len(bases[d + 1]) - 1
         if not any(columns):  # d_d = 0: every column is free
-            ech, pivots, free, kept = [], [], tuple(range(n - 1, -1, -1)), {}
+            ech, pivots, free, kept = [], [], tuple(range(n)), {}
         else:
             kept = linalg.column_reduce([{top - i: v for i, v in column.items()} for column in columns])
             if len(kept) == n:  # d_d is injective: no column is free
                 ech, pivots, free = [], list(range(n)), ()
             else:
                 ech, pivots = linalg.echelon(differential_matrix(model, d, columns))
-                free = tuple(sorted(set(range(n)).difference(pivots), reverse=True))
+                free = tuple(sorted(set(range(n)).difference(pivots)))
+        if not free:  # nowhere to fill
+            image = {}
+        elif image and len(free) < n:  # restricted to the free columns and reduced again
+            at_free = {n - 1 - f for f in free}
+            image = linalg.column_reduce(
+                [{k: v for k, v in vec.items() if k in at_free} for vec in image.values()])
         # a kernel vector depends on its own free column only, so it is
         # built only at the representatives' columns, ascending
-        if not image or not free:  # nothing to fill, or nowhere
-            rows, image_pivots, own = (), (), free[::-1]
-        else:
-            if len(free) == n:  # position p of free is row n-1-p: the image's own keys
-                at_free = image
-            else:
-                at_free = linalg.column_reduce(
-                    [{p: v[n - 1 - f] for p, f in enumerate(free) if n - 1 - f in v} for v in image.values()])
-            image_pivots = tuple(sorted(at_free))
-            rows = tuple(map(at_free.__getitem__, image_pivots))
-            own = [free[p] for p in range(len(free) - 1, -1, -1) if p not in at_free]
+        own = [f for f in free if n - 1 - f not in image]
         degrees.append(DegreeData(
             d, basis, tuple(linalg.kernel_from_echelon(ech, pivots, n, own)), tuple(columns),
-            free, rows, image_pivots, dict(zip(basis, range(n))),
+            free, tuple(map(image.__getitem__, sorted(image))),
         ))
         image = kept
     return ComplexData(model, max_degree, tuple(degrees))
@@ -607,6 +588,8 @@ class ModelReport:
 def check_model(model: DgaModel) -> ModelReport:
     """Validate the differential: degree-raising, d^2 = 0, minimality, and
     absence of silently vanishing (degenerate) differential declarations.
+    Every cochain computation refuses a model that fails any check but
+    minimality (see :func:`_check_complex_input`).
 
     Every check reads the integer differentials L*dg (see
     :meth:`DgaModel.integer_differentials`), which have the monomials of

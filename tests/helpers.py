@@ -1,9 +1,16 @@
-"""Shared test utilities: seeded random inputs and independent oracles.
+"""Shared test utilities: seeded random inputs and oracles.
 
-The oracles here deliberately avoid the code paths they check: step
-functions are evaluated by linear scan, quotient-ring dimensions by direct
-monomial enumeration, and random models are built so that validity is
-guaranteed by construction rather than by the library's own checks.
+Most oracles avoid the code paths they check: step functions are evaluated
+by linear scan, quotient-ring dimensions by direct monomial enumeration,
+the cochain complex by dense Fraction matrices of apply_differential
+coordinates, whose kernels, images and pivots are read off the plain
+Gauss-Jordan elimination written here (reference_echelon, reference_rref),
+and random models are built so that validity is guaranteed by construction
+rather than by the library's own checks.
+
+Two references are still frozen copies of earlier versions of the code
+they check, not independent algorithms: the DSL scanner and parser
+(reference_tokenize, reference_parse) and reference_certify_theorem4.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from loopspace.bott import (
     CONTRADICTION_ESTABLISHED,
@@ -44,7 +51,6 @@ from loopspace.gca.cohomology import (
     DegreeData,
     _candidate_coefficients,
     _quotient_monomials,
-    differential_matrix,
 )
 from loopspace.spaceforms import SpaceFormSpec, euler_class
 
@@ -254,25 +260,73 @@ class ReferenceSpan:
         return True
 
 
+def reference_differential(model: DgaModel, degree: int, scale: int | None = None):
+    """The dense matrix of d from degree to degree+1, rows over the basis of
+    degree+1 and columns over that of degree, built column by column from
+    apply_differential on each basis monomial: Fractions, or the ints of
+    scale*d when ``scale`` is given (the differential_scale of the model)."""
+    target = model.basis(degree + 1)
+    columns = [apply_differential(model.monomial_element(m)).coords(target) for m in model.basis(degree)]
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    if scale is None:
+        return rows
+    scaled = [[scale * x for x in row] for row in rows]
+    assert all(x.denominator == 1 for row in scaled for x in row), (model, degree, scale)
+    return [[x.numerator for x in row] for row in scaled]
+
+
+def differential_scale(model: DgaModel) -> int:
+    """L, the lcm of every coefficient denominator of the generator
+    differentials: L*d has integer matrices in every degree."""
+    return lcm(*(c.denominator for g in model.generators for c in model.differential_of(g.name).terms.values()))
+
+
+def _primitive(vec) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive."""
+    scale = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * scale) for x in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def reference_kernel(rows, ncols: int):
+    """(free columns, kernel) of the matrix, both ascending: one primitive
+    integer vector per free column f, 1 at f, 0 at every other free column
+    and minus the entry at f of each row of reference_rref at that row's
+    pivot, scaled to primitive integers with first nonzero entry positive."""
+    rref = reference_rref(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rref]
+    free = [j for j in range(ncols) if j not in pivots]
+    kernel = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            x[p] = -row[f]
+        kernel.append(_primitive(x))
+    return free, kernel
+
+
 def reference_cochain_complex(model: DgaModel, max_degree: int):
     """(kernel, image, reps, rank_out) per degree, computed the plain way:
-    a dense Fraction d_d built column by column from apply_differential on
-    each basis monomial, its null space by linalg.nullspace, its image as
-    its own pivot columns, and the representatives as the first kernel
-    vectors that extend the image span."""
+    a dense Fraction d_d (reference_differential), its null space by
+    reference_kernel, its image as its own columns at the pivots (the
+    columns that are not free), and the representatives as the first
+    kernel vectors that extend the image span."""
     out = []
     image: list[tuple[Fraction, ...]] = []
     for d in range(max_degree + 1):
-        basis, target = model.basis(d), model.basis(d + 1)
-        columns = [apply_differential(model.monomial_element(m)).coords(target) for m in basis]
-        rows = [[col[i] for col in columns] for i in range(len(target))]
-        kernel = linalg.nullspace(rows, len(basis))
+        rows, n = reference_differential(model, d), len(model.basis(d))
+        free, kernel = reference_kernel(rows, n)
         span = ReferenceSpan()
         for vec in image:
             assert span.add(vec)
         reps = [vec for vec in kernel if span.add(vec)]
-        out.append((kernel, image, reps, len(basis) - len(kernel)))
-        image = linalg.column_space_basis(rows, len(basis))
+        out.append((kernel, image, reps, n - len(kernel)))
+        image = [tuple(Fraction(row[p]) for row in rows) for p in range(n) if p not in free]
     return out
 
 
@@ -283,9 +337,10 @@ def reference_integer_images(model: DgaModel, max_degree: int):
     transpose; no vector in degree 0."""
     images = []
     image = ()
+    scale = differential_scale(model)
     for d in range(max_degree + 1):
         images.append(image)
-        matrix = differential_matrix(model, d)
+        matrix = reference_differential(model, d, scale)
         columns = list(zip(*matrix))
         image = tuple(columns[p] for p in reference_echelon(matrix)[1])
     return images
@@ -298,30 +353,31 @@ def matrix_columns(rows, ncols: int):
 
 
 def reference_dense_cochain_complex(model: DgaModel, max_degree: int):
-    """The DegreeData of every degree as cochain_complex built them before
-    it skipped the eliminations of zero and injective differentials and of
-    empty images and built kernel vectors at the representatives' columns
-    only: every d_d and every incoming image is reduced (here by the eager
-    reference_echelon), the whole kernel is built and filtered down to the
-    representatives, the image is read from the transpose of d_d, and the
-    outgoing columns from the dense matrix of d_d."""
+    """The DegreeData of every degree as a complex that reduces everything
+    builds them: every d_d, as the dense integer matrix of L*d_d
+    (reference_differential), and every incoming image, restricted to the
+    free columns of d_d, are reduced to reduced echelon form by the eager
+    reference_echelon; the whole kernel is built (reference_kernel) and
+    filtered down to the representatives, the image is read from the
+    transpose of d_d, and the outgoing columns from the dense matrix.  An
+    image row is keyed as in DegreeData, n-1-f at free column f, so the
+    image's columns are taken in descending order of f."""
     degrees = []
     image = ()
+    scale = differential_scale(model)
     for d in range(max_degree + 1):
         basis = model.basis(d)
-        matrix = differential_matrix(model, d)
-        ech, pivots = reference_echelon(matrix)
-        free = tuple(sorted(set(range(len(basis))).difference(pivots), reverse=True))
-        kernel = tuple(linalg.kernel_from_echelon(ech, pivots, len(basis), free[::-1]))
-        at_free, image_pivots = reference_echelon([[vec[f] for f in free] for vec in image])
-        filled = {free[p] for p in image_pivots}
-        reps = tuple(v for f, v in zip(free[::-1], kernel) if f not in filled)
-        degrees.append(DegreeData(
-            d, basis, reps, matrix_columns(matrix, len(basis)),
-            free, tuple(map(tuple, at_free)), tuple(image_pivots), {m: i for i, m in enumerate(basis)},
-        ))
+        n = len(basis)
+        matrix = reference_differential(model, d, scale)
+        free, kernel = reference_kernel(matrix, n)
+        order = free[::-1]  # ascending keys n-1-f
+        at_free, image_pivots = reference_echelon([[vec[f] for f in order] for vec in image])
+        filled = {order[p] for p in image_pivots}
+        reps = tuple(v for f, v in zip(free, kernel) if f not in filled)
+        rows = tuple({n - 1 - f: x for f, x in zip(order, row) if x} for row in at_free)
+        degrees.append(DegreeData(d, basis, reps, matrix_columns(matrix, n), tuple(free), rows))
         columns = list(zip(*matrix))
-        image = tuple(columns[p] for p in pivots)
+        image = tuple(columns[p] for p in range(n) if p not in free)
     return tuple(degrees)
 
 

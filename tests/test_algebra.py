@@ -14,11 +14,12 @@ from loopspace.gca import (
     MixedDegreeError,
     UnknownGeneratorError,
     apply_differential,
+    cochain_complex,
     multiply,
 )
 
 from loopspace.gca.algebra import derivation_table, leibniz, multiply_terms
-from loopspace.gca.cohomology import _sparse_columns, differential_matrix
+from loopspace.gca.cohomology import differential_matrix
 
 from helpers import (
     coprime_denominator_model,
@@ -377,8 +378,9 @@ def test_differential_of_every_monomial_against_product_rule():
                 assert apply_differential(model.monomial_element(mon)) == expected
 
 
-def test_sparse_columns_against_product_rule():
-    """Every column of L*d_d built from the derivation table is L times the
+def test_leibniz_columns_against_product_rule():
+    """Every column of L*d_d that leibniz builds from the derivation table,
+    given the {key: position} map of the basis of degree+1, is L times the
     coefficients of d on its monomial expanded from element products, with
     L the lcm of the denominators of the generator differentials."""
     rng = random.Random(27182)
@@ -392,7 +394,7 @@ def test_sparse_columns_against_product_rule():
         table = derivation_table(keys, model.integer_differentials())
         for degree in range(11):
             index = {m: i for i, m in enumerate(model.basis(degree + 1))}
-            columns = _sparse_columns(model, degree, table, {keys.pack(m): i for m, i in index.items()})
+            columns = list(leibniz(table, keys.bases(degree)[degree], {keys.pack(m): i for m, i in index.items()}))
             assert len(columns) == len(model.basis(degree))
             for mon, column in zip(model.basis(degree), columns):
                 names = monomial_names(model, mon)
@@ -427,11 +429,16 @@ def test_leibniz_with_an_index_makes_sparse_columns():
     assert cancelled
 
 
-def test_differential_matrix_refuses_a_differential_that_does_not_raise_degree_by_one():
+def test_differential_matrix_lays_out_the_columns_it_is_given():
+    """differential_matrix reads no derivation table: it lays out the given
+    columns over the rows of the basis of degree+1, even for a model the
+    cochain gate refuses, and a row no column reaches stays zero."""
     lowering = DgaModel([("u2", 2), ("u5", 5)], {"u5": [(1, {"u2": 1})]})  # not gated: no check_model
-    with pytest.raises(GcaError, match="^differential does not raise degree by one on u5$"):
-        differential_matrix(lowering, 5)
-    assert differential_matrix(lowering, 4) == [[0]]  # u2^2 is closed
+    assert differential_matrix(lowering, 4, [{}]) == [[0]]  # u2^2 is closed; the one row is u5
+    model = DgaModel([("a", 2), ("b", 2), ("x", 3)], {"x": [(1, {"a": 2})]})
+    # d_3 sends x to a^2, the first of the basis a^2, a*b, b^2 of degree 4
+    assert differential_matrix(model, 3, cochain_complex(model, 4).degrees[3].out_columns) == [[1], [0], [0]]
+    assert differential_matrix(model, 2, [{}, {}]) == [[0, 0]]  # degree 3 holds x alone
 
 
 def test_d_squared_zero_randomized():

@@ -303,11 +303,27 @@ def test_closed_stdout_exits_141_without_traceback():
 
 
 def test_invalid_model_reported_not_raised(capsys, tmp_path):
+    """A model whose d does not square to zero (d(dy) = a^4) is refused
+    with exit 2 and the failed check named; one that is only not minimal
+    (du2 = u3) is computed."""
     bad = tmp_path / "bad.dga"
-    bad.write_text("model m { generator u2:2; generator u3:3; d u2 = u3; }")
-    code, _, err = run(capsys, "cohomology", "--max-degree", "4", str(bad))
-    assert code == 2
-    assert "minimality" in err
+    bad.write_text("model m { generator a:2; generator x:3; generator y:6; d x = a^2; d y = a^2*x; }")
+    code, out, err = run(capsys, "cohomology", "--max-degree", "4", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "loopspace: error: model fails validation: d-squared: d(dy) != 0\n"
+    loose = tmp_path / "loose.dga"
+    loose.write_text("model m { generator u2:2; generator u3:3; d u2 = u3; }")
+    code, out, err = run(capsys, "cohomology", "--max-degree", "4", "--json", str(loose))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["dims"] == [1, 0, 0, 0, 0]
+
+
+def test_a_dga_that_is_not_minimal_is_computed(capsys):
+    """fixtures/ls2.dga, the free loop space model of S^2, fails only
+    minimality: cohomology exits 0 with one class in every degree to 30."""
+    code, out, err = run(capsys, "cohomology", "--max-degree", "30", "--json", str(FIXTURES / "ls2.dga"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["dims"] == [1] * 31
 
 
 def test_parse_diagnostics_go_to_stderr(capsys, tmp_path):

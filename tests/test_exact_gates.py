@@ -63,7 +63,7 @@ INT_GATES = [
     ("DgaModel.bases top", lambda v: MODEL.bases(v), 6),
     ("DgaModel.basis_sizes top", lambda v: MODEL.basis_sizes(v), 6),
     ("DgaModel.monomial_keys top", lambda v: MODEL.monomial_keys(v).bases(v), 6),
-    ("differential_matrix degree", lambda v: differential_matrix(MODEL, v), 4),
+    ("differential_matrix degree", lambda v: differential_matrix(MODEL, v, COMPLEX.degrees[4].out_columns), 4),
     ("BettiTable max_degree", lambda v: BettiTable(v, (1, 0)), 1),
     ("BettiTable dims", lambda v: BettiTable(1, (1, v)), 1),
     ("BettiTable.dim degree", lambda v: BASE.dim(v), 2),
@@ -174,4 +174,4 @@ def test_truncation_degrees_below_zero_are_refused():
     assert theorem2_table(LENS, 0).dims == () and quotient_ring_dims(RING, 0) == [1]
     # d from degree -1 is no map of the complex
     with pytest.raises(GcaError, match="^degree must be >= 0, got -1$"):
-        differential_matrix(MODEL, -1)
+        differential_matrix(MODEL, -1, ())

@@ -9,9 +9,8 @@ import pytest
 
 from loopspace.dsl import parse_path
 from loopspace.gca import linalg
-from loopspace.gca.cohomology import differential_matrix
 
-from helpers import reference_echelon
+from helpers import differential_scale, reference_differential, reference_echelon
 
 SIX_GEN = Path(__file__).resolve().parent.parent / "fixtures" / "six_gen.dga"
 
@@ -277,7 +276,7 @@ def test_echelon_matches_the_eager_reference():
 def test_echelon_matches_the_eager_reference_on_the_six_generator_model():
     model = parse_path(SIX_GEN, kind="dga").value
     for d in range(17):
-        matrix = differential_matrix(model, d)
+        matrix = reference_differential(model, d, differential_scale(model))
         assert linalg.echelon(matrix) == reference_echelon(matrix), d
 
 
