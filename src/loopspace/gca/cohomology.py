@@ -123,7 +123,10 @@ Fraction at all.
 Each d_d is factored, by :func:`linalg.echelon`, only when its rank lies
 strictly between 0 and dim C^d, and then only for its kernel: the one
 Leibniz pass's columns are laid out as a dense matrix by
-:func:`differential_matrix`, which builds no column of its own.  A zero
+:func:`differential_matrix`, which builds no column of its own.
+``echelon`` reads its form off :func:`linalg.column_reduce` of the rows,
+so such a d_d is reduced twice by the one kernel: once as columns, for
+the rank test and the image, and once as rows, for the kernel.  A zero
 d_d has every column free, with unit kernel vectors; an injective d_d has
 every column a pivot column and no free column.  Both are exactly what the
 factorisation returns on such input, so the data, and every output byte,

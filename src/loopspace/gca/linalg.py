@@ -1,11 +1,16 @@
-"""Exact rational linear algebra over two integer kernels.
+"""Exact rational linear algebra over one integer elimination step.
 
 Matrices are lists of rows; entries are ints or Fractions.  A row that
 holds a Fraction is scaled to integers first, which changes no rank or null
 space, so no rounding can occur anywhere.
 
-``column_reduce`` reduces integer vectors held as {position: value} maps,
-touching only nonzero entries, to a basis of their span keyed by lowest
+Every elimination here is one step on integer vectors held as {position:
+value} maps, touching only nonzero entries: v becomes a*v - b*w, with a
+and b the entries of w and v at one position divided by their gcd, so v
+is cleared there, and the result is divided by its content.
+
+``column_reduce`` applies that step at each vector's lowest position
+against the vectors it has kept, to a basis of their span keyed by lowest
 position.  That one reduction gives a rank (``sparse_rank`` is the number
 of vectors it keeps; ``rank`` hands it the nonzero rows of a matrix, since
 the rank of a matrix is the rank of its rows), in the cochain complex
@@ -13,19 +18,18 @@ both the rank test of a differential and the basis of its image, and in
 the rank path of ``cohomology`` every rank at once, from one stream that
 reads and pops the kept vectors of a dict it passes in.
 
-``echelon`` factors a matrix when more than its rank is needed: a
-fraction-free Gauss-Jordan reduction of the integerised matrix (Bareiss
-1968, applied above the pivot as well as below), in which every division
-is exact.  Zero rows are dropped before anything else; each other row is
-copied.  Pivots are chosen by first nonzero column, then smallest absolute
-entry, then lowest row index; the fixed rule makes every result
-deterministic.  Null space (primitive integer vectors), column space and
-solutions are read off the reduced form without further elimination.
+``echelon`` factors a matrix when more than its rank is needed, and is read
+off the same reduction of its nonzero rows: each kept row is cleared at the
+other pivots by the same step, made primitive, and scaled to the pivot
+value c, the least positive integer that clears the denominators of the
+reduced row echelon form (RREF).  Its result, c times the RREF and the
+pivot columns, depends on the row space alone: not on the order or the
+scale of the rows, nor on how they were reduced.  Null space (primitive
+integer vectors), column space and solutions are read off it without
+further elimination.
 
-A pivot step only rescales a row whose entry in the pivot column is 0, by
-the new pivot over the previous one.  Those factors telescope, so such rows
-are left as they are and rescaled once, exactly, when they are next needed:
-the work of a step is proportional to the rows it actually changes.
+``IncrementalSpan`` keeps a ``Fraction`` reduction of its own; nothing in
+the package calls it.
 """
 
 from __future__ import annotations
@@ -55,64 +59,21 @@ def integerize_rows(rows: Sequence[Row]) -> list[list[int]]:
     return out
 
 
-def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon form of the integerised matrix: (rows, pivot columns).
-
-    Zero rows are dropped first, so only the nonzero rows are type-checked
-    and copied by :func:`integerize_rows`.
-
-    Fraction-free Gauss-Jordan: each pivot step updates every other row to
-    (pivot*x - head*y) / previous_pivot, which divides exactly.  At the end
-    every row carries the same pivot value and each pivot column has one
-    nonzero entry.  The pivot columns are the first linearly independent
-    columns, in order.
-
-    A row whose head (its entry in the pivot column) is 0 is only scaled by
-    pivot / previous_pivot.  Over a run of such steps the factors telescope:
-    a row last brought up to date when the previous pivot was L equals
-    stored * P // L once the previous pivot is P, and that division is exact
-    because each step's scaled row is an integer.  So each row keeps the
-    previous pivot it is current at (its level) and is brought up to date
-    only when it is read: when its head is nonzero in the pivot search (which
-    then compares up-to-date values, so the pivots are unchanged), when it
-    is eliminated, and once at the end.  The pivot row itself is not
-    changed by its step, so its level becomes the new pivot.
-    """
-    m = integerize_rows([row for row in rows if any(row)])
-    level = [1] * len(m)
-    pivots: list[int] = []
-    prev = 1
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        hits = [i for i, row in enumerate(m) if row[c]]
-        if not hits or hits[-1] < r:
-            continue
-        best = -1
-        for i in hits:
-            if level[i] != prev:
-                m[i] = [x * prev // level[i] for x in m[i]]
-                level[i] = prev
-            if i >= r and (best == -1 or abs(m[i][c]) < low):
-                best, low = i, abs(m[i][c])
-        top = m[best]
-        piv = top[c]
-        for i in hits:
-            if i != best:
-                head = m[i][c]
-                m[i] = [(piv * x - head * y) // prev for x, y in zip(m[i], top)]
-                level[i] = piv
-        m[r], m[best] = top, m[r]
-        level[best] = level[r]
-        level[r] = piv
-        pivots.append(c)
-        prev = piv
-        if r + 1 == len(m):
-            break
-    del m[len(pivots):]
-    for i, row in enumerate(m):
-        if level[i] != prev:
-            m[i] = [x * prev // level[i] for x in row]
-    return m, pivots
+def _eliminate(v: Mapping[int, int], w: Mapping[int, int], at: int) -> dict[int, int]:
+    """The one elimination step: a*v - b*w, where a and b are w[at] and
+    v[at] divided by their gcd, so the result is 0 at ``at``, divided by its
+    content.  Neither map is mutated."""
+    a, b = w[at], v[at]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    u = dict(v) if a == 1 else {i: a * x for i, x in v.items()}
+    for i, y in w.items():
+        z = u.pop(i, 0) - b * y
+        if z:
+            u[i] = z
+    g = gcd(*u.values())
+    return u if g < 2 else {i: x // g for i, x in u.items()}
 
 
 def column_reduce(
@@ -122,9 +83,8 @@ def column_reduce(
     int} maps, keyed by lowest position: {lowest position: vector}.
 
     Column reduction (Zomorodian-Carlsson 2005): each vector is reduced
-    against the kept vectors by its lowest position, to a*v - b*kept where
-    a and b are the two entries there divided by their gcd, and the result
-    is divided by its content.  A vector is kept when its lowest position is
+    against the kept vectors by its lowest position, by the step of
+    :func:`_eliminate`.  A vector is kept when its lowest position is
     new and dropped when it vanishes.  The kept vectors have distinct lowest
     positions, so they are independent, and each dropped vector is in their
     span.  The set of lowest positions is that of every such basis of the
@@ -154,17 +114,7 @@ def column_reduce(
             if other is None:
                 kept[low] = v
                 break
-            a, b = other[low], v[low]
-            g = gcd(a, b)
-            if g != 1:
-                a, b = a // g, b // g
-            w = dict(v) if a == 1 else {i: a * x for i, x in v.items()}
-            for i, y in other.items():
-                z = w.pop(i, 0) - b * y
-                if z:
-                    w[i] = z
-            g = gcd(*w.values())
-            v = w if g < 2 else {i: x // g for i, x in w.items()}
+            v = _eliminate(v, other, low)
     return kept
 
 
@@ -174,11 +124,56 @@ def sparse_rank(vectors: Iterable[Mapping[int, int]]) -> int:
     return len(column_reduce(vectors))
 
 
-def rank(rows: Sequence[Row]) -> int:
-    """Rank of the matrix: the rank of its nonzero rows, integerised (see
-    :func:`integerize_rows`), as :func:`sparse_rank` vectors."""
+def _sparse_rows(rows: Sequence[Row]) -> list[dict[int, int]]:
+    """The nonzero rows of a matrix, integerised (see
+    :func:`integerize_rows`), as {column: nonzero int} maps.  Zero rows are
+    dropped first, so they are neither type-checked nor copied."""
     m = integerize_rows([row for row in rows if any(row)])
-    return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Rank of the matrix: the rank of its nonzero rows, as
+    :func:`sparse_rank` vectors."""
+    return sparse_rank(_sparse_rows(rows))
+
+
+def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form of the integerised matrix: (rows, pivot columns).
+
+    The rows are c times the reduced row echelon form (RREF), where c > 0 is
+    the least integer that clears its denominators: every row carries the
+    pivot value c, and each pivot column has one nonzero entry.  The pivot
+    columns are the first linearly independent columns, in order.  Both
+    depend on the row space alone.
+
+    :func:`column_reduce` reduces the nonzero rows (:func:`_sparse_rows`)
+    to one row per pivot, its lowest position.  From the last pivot down,
+    each row is cleared at the later pivots it holds by the step of
+    :func:`_eliminate`, against rows cleared already.  Those are zero at
+    every other pivot, so no step refills one.  Each row is then made
+    primitive, so that |its pivot| is the denominator of its RREF row, and
+    c is the lcm of those.
+    """
+    kept = column_reduce(_sparse_rows(rows))
+    pivots = sorted(kept)
+    cleared: dict[int, Mapping[int, int]] = {}
+    for p in reversed(pivots):
+        v = kept[p]
+        for q in sorted(v.keys() & cleared.keys()):
+            v = _eliminate(v, cleared[q], q)
+        g = gcd(*v.values())
+        cleared[p] = v if g == 1 else {i: x // g for i, x in v.items()}
+    c = lcm(*(v[p] for p, v in cleared.items()))
+    ech = []
+    for p in pivots:
+        v = cleared[p]
+        k = c // v[p]
+        row = [0] * len(rows[0])
+        for i, x in v.items():
+            row[i] = k * x
+        ech.append(row)
+    return ech, pivots
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -202,8 +197,9 @@ def kernel_from_echelon(
     among ``columns`` raises ``ValueError``: the vector built there would not
     be in the null space.
 
-    Every row of the form carries the same pivot value d, so d times the
-    kernel vector is d at f and -row[f] at the pivot of each row."""
+    Every row of the form carries the same pivot value d > 0 (the c of
+    :func:`echelon`), so d times the kernel vector is d at f and -row[f] at
+    the pivot of each row."""
     d = ech[0][pivots[0]] if ech else 1
     pivot_set = set(pivots)
     basis = []

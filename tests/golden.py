@@ -6,11 +6,14 @@ by ``test_cohomology.py``.  The ``cohomology``, ``ring-verify`` and
 ``gysin-check`` digests were recorded before the elimination kernel was
 rewritten, except the ``rational_pencil`` ones (a model with non-integer
 coefficients), recorded before class coordinates were read in kernel
-coordinates, and the ``six_gen`` one, recorded before kernel vectors were
-built at the representatives' columns only; the grid-72, 200-iterate and
-1000003rd-iterate ones before the Bott index moved to integer arithmetic,
-the others before the command dispatch was rewritten; any change to the CLI, ``gca.linalg``, the cochain
-complex or ``bott`` must reproduce them byte for byte.  To print the
+coordinates, the ``six_gen`` one, recorded before kernel vectors were
+built at the representatives' columns only, and the ``six_gen``
+degree-24 one, recorded while ``linalg.echelon`` was still a fraction-free
+Gauss-Jordan (Bareiss) loop, before it was read off ``column_reduce``; the
+grid-72, 200-iterate and 1000003rd-iterate ones before the Bott index moved
+to integer arithmetic, the others before the command dispatch was
+rewritten; any change to the CLI, ``gca.linalg``, the cochain complex or
+``bott`` must reproduce them byte for byte.  To print the
 current digests, and exit with status 1 when any differs from the
 recorded one:
 
@@ -42,6 +45,8 @@ COMMANDS = {
     **{f"cohomology {f}": ("cohomology", "--max-degree", "16", "--json", f) for f in DGA},
     # a large sparse model: its matrices reach hundreds of rows
     "cohomology six_gen.dga": ("cohomology", "--max-degree", "20", "--json", "six_gen.dga"),
+    # its largest dense degrees, where every d_d from 6 up is factored by echelon
+    "cohomology six_gen.dga D=24": ("cohomology", "--max-degree", "24", "--json", "six_gen.dga"),
     "ring-verify quotient_s2 a=2": ("ring-verify", "--deg-z", "2", "--nilpotency", "2",
                                     "--max-degree", "14", "--json", "quotient_s2.dga"),
     "ring-verify quotient_s2 a=3": ("ring-verify", "--deg-z", "2", "--nilpotency", "3",
@@ -82,6 +87,7 @@ EXPECTED = {
     "cohomology quotient_s2.dga": "15b0d0941539340e148634b19728564cd04524d986defccca085e50bdf92528e",
     "cohomology rational_pencil.dga": "adb23ec01e146e3e3ae44fcdbac3226bbe440e524a216235787d4968e67af19c",
     "cohomology six_gen.dga": "9a783aaa586ad85dce260c371f12897a84a6524460edee000b2ab775d4068745",
+    "cohomology six_gen.dga D=24": "6b425431021ddf2ff38a528c6d2ae35852b4573f7a87d9329554d80fcf87d587",
     "cohomology sphere5.dga": "67979a8af7b5e8815314aba6fb9ca6d0930c426746bce4c522c569fd10f7fa9c",
     "gysin-check cp2.dga cp2.dga": "d027f9870d31a57fc9e80c83ffe3147644b7fcd9efcd5201af0b70516492ca65",
     "gysin-check cp2.dga quotient_s2.dga": "771d6234d3812db4ebe8cfea231bf09fa8343ae37dd417f9207ef0c107f84276",

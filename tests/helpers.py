@@ -211,6 +211,21 @@ def reference_rref(rows):
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(ech, pivots)]
 
 
+def reference_solve(columns, rhs):
+    """One solution x of sum_j x_j * columns[j] = rhs, read off the
+    reference_rref of the augmented matrix with every free variable 0, or
+    None when rhs is not in the span of the columns."""
+    ncols = len(columns)
+    rref = reference_rref([[col[i] for col in columns] + [b] for i, b in enumerate(rhs)])
+    x = [Fraction(0)] * ncols
+    for row in rref:
+        p = next(j for j, v in enumerate(row) if v)
+        if p == ncols:
+            return None
+        x[p] = row[ncols]
+    return x
+
+
 def reference_multiply_monomials(model: DgaModel, a, b):
     """Koszul-signed product of two exponent tuples, or None when an odd
     generator would square; the sign counts the inversions between the

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,13 @@ import pytest
 from loopspace.dsl import parse_path
 from loopspace.gca import linalg
 
-from helpers import differential_scale, reference_differential, reference_echelon
+from helpers import (
+    differential_scale,
+    reference_differential,
+    reference_echelon,
+    reference_rref,
+    reference_solve,
+)
 
 SIX_GEN = Path(__file__).resolve().parent.parent / "fixtures" / "six_gen.dga"
 
@@ -262,27 +268,37 @@ def _reference_matrix(rng, kind):
     return m
 
 
+def _scaled_rref(m):
+    """What echelon must return: reference_rref(m) times c, the least
+    positive integer that clears its denominators, and the reference's
+    pivots."""
+    rref = reference_rref(m)
+    c = lcm(*(x.denominator for row in rref for x in row))
+    return [[int(c * x) for x in row] for row in rref], reference_echelon(m)[1]
+
+
 def test_echelon_matches_the_eager_reference():
-    """Lazily rescaled rows give the rows and pivots of the elimination that
-    rewrites every row at every step, on every kind of matrix."""
+    """The rows are c times the reference's RREF and the pivots are the
+    reference's, on every kind of matrix."""
     rng = random.Random(1968)
     kinds = ("dense", "sparse", "banded", "block diagonal", "zero and duplicate rows",
              "fractions", "non-unit pivots", "ties in |pivot|")
     for n in range(560):
         m = _reference_matrix(rng, kinds[n % len(kinds)])
-        assert linalg.echelon(m) == reference_echelon(m), (kinds[n % len(kinds)], m)
+        assert linalg.echelon(m) == _scaled_rref(m), (kinds[n % len(kinds)], m)
 
 
 def test_echelon_matches_the_eager_reference_on_the_six_generator_model():
     model = parse_path(SIX_GEN, kind="dga").value
     for d in range(17):
         matrix = reference_differential(model, d, differential_scale(model))
-        assert linalg.echelon(matrix) == reference_echelon(matrix), d
+        assert linalg.echelon(matrix) == _scaled_rref(matrix), d
 
 
 def test_echelon_drops_zero_rows_before_integerising(monkeypatch):
     """Zero rows interleaved anywhere, in int and in Fraction form, leave
-    the reference's rows and pivots, and none of them is integerised."""
+    c times the reference's RREF and its pivots, and none of them is
+    integerised."""
     rng = random.Random(1970)
     seen = []
     original = linalg.integerize_rows
@@ -296,5 +312,66 @@ def test_echelon_drops_zero_rows_before_integerising(monkeypatch):
             m.insert(rng.randint(0, len(m)), [0] * ncols)
         fractions = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
         for rows in (m, fractions):
-            assert linalg.echelon(rows) == reference_echelon(rows), rows
+            assert linalg.echelon(rows) == _scaled_rref(rows), rows
     assert seen and all(any(row) for row in seen)
+
+
+def test_echelon_depends_on_the_row_space_alone():
+    """Shuffling the rows and scaling one of them by a nonzero rational
+    leave the result unchanged."""
+    rng = random.Random(1971)
+    kinds = ("dense", "sparse", "banded", "zero and duplicate rows", "fractions", "non-unit pivots")
+    scales = (Fraction(-1), Fraction(2), Fraction(-3, 4), Fraction(5, 6), Fraction(1, 7))
+    for n in range(300):
+        m = _reference_matrix(rng, kinds[n % len(kinds)])
+        shuffled = rng.sample(m, len(m))
+        i = rng.randrange(len(shuffled))
+        scale = rng.choice(scales)
+        shuffled[i] = [scale * x for x in shuffled[i]]
+        assert linalg.echelon(shuffled) == linalg.echelon(m), (m, shuffled)
+
+
+def test_row_space_basis_is_the_primitive_rref():
+    """One primitive integer row per RREF row, first nonzero entry positive."""
+    rng = random.Random(1972)
+    kinds = ("dense", "sparse", "zero and duplicate rows", "fractions", "non-unit pivots")
+    for n in range(200):
+        m = _reference_matrix(rng, kinds[n % len(kinds)])
+        expected = []
+        for row in reference_rref(m):
+            scaled = [int(x * lcm(*(y.denominator for y in row))) for x in row]
+            g = gcd(*scaled)
+            expected.append(tuple(x // g for x in scaled))
+        assert all(next(x for x in row if x) > 0 for row in expected)
+        assert linalg.row_space_basis(m) == expected, m
+
+
+def test_solve_matches_the_rref_read_off():
+    """On consistent, underdetermined systems the solution is the RREF
+    read-off with every free variable 0; an inconsistent one gives None;
+    int and Fraction input alike."""
+    rng = random.Random(1973)
+    consistent = inconsistent = 0
+    for n in range(300):
+        nrows, rank = rng.randint(1, 6), rng.randint(0, 4)
+        ncols = rank + rng.randint(1, 3)  # more unknowns than independent columns
+        basis = [[rng.randint(-3, 3) for _ in range(nrows)] for _ in range(rank)]
+        columns = [[sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(nrows)]
+                   for _ in range(ncols)]
+        if n % 2:  # a right-hand side in the span of the columns
+            coeffs = [rng.randint(-3, 3) for _ in columns]
+            rhs = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(nrows)]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(nrows)]
+        if n % 3 == 0:
+            columns = [[Fraction(x, rng.randint(1, 4)) for x in col] for col in columns]
+            rhs = [Fraction(x, rng.randint(1, 5)) for x in rhs]
+        expected = reference_solve(columns, rhs)
+        x = linalg.solve(columns, rhs)
+        assert x == expected, (columns, rhs)
+        if expected is None:
+            inconsistent += 1
+        else:
+            consistent += 1
+            assert all(sum(xj * col[i] for xj, col in zip(x, columns)) == b for i, b in enumerate(rhs))
+    assert consistent > 150 and inconsistent > 50
