@@ -25,25 +25,27 @@ generators the monomial holds.  A layout holds every degree up to its
 capacity, the highest top that gives the same widths; a model widens its
 layout, in one assignment, when asked for more (see
 :meth:`DgaModel.monomial_keys`), and a key is only ever read in the
-layout that made it: the tail table and the derivation table belong to
+layout that made it: the key table and the derivation table belong to
 one layout.  The monomials in some of the generators alone can be keyed in
 a model's layout (:meth:`MonomialKeys.restricted`), where that layout's
 derivation table reads them.  Public values stay tuples:
 :meth:`DgaModel.basis` and :meth:`DgaModel.bases` decode the keys of the
-tail table on each call, which is the model's only basis store, and
+key table on each call, which is the model's only basis store, and
 :class:`AlgebraElement` terms are keyed by tuple.
 
-The keys of each degree are read from one table of tails, one level per
-generator and one entry per degree: the tails of generators i onward of
-degree d are those of degree d - g with one more factor of generator i
-(of degree g), taken from the same level when i is even and from the
-level below when it is odd, followed by the tails of generators i+1 onward
-of degree d.  The table is built bottom-up, from the last generator to the
-first, and extended to the highest degree asked for; a degree with nothing
-to prefix shares the tuple of the level below, so an empty degree costs
-one lookup.  Each extension is published in one assignment, so a
+A layout holds one key table: the keys of degrees 0..t, one tuple per
+degree.  It is built whole, by one bottom-up pass over the generators from
+the last to the first: the tails of generators i onward of degree d are
+those of degree d - g with one more factor of generator i (of degree g),
+taken from the tails of generators i onward when i is even and from those
+of generators i+1 onward when it is odd, followed by the tails of
+generators i+1 onward of degree d.  The tails of generators i onward live
+only inside that pass, and those of generators 0 onward are the table; a
+degree with nothing to prefix shares the tuple of the tails after, so an
+empty degree costs one lookup.  A request beyond t builds the table again,
+to the degree asked for, and publishes it in one assignment, so a
 concurrent reader sees either the old table or the new one, never a
-half-built level.
+half-built one.
 
 The differential acts on keys through a derivation table (see
 :func:`derivation_table`), made from the generator differentials for one
@@ -124,8 +126,8 @@ RawPoly = Iterable[tuple[CoeffLike, ExponentsLike]]
 #: Exponent vector over a model's generators, in canonical order, e.g.
 #: ``(2, 0, 1)`` for u2^2*u3 over generators (u2, v2, u3).
 Monomial = tuple[int, ...]
-#: Coefficient type of :func:`leibniz` and :func:`multiply_terms`: Fraction,
-#: or int for a scaled copy.
+#: Coefficient type of :func:`multiply_terms` and :func:`apply_derivation`:
+#: Fraction, or int for a scaled copy.
 Coeff = TypeVar("Coeff", int, Fraction)
 
 
@@ -423,14 +425,15 @@ class DgaModel:
     def basis(self, degree: int) -> tuple[Monomial, ...]:
         """All monomials of the given total degree, lexicographically
         descending in the canonical exponent vector, decoded from the
-        model's tail table."""
+        model's key table."""
         if exact_int(degree, -inf, _DEGREE_MESSAGE) < 0:
             return ()
         keys = self.monomial_keys(degree)
         return keys.decode(keys.bases(degree)[degree:])[0]
 
     def bases(self, top: int) -> tuple[tuple[Monomial, ...], ...]:
-        """``basis(d)`` for d = 0..top, read from one table extension."""
+        """``basis(d)`` for d = 0..top, decoded from one read of the key
+        table."""
         if exact_int(top, -inf, _DEGREE_MESSAGE) < 0:
             return ()
         keys = self.monomial_keys(top)
@@ -494,11 +497,12 @@ class DgaModel:
 
 class MonomialKeys:
     """The key layout of the monomials over ``generators`` (in canonical
-    order) with field widths for degree ``top``, and the tail table of their
-    keys (see the module docstring).  ``capacity``, at least ``top``, is the
-    highest degree whose monomials fit the fields."""
+    order) with field widths for degree ``top``, and one table of their
+    keys, those of degrees 0..t for the highest t asked of :meth:`bases`
+    so far (see the module docstring).  ``capacity``, at least ``top``, is
+    the highest degree whose monomials fit the fields."""
 
-    __slots__ = ("generators", "degrees", "shifts", "masks", "odd_mask", "capacity", "_tails")
+    __slots__ = ("generators", "degrees", "shifts", "masks", "odd_mask", "capacity", "_table")
 
     def __init__(self, generators: Sequence[Generator], top: int):
         self.generators = tuple(generators)
@@ -516,21 +520,17 @@ class MonomialKeys:
             shift += width
         self.shifts, self.masks = tuple(reversed(shifts)), tuple(reversed(masks))
         self.odd_mask, self.capacity = odd, capacity
-        # _tails[i][d]: the keys of the tails of generators i onward of
-        # degree d, descending; the last level has only the empty tail, key
-        # 0 in degree 0, and the others start empty
-        self._tails = ((),) * len(shifts) + (((0,),),)
+        self._table = ()  # the keys of degrees 0..t, see bases
 
     def restricted(self, indices: Sequence[int]) -> "MonomialKeys":
         """The layout of the monomials in the generators at ``indices``
         alone, with this layout's fields, so that a derivation table made
-        for this one reads their keys; it has a tail table of its own."""
+        for this one reads their keys; it has a key table of its own."""
         keys = MonomialKeys.__new__(MonomialKeys)
         keys.generators, keys.degrees, keys.shifts, keys.masks = (
             tuple(map(values.__getitem__, indices))
             for values in (self.generators, self.degrees, self.shifts, self.masks))
-        keys.odd_mask, keys.capacity = self.odd_mask, self.capacity
-        keys._tails = ((),) * len(indices) + (((0,),),)
+        keys.odd_mask, keys.capacity, keys._table = self.odd_mask, self.capacity, ()
         return keys
 
     def pack(self, mon: Monomial) -> int:
@@ -550,32 +550,24 @@ class MonomialKeys:
 
     def bases(self, top: int) -> tuple[tuple[int, ...], ...]:
         """The keys of each degree 0..top, each degree's descending, which
-        is lexicographically descending in the exponents."""
+        is lexicographically descending in the exponents, read from the
+        table; a table that stops below ``top`` is built again, whole, to
+        ``top`` (see the module docstring) and published in one
+        assignment."""
         if top > self.capacity:
             raise GcaError(f"degree {top} exceeds the capacity {self.capacity} of the key layout")
-        tails = self._tails
-        if top >= len(tails[0]):
-            tails = self._extend(top)
-        return tails[0][:top + 1]
-
-    def _extend(self, top: int) -> tuple:
-        """The tail table extended to ``top`` (see the module docstring),
-        published in one assignment."""
-        old = self._tails
-        start = len(old[0])
-        below = old[-1] + ((),) * (top + 1 - len(old[-1]))
-        levels = [below]
-        for i in reversed(range(len(self.degrees))):
-            step, prefix = self.degrees[i], (1 << self.shifts[i]).__add__  # one more factor of generator i
-            level = [*old[i], *below[start:]]
-            source = below if step % 2 else level
-            for d in range(max(start, step), top + 1):
-                if shifted := source[d - step]:
-                    level[d] = (*map(prefix, shifted), *level[d])
-            below = tuple(level)
-            levels.append(below)
-        tails = self._tails = tuple(reversed(levels))
-        return tails
+        table = self._table
+        if top >= len(table):
+            table = ((0,),) + ((),) * top  # the tails of no generator: the empty one, key 0
+            for step, shift in zip(reversed(self.degrees), reversed(self.shifts)):
+                prefix, level = (1 << shift).__add__, list(table)  # one more factor of this generator
+                source = table if step % 2 else level
+                for d in range(step, top + 1):
+                    if shifted := source[d - step]:
+                        level[d] = (*map(prefix, shifted), *level[d])
+                table = tuple(level)
+            self._table = table
+        return table[:top + 1]
 
 
 def times_free_series(series: list[int], degrees: Iterable[int]) -> list[int]:
@@ -716,7 +708,7 @@ def multiply_terms(
     model: DgaModel, a: Mapping[Monomial, Coeff], b: Mapping[Monomial, Coeff]
 ) -> dict[Monomial, Coeff]:
     """Graded-commutative product of two {monomial: coefficient} maps of the
-    model, generic over the coefficient type (see :func:`leibniz`): each
+    model, generic over the coefficient type (see :data:`Coeff`): each
     pair of terms contributes its Koszul-signed monomial product, and
     products that square an odd generator vanish.  Terms that cancel are
     dropped."""
@@ -736,20 +728,22 @@ def multiply_terms(
 #: message) refusal per generator whose differential does not.
 DerivationTable = tuple[
     MonomialKeys,
-    tuple[tuple[int, int, tuple[tuple[int, Coeff, int, int], ...]], ...],
+    tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...],
     tuple[tuple[int, int, str], ...],
 ]
 
 
-def derivation_table(keys: MonomialKeys, diffs: Sequence[Mapping[Monomial, Coeff]]) -> DerivationTable:
+def derivation_table(keys: MonomialKeys, diffs: Sequence[Mapping[Monomial, int]]) -> DerivationTable:
     """The graded Leibniz rule of a differential on the keys of a layout,
-    made once for :func:`leibniz`, generic over the coefficient type.
+    made once for :func:`leibniz`.
 
     ``diffs`` holds one {monomial: coefficient} map per generator of the
-    layout, in canonical order: a model's own :class:`Fraction`
-    differentials, or a scaled integer copy of them.  The factor g^e of a
-    monomial m contributes e * (factors before) * dg * (factors after),
-    signed by the degree of the factors before.  A monomial n of dg makes it
+    layout, in canonical order.  Only :meth:`DgaModel.integer_derivation`
+    makes a table, from the model's integer differentials (see
+    :meth:`DgaModel.integer_differentials`), so every coefficient of a
+    table is an int.  The factor g^e of a monomial m contributes
+    e * (factors before) * dg * (factors after), signed by the degree of
+    the factors before.  A monomial n of dg makes it
     the monomial m + delta, delta = n - (the unit vector at g), with one
     sign; packed, delta is one signed int, and the image key is the sum
     whenever the image fits the layout.  Only odd factors move a sign, so
@@ -802,7 +796,7 @@ def leibniz(
 ) -> Iterator[dict]:
     """d of each monomial, given by its key in the layout of a
     :func:`derivation_table`, by the table's graded Leibniz rule: one
-    {key: coefficient} map per monomial, in order, made as it is consumed.
+    {key: int} map per monomial, in order, made as it is consumed.
     The layout must hold every image.  The odd generators of a monomial are
     its key's odd bits, and a monomial with no generator of nonzero
     differential gets an empty map.  Terms that cancel stay in the result
@@ -835,10 +829,10 @@ def leibniz(
 
 def apply_derivation(table: DerivationTable, terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
     """d of a {monomial: coefficient} map by the Leibniz rule of a
-    :func:`derivation_table` (see :func:`leibniz`), with the coefficient
-    type of both; the monomials are packed in the table's layout, which
-    must hold every term and its image, and the result is decoded.  Terms
-    that cancel are dropped."""
+    :func:`derivation_table` (see :func:`leibniz`), whose coefficients are
+    ints, so the result has the coefficient type of ``terms``; the monomials
+    are packed in the table's layout, which must hold every term and its
+    image, and the result is decoded.  Terms that cancel are dropped."""
     keys = table[0]
     out: dict[int, Coeff] = {}
     for coeff, image in zip(terms.values(), leibniz(table, map(keys.pack, terms))):

@@ -24,7 +24,7 @@ ranks: dim H^d = dim C^d - rank d_d - rank d_{d-1}.  The rank is the
 number of columns a column reduction keeps (:func:`linalg.column_reduce`),
 which reads their nonzero entries only, so no kernel, image or dense
 matrix is ever formed.  The keys of degrees 0..max_degree+1 are read
-from the tail table at once and indexed in one ascending {key: position}
+from the key table at once and indexed in one ascending {key: position}
 map.  One lazy stream of columns, made by one Leibniz
 pass that keys each image by position, feeds one reduction: the sources
 degree by degree, each degree's last first.  A kept column of d_{d-1} with
@@ -71,28 +71,22 @@ tests, and stores a first-seen monomial's coefficient as it is;
 :func:`check_model` names minimality offenders only where there are some;
 the basis limit counts the bases only when a product bound exceeds it
 (see :func:`_check_complex_input`); and :class:`BettiTable` checks its
-dims in one exact-type pass.  Summed over those 130 jobs (process time,
-median of 5 alternating runs, 2-core VM, CPython 3.11.7), before and
-after that change: construction 1.87 -> 1.10 ms, the gate less its tables
-2.37 -> 1.46 ms, the key layout and derivation table 1.26 -> 1.18 ms, the
-rest of the rank path's setup (inert split, tail table, index, dims) 6.33
--> 5.86 ms, and the clearing stream 4.1 -> 4.4 ms (unchanged code, within
-the spread); a whole job, model included, 18.5 -> 16.0 ms.  The tail
-table is now the largest fixed cost, about half of that setup.
+dims in one exact-type pass.
 
 The cochain complex (:func:`cochain_complex`: representatives, class
 coordinates, ring verification) splits off no generator, since its
 representatives are vectors over the bases of the whole model.  Like the
-rank path it reads the keys of degrees 0..max_degree+1 from one table
-extension and makes one Leibniz pass over them, each degree taking its
-columns as the pass makes them, already positional; the bases are decoded
-to exponent tuples once, for the :class:`DegreeData` of each degree.  It keeps each
-d_d as those sparse integer columns of L*d_d and reduces each nonzero one once, by
-:func:`linalg.column_reduce`, with the rows of degree d+1 taken in reverse
-order.  That one reduction serves twice: d_d is
-injective exactly when every column is kept, and the kept columns are a
-reduced basis of the image in degree d+1 (L times the image of d, which
-spans the same space).  The kernel has one primitive integer vector per
+rank path it reads the keys of degrees 0..max_degree+1 from one key table
+and makes one Leibniz pass over them, each degree taking its columns as
+the pass makes them, already positional; the bases of degrees
+0..max_degree are decoded to exponent tuples once, from the same table,
+for the :class:`DegreeData` of each degree, and degree max_degree+1 is
+only counted.  It keeps each d_d as those sparse integer columns of L*d_d
+and reduces each nonzero one once, by :func:`linalg.column_reduce`, with
+the rows of degree d+1 taken in reverse order.  That one reduction serves
+twice: d_d is injective exactly when every column is kept, and the kept
+columns are a reduced basis of the image in degree d+1 (L times the image
+of d, which spans the same space).  The kernel has one primitive integer vector per
 free column, nonzero there and zero at every other free column.  So the
 image of d_{d-1} at the free columns of d_d is the image in kernel
 coordinates, up to scaling.  The reduction of d_{d-1} keys row f of degree
@@ -444,28 +438,29 @@ def cochain_complex(model: DgaModel, max_degree: int) -> ComplexData:
     """The cochain data of degrees 0..max_degree (see :class:`DegreeData`
     and the module docstring).
 
-    The bases of degrees 0..max_degree+1 come from one
-    :meth:`DgaModel.bases` call and the columns from one :func:`leibniz`
-    pass over the keys of every source, with one {key: position in its own
-    degree's basis} map: each degree takes its columns by
-    ``itertools.islice``, already positional, with no per-degree basis or
-    column build.  Each column of a nonzero d_d is keyed by reversed row
+    The keys of degrees 0..max_degree+1 come from one read of the key
+    table, the bases of degrees 0..max_degree from one
+    :meth:`DgaModel.bases` call that decodes the same table, and the
+    columns from one :func:`leibniz` pass over the keys of every source,
+    with one {key: position in its own degree's basis} map: each degree
+    takes its columns by ``itertools.islice``, already positional, with no
+    per-degree basis or column build.  Each column of a nonzero d_d is keyed by reversed row
     index (the highest row of degree d+1 is position 0) for
     :func:`linalg.column_reduce`, and the reduced image keeps those keys
     at the free columns of d_{d+1}.  With no incoming image every free
     column holds a representative, and nothing is reduced."""
     _check_complex_input(model, max_degree)
-    bases = model.bases(max_degree + 1)
     table = model.integer_derivation(max_degree + 1)
     keys = table[0].bases(max_degree + 1)
+    bases = model.bases(max_degree)  # decoded from the same table
     # a monomial has one degree, and the gate has checked that d raises it by one
     position = {key: i for packed in keys[1:] for i, key in enumerate(packed)}
     images = leibniz(table, itertools.chain.from_iterable(keys[:-1]), position)
     degrees = []
     image: Mapping[int, Mapping[int, int]] = {}  # the reduced image of L*d_{d-1}, keyed by lowest position
-    for d, basis in enumerate(bases[:-1]):
+    for d, basis in enumerate(bases):
         columns = list(itertools.islice(images, len(basis)))
-        n, top = len(basis), len(bases[d + 1]) - 1
+        n, top = len(basis), len(keys[d + 1]) - 1
         if not any(columns):  # d_d = 0: every column is free
             ech, pivots, free, kept = [], [], tuple(range(n)), {}
         else:

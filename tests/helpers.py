@@ -154,6 +154,49 @@ def random_homogeneous(rng: random.Random, model: DgaModel, max_degree: int = 8)
     return element, degree
 
 
+# -- changes of presentation ---------------------------------------------------
+#
+# A declaration is the (generators, differentials) pair DgaModel is built
+# from.  Each transform returns the declaration of an isomorphic model, read
+# off the public model only.
+
+
+def declaration(model: DgaModel):
+    """The model's generators as (name, degree) pairs, in canonical order,
+    and each nonzero differential as raw terms; a generator whose declared
+    differential vanished gets two terms that cancel, so it is collapsed
+    again."""
+    gens = [(g.name, g.degree) for g in model.generators]
+    diffs = {}
+    for name, _ in gens:
+        terms = model.differential_of(name).terms
+        if terms:
+            diffs[name] = [(c, model.exponent_map(m)) for m, c in terms.items()]
+    for name in model.collapsed:
+        diffs[name] = [(1, {}), (-1, {})]
+    return gens, diffs
+
+
+def reorder_and_rename(rng: random.Random, gens, diffs):
+    """The generators declared in a random order under fresh names, h0, h1,
+    ... given in a random order, so the sorted names change too."""
+    fresh = [f"h{i}" for i in range(len(gens))]
+    rng.shuffle(fresh)
+    rename = {name: new for (name, _), new in zip(gens, fresh)}
+    renamed = {rename[y]: [(c, {rename[g]: e for g, e in exps.items()}) for c, exps in terms]
+               for y, terms in diffs.items()}
+    return [(rename[name], degree) for name, degree in rng.sample(gens, len(gens))], renamed
+
+
+def scale_generator(name: str, factor: Fraction, gens, diffs):
+    """The model with generator ``name`` replaced by ``factor`` times it: a
+    term c * x^e of any differential becomes c / factor^e * x'^e, and the
+    differential of x' is ``factor`` times that of x."""
+    def coefficient(y, c, exps):
+        return Fraction(c) * (factor if y == name else 1) / factor ** exps.get(name, 0)
+    return gens, {y: [(coefficient(y, c, exps), exps) for c, exps in terms] for y, terms in diffs.items()}
+
+
 # -- reference kernels -------------------------------------------------------
 #
 # The exact kernels as they were before they learned to skip zeros: an

@@ -247,9 +247,9 @@ def brute_force_bases(model, top):
 
 
 def test_basis_to_degree_40_against_brute_force():
-    """The tail table, extended in one step, in two (5, then 40) and in
+    """The key table, asked for degree 40 at once, for 5 then 40, and in
     steps shorter than some generator degrees, gives the brute-force bases
-    of every degree up to 40 after each extension, and bases(top) is the
+    of every degree up to 40 after each rebuild, and bases(top) is the
     tuple of those bases."""
     models = [
         DgaModel([("a", 1), ("b", 1), ("u", 2), ("w", 3)]),  # degree-1 generators

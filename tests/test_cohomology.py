@@ -520,7 +520,7 @@ def test_cochain_path_and_class_reads_do_their_work_once(monkeypatch):
         for log in (passes, tops, reads, read_offs):
             log.clear()
         data = cochain_complex(model, degree)
-        assert len(passes) == 1 and tops == [degree + 1], (model, degree)
+        assert len(passes) == 1 and tops == [degree], (model, degree)
         keys, position = passes[0]  # the position map is keyed by packed monomial
         assert all(position[keys.pack(m)] == i for dd in data.degrees[1:] for i, m in enumerate(dd.basis)), (model, degree)
         matrices = euler_action_matrices(data)

@@ -109,6 +109,21 @@ def test_solve_rational_entries():
         assert sum(columns[j][i] * x[j] for j in range(2)) == rhs[i]
 
 
+def test_column_reduce_divides_out_the_content():
+    """Every entry of every vector column_reduce keeps has at most 40 bits,
+    on 200 seeded families of 6 to 12 dense vectors of length 6 to 12 with
+    entries in +-{2, 3, 4, 6}.  Each step multiplies by non-unit entries,
+    and only the division by the content keeps their common factors from
+    piling up: at most 34 bits with it, and 172 without it."""
+    rng = random.Random(5)
+    for _ in range(200):
+        length = rng.randint(6, 12)
+        vectors = [{i: rng.choice((-1, 1)) * rng.choice((2, 3, 4, 6)) for i in range(length)}
+                   for _ in range(rng.randint(6, 12))]
+        kept = linalg.column_reduce(vectors)
+        assert max(abs(x).bit_length() for v in kept.values() for x in v.values()) <= 40, vectors
+
+
 def test_incremental_span_counts_dependencies():
     span = linalg.IncrementalSpan(3)
     assert span.add([1, 1, 0])

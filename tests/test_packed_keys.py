@@ -38,7 +38,7 @@ def oracle_bases(model, top):
 
 
 def test_bases_match_the_product_enumeration():
-    """DgaModel.bases, read from the packed tail table and decoded, is the
+    """DgaModel.bases, read from the packed key table and decoded, is the
     oracle enumeration on 60 seeded random models, the fixtures and the
     Theorem 3 models n = 2..7; basis(d) agrees with it degree by degree, and
     so does the table of a random subset of the generators in the model's
@@ -62,16 +62,32 @@ def test_bases_match_the_product_enumeration():
 
 def test_a_table_grown_after_first_use_equals_a_fresh_one():
     """bases(10) then bases(40) widens the key layout and rebuilds the
-    table; the result is a fresh model's bases(40) and the oracle's."""
+    table; the result is a fresh model's bases(40) and the oracle's.  Inside
+    one layout, of degree 40 and of a random subset of the generators in
+    it, keys of degree 10 then 40 rebuild the table there, and its keys are
+    those of a fresh table and the oracle's."""
     rng = random.Random(3302)
     for model in [*(random_model(rng) for _ in range(20)), *_fixture_models()]:
         small = model.bases(10)
         narrow = model.monomial_keys(10)
-        grown = model.bases(40)
+        grown, expected = model.bases(40), oracle_bases(model, 40)
         assert grown[:11] == small, model
-        assert grown == DgaModel(model.generators).bases(40) == oracle_bases(model, 40), model
+        assert grown == DgaModel(model.generators).bases(40) == expected, model
         if any(g.degree % 2 == 0 and g.degree <= 10 for g in model.generators):
             assert model.monomial_keys(40) is not narrow, model  # the layout widened
+        # grown inside one layout, whole and restricted to some generators
+        some = sorted(rng.sample(range(model.ngens), rng.randint(0, model.ngens)))
+        layout = DgaModel(model.generators).monomial_keys(40)
+        # the oracle's monomials in those generators alone
+        alone = tuple(tuple(tuple(mon[i] for i in some) for mon in basis if sum(mon) == sum(mon[i] for i in some))
+                      for basis in expected)
+        for keys, fresh, oracle in (
+                (layout, DgaModel(model.generators).monomial_keys(40), expected),
+                (layout.restricted(some), layout.restricted(some), alone)):
+            small = keys.bases(10)
+            grown = keys.bases(40)
+            assert grown[:11] == small and grown == fresh.bases(40), (model, some)
+            assert keys.decode(grown) == oracle, (model, some)
 
 
 def test_a_layout_widens_its_fields_with_the_degree():
